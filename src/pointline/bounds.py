@@ -5,12 +5,18 @@ two infinite series that appear in the bound coefficients are bracketed
 by an Interval (exact partial sum plus integral tail bounds).  Inequality
 verdicts are exact rational comparisons; thresholds such as n/26 + 2 are
 never rounded.
+
+The constant formulas of the two bound families live in one record
+builder each (_wd_record, _few_record; BoundParamsWD.with_eps adds the
+eps-dependent delta).  wd_params, f_wd, few_params, eps_few and the scans
+over c all read their values from those records, and the scans return
+them, so callers such as the CLI format fields and never re-derive one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .arrangement import Arrangement, lines_with_at_most, max_lines_through_point, visibility_edge_count
 from .errors import DomainError, InvalidCutoff, Unresolved
@@ -237,8 +243,16 @@ def _suffix_tail_table(kind: str, c_min: int, c_max: int, cutoff: int) -> dict[i
 
 
 # ---------------------------------------------------------------------------
-# Incidence lower-bound constants (the n^2/26 + 2n family)
+# Bound-constant families
+#
+# Each family has one record builder taking (c, series enclosure, k); it is
+# the only place the family's constant formulas are written, apart from the
+# eps-dependent delta, which BoundParamsWD.with_eps adds to a built record.
+# The single-c entry points and the scans over c are thin calls into them.
 # ---------------------------------------------------------------------------
+
+WD_C_MIN = 8
+FEW_C_MIN = 29
 
 
 @dataclass(frozen=True)
@@ -247,18 +261,36 @@ class BoundParamsWD:
 
     h = c(c-2)/(5c-18); x = (h+1)/2 dominates the per-size pair/incidence
     ratios; y = c - 5h - 2 + 18h/(c+1) is the negative correction that
-    folds the medium sizes into the series term; delta is an enclosure
-    (it absorbs an infinite series) while r is exact.
+    folds the medium sizes into the series term; r is exact.  With
+    num = 1 - (beta/2)(offset + sum_{i>=c}(i+1)/i^3), f = num/(h+1+alpha)
+    encloses the largest eps the bound supports and delta =
+    (num - eps*alpha)/(h+1) the incidence coefficient at eps.  eps, q and
+    delta are None until with_eps fills them in.
     """
 
     c: int
-    eps: Rational
-    q: int
+    eps: Optional[Rational]
+    q: Optional[int]
     h: Rational
     x: Rational
     y: Rational
-    delta: Interval
+    delta: Optional[Interval]
     r: Rational
+    f: Interval
+    k: CrossingConstants
+
+    def with_eps(self, eps: Rational, q: Optional[int] = None) -> "BoundParamsWD":
+        """This record with delta filled in for eps in (0, 1/2) (and q in [0, 3])."""
+        eps = Fraction(eps)
+        if not 0 < eps < Fraction(1, 2):
+            raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
+        if q is not None and not 0 <= q <= 3:
+            raise DomainError(f"q must be in [0, 3], got {q}")
+        alpha = self.k.alpha
+        # num is recovered from f rather than stored, which would add a
+        # second big-rational interval to every record of a scan
+        delta = (self.f * (self.h + 1 + alpha) - eps * alpha) / (self.h + 1)
+        return replace(self, eps=eps, q=q, delta=delta)
 
 
 @dataclass(frozen=True)
@@ -266,7 +298,8 @@ class BoundParamsFew:
     """Constant bundle of the few-point-line count bound A*n^2 - B*l*n.
 
     h = (c^2-c-2)/(4c-16); x = h+1 dominates the per-size ratios; A is an
-    enclosure (series term), B = (2c-8)*alpha/(c^2+3c-18) is exact.
+    enclosure (series term), B = alpha/(2x) is exact, and eps = 2A/(1+2B)
+    encloses the largest eps with A*n^2 - B*l*n >= eps*n(n-l)/2.
     """
 
     c: int
@@ -274,15 +307,93 @@ class BoundParamsFew:
     x: Rational
     a: Interval
     b: Rational
+    eps: Interval
 
 
-def _wd_h(c: int) -> Rational:
-    return Fraction(c * (c - 2), 5 * c - 18)
+def _wd_record(c: int, series: Interval, k: CrossingConstants) -> BoundParamsWD:
+    h = Fraction(c * (c - 2), 5 * c - 18)
+    offset = Fraction(-18 * (c - 2), c**3 * (5 * c - 18))  # y * (c+1)/c^3 in closed form
+    num = 1 - (k.beta / 2) * (offset + series)
+    return BoundParamsWD(
+        c=c,
+        eps=None,
+        q=None,
+        h=h,
+        x=(h + 1) / 2,
+        y=c - 5 * h - 2 + 18 * h / (c + 1),
+        delta=None,
+        r=(2 * h - 1 + k.alpha) / (h + 1),
+        f=num / (h + 1 + k.alpha),
+        k=k,
+    )
 
 
-def _wd_series_offset(c: int) -> Rational:
-    # y * (c+1)/c^3 in closed form
-    return Fraction(-18 * (c - 2), c**3 * (5 * c - 18))
+def _few_record(c: int, series: Interval, k: CrossingConstants) -> BoundParamsFew:
+    h = Fraction(c * c - c - 2, 4 * c - 16)
+    x = h + 1
+    offset = Fraction(c * c - 3 * c - 14, 2 * c**3 * (c - 4))
+    a = (1 - (k.beta / 2) * (offset + series)) / (2 * x)
+    b = k.alpha / (2 * x)
+    return BoundParamsFew(c=c, h=h, x=x, a=a, b=b, eps=2 * a / (1 + 2 * b))
+
+
+@dataclass(frozen=True)
+class ScanResult:
+    """Outcome of a scan over c: the argmax, the (c, objective) table and
+    the full per-c records of the final refinement round."""
+
+    argmax_c: int
+    table: tuple[tuple[int, Interval], ...]
+    cutoff: int
+    records: tuple
+
+
+class _Family:
+    """A bound family: its series kind, smallest c, record builder and the
+    record field its scan over c maximizes."""
+
+    def __init__(self, series: str, c_min: int, build: Callable, objective: str):
+        self.series, self.c_min, self.build, self.objective = series, c_min, build, objective
+
+    def record(self, c: int, k: CrossingConstants, cutoff: int):
+        if c < self.c_min:
+            raise DomainError(f"c must be >= {self.c_min}, got {c}")
+        return self.build(c, tail_sum(self.series, c, cutoff), k)
+
+    def scan(self, c_min, c_max, k, cutoff, max_cutoff) -> ScanResult:
+        """Isolate the c maximizing the objective enclosure by interval dominance.
+
+        The argmax is accepted only when its enclosure's lower bound exceeds
+        every other enclosure's upper bound.  While enclosures overlap at the
+        top, the cutoff doubles (up to max_cutoff); if the maximum still
+        cannot be isolated, Unresolved is raised naming the overlapping set.
+        """
+        if not self.c_min <= c_min <= c_max:
+            raise DomainError(f"need {self.c_min} <= c_min <= c_max, got [{c_min}, {c_max}]")
+        cutoff = max(cutoff, c_max)
+        while True:
+            tails = _suffix_tail_table(self.series, c_min, c_max, cutoff)
+            records = tuple(self.build(c, tails[c], k) for c in range(c_min, c_max + 1))
+            table = tuple((p.c, getattr(p, self.objective)) for p in records)
+            best_c, best = max(table, key=lambda row: row[1].lo)
+            overlapping = [c for c, iv in table if c != best_c and iv.hi >= best.lo]
+            if not overlapping:
+                return ScanResult(argmax_c=best_c, table=table, cutoff=cutoff, records=records)
+            if cutoff * 2 > max_cutoff:
+                raise Unresolved(
+                    f"argmax not isolated at cutoff {cutoff}: "
+                    f"{best_c} overlaps with {overlapping}"
+                )
+            cutoff *= 2
+
+
+_WD = _Family("(i+1)/i^3", WD_C_MIN, _wd_record, "f")
+_FEW = _Family("1/i^2", FEW_C_MIN, _few_record, "eps")
+
+
+# ---------------------------------------------------------------------------
+# Incidence lower-bound constants (the n^2/26 + 2n family)
+# ---------------------------------------------------------------------------
 
 
 def wd_params(
@@ -292,85 +403,15 @@ def wd_params(
     k: CrossingConstants = DEFAULT_CONSTANTS,
     cutoff: int = DEFAULT_CUTOFF,
 ) -> BoundParamsWD:
-    """Exact constants of the incidence bound for a given (c, eps, q).
-
-    delta = (1 - eps*alpha - (beta/2)(offset + sum_{i>=c}(i+1)/i^3)) / (h+1)
-    as an Interval; r = (2h - 1 + alpha)/(h + 1) exactly.
-    """
-    if c < 8:
-        raise DomainError(f"c must be >= 8, got {c}")
-    eps = Fraction(eps)
-    if not 0 < eps < Fraction(1, 2):
-        raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
-    if not 0 <= q <= 3:
-        raise DomainError(f"q must be in [0, 3], got {q}")
-    h = _wd_h(c)
-    series = tail_sum("(i+1)/i^3", c, cutoff)
-    delta = _wd_delta_from_series(c, eps, series, k)
-    return BoundParamsWD(
-        c=c,
-        eps=eps,
-        q=q,
-        h=h,
-        x=(h + 1) / 2,
-        y=c - 5 * h - 2 + 18 * h / (c + 1),
-        delta=delta,
-        r=(2 * h - 1 + k.alpha) / (h + 1),
-    )
+    """Exact constants of the incidence bound for a given (c, eps, q)."""
+    return _WD.record(c, k, cutoff).with_eps(eps, q)
 
 
 def f_wd(
     c: int, k: CrossingConstants = DEFAULT_CONSTANTS, cutoff: int = DEFAULT_CUTOFF
 ) -> Interval:
-    """Largest eps the incidence bound supports at this c (enclosure).
-
-    f(c) = (1 - (beta/2)(offset + sum_{i>=c}(i+1)/i^3)) / (h + 1 + alpha).
-    """
-    if c < 8:
-        raise DomainError(f"c must be >= 8, got {c}")
-    series = tail_sum("(i+1)/i^3", c, cutoff)
-    return _f_wd_from_series(c, series, k)
-
-
-def _f_wd_from_series(c: int, series: Interval, k: CrossingConstants) -> Interval:
-    num = 1 - (k.beta / 2) * (_wd_series_offset(c) + series)
-    return num / (_wd_h(c) + 1 + k.alpha)
-
-
-def _wd_delta_from_series(c: int, eps: Rational, series: Interval, k: CrossingConstants) -> Interval:
-    num = 1 - eps * k.alpha - (k.beta / 2) * (_wd_series_offset(c) + series)
-    return num / (_wd_h(c) + 1)
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    argmax_c: int
-    table: tuple[tuple[int, Interval], ...]
-    cutoff: int
-
-
-def _scan_argmax(kind, from_series, c_min, c_max, k, cutoff, max_cutoff) -> ScanResult:
-    """Isolate the c maximizing an enclosure-valued map by interval dominance.
-
-    The argmax is accepted only when its enclosure's lower bound exceeds
-    every other enclosure's upper bound.  While enclosures overlap at the
-    top, the cutoff doubles (up to max_cutoff); if the maximum still
-    cannot be isolated, Unresolved is raised naming the overlapping set.
-    """
-    cutoff = max(cutoff, c_max)
-    while True:
-        tails = _suffix_tail_table(kind, c_min, c_max, cutoff)
-        table = tuple((c, from_series(c, tails[c], k)) for c in range(c_min, c_max + 1))
-        best_c, best = max(table, key=lambda row: row[1].lo)
-        overlapping = [c for c, iv in table if c != best_c and iv.hi >= best.lo]
-        if not overlapping:
-            return ScanResult(argmax_c=best_c, table=table, cutoff=cutoff)
-        if cutoff * 2 > max_cutoff:
-            raise Unresolved(
-                f"argmax not isolated at cutoff {cutoff}: "
-                f"{best_c} overlaps with {overlapping}"
-            )
-        cutoff *= 2
+    """Largest eps the incidence bound supports at this c (enclosure)."""
+    return _WD.record(c, k, cutoff).f
 
 
 def scan_constants_wd(
@@ -380,10 +421,8 @@ def scan_constants_wd(
     cutoff: int = DEFAULT_CUTOFF,
     max_cutoff: int = MAX_CUTOFF,
 ) -> ScanResult:
-    """Isolate the c in [c_min, c_max] maximizing f(c)."""
-    if not 8 <= c_min <= c_max:
-        raise DomainError(f"need 8 <= c_min <= c_max, got [{c_min}, {c_max}]")
-    return _scan_argmax("(i+1)/i^3", _f_wd_from_series, c_min, c_max, k, cutoff, max_cutoff)
+    """Isolate the c in [c_min, c_max] maximizing f(c); records are BoundParamsWD."""
+    return _WD.scan(c_min, c_max, k, cutoff, max_cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -395,25 +434,7 @@ def few_params(
     c: int, k: CrossingConstants = DEFAULT_CONSTANTS, cutoff: int = DEFAULT_CUTOFF
 ) -> BoundParamsFew:
     """Exact constants of the lines-with-at-most-c-points lower bound."""
-    if c < 29:
-        raise DomainError(f"c must be >= 29, got {c}")
-    series = tail_sum("1/i^2", c, cutoff)
-    return BoundParamsFew(
-        c=c,
-        h=Fraction(c * c - c - 2, 4 * c - 16),
-        x=Fraction(c * c + 3 * c - 18, 4 * c - 16),
-        a=_few_a_from_series(c, series, k),
-        b=Fraction(2 * c - 8) * k.alpha / (c * c + 3 * c - 18),
-    )
-
-
-def _few_series_offset(c: int) -> Rational:
-    return Fraction(c * c - 3 * c - 14, 2 * c**3 * (c - 4))
-
-
-def _few_a_from_series(c: int, series: Interval, k: CrossingConstants) -> Interval:
-    num = 1 - (k.beta / 2) * (_few_series_offset(c) + series)
-    return num * Fraction(2 * c - 8, c * c + 3 * c - 18)
+    return _FEW.record(c, k, cutoff)
 
 
 def few_lines_lower_bound(n: int, l: int, p: BoundParamsFew) -> Interval:
@@ -427,14 +448,7 @@ def eps_few(
     c: int, k: CrossingConstants = DEFAULT_CONSTANTS, cutoff: int = DEFAULT_CUTOFF
 ) -> Interval:
     """Enclosure of 2A/(1 + 2B), the largest eps with A*n^2 - B*l*n >= eps*n(n-l)/2."""
-    p = few_params(c, k, cutoff)
-    return 2 * p.a / (1 + 2 * p.b)
-
-
-def _eps_few_from_series(c: int, series: Interval, k: CrossingConstants) -> Interval:
-    a = _few_a_from_series(c, series, k)
-    b = Fraction(2 * c - 8) * k.alpha / (c * c + 3 * c - 18)
-    return 2 * a / (1 + 2 * b)
+    return few_params(c, k, cutoff).eps
 
 
 def scan_constants_few(
@@ -444,10 +458,8 @@ def scan_constants_few(
     cutoff: int = DEFAULT_CUTOFF,
     max_cutoff: int = MAX_CUTOFF,
 ) -> ScanResult:
-    """Isolate the c in [c_min, c_max] maximizing 2A(c)/(1 + 2B(c))."""
-    if not 29 <= c_min <= c_max:
-        raise DomainError(f"need 29 <= c_min <= c_max, got [{c_min}, {c_max}]")
-    return _scan_argmax("1/i^2", _eps_few_from_series, c_min, c_max, k, cutoff, max_cutoff)
+    """Isolate the c in [c_min, c_max] maximizing 2A(c)/(1 + 2B(c)); records are BoundParamsFew."""
+    return _FEW.scan(c_min, c_max, k, cutoff, max_cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +495,7 @@ def _check(name, applicable, relation, lhs, rhs, note="") -> TheoremCheck:
     return TheoremCheck(name, applicable, relation, lhs, rhs, holds, note)
 
 
-def verify_theorems(
-    arr: Arrangement,
-    k: CrossingConstants = DEFAULT_CONSTANTS,
-    cutoff: int = DEFAULT_CUTOFF,
-) -> list[TheoremCheck]:
+def verify_theorems(arr: Arrangement, k: CrossingConstants = DEFAULT_CONSTANTS) -> list[TheoremCheck]:
     """Run every supported inequality against one arrangement.
 
     Premises are part of the statements: an inapplicable check reports
@@ -495,11 +503,8 @@ def verify_theorems(
     The point-degree and incidence checks require a non-collinear set of
     at least 5 points (the n=3 triangle violates both literal bounds);
     the incidence check additionally needs max_collinear <= n/26 + 2,
-    and the half-lines check a non-collinear set.  cutoff is accepted
-    for interface compatibility; the current checks compare exact
-    rationals and consume no series enclosure.
+    and the half-lines check a non-collinear set.
     """
-    del cutoff
     n = arr.n
     l = arr.max_collinear
     non_collinear = l < n

@@ -6,6 +6,10 @@ Subcommands:
   generate   write a generated configuration in the JSON point format
   constants  tabulate bound-constant enclosures over a range of c
 
+The constants tables only format the per-c records that the scans in
+bounds return (built by one record builder per family); no constant
+formula is written here.
+
 Exit codes: 0 success; 1 I/O, parse, or domain errors; 2 a verification
 check failed (or the brute-force cross-check mismatched); 3 a constant
 scan could not isolate its argmax at the refinement limit.
@@ -60,7 +64,6 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("input", help="point-set JSON file")
     p_verify.add_argument("--cross-check", action="store_true",
                           help="first compare against the brute-force line oracle")
-    p_verify.add_argument("--cutoff", type=int, default=bounds.DEFAULT_CUTOFF)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--suite", default=None,
                           help="comma-separated check names to run (default: all)")
@@ -78,10 +81,11 @@ def _build_parser() -> _Parser:
 
     p_const = sub.add_parser("constants", help="tabulate bound-constant enclosures")
     p_const.add_argument("--family", choices=("wd", "few"), required=True)
-    p_const.add_argument("--c-min", type=int, default=None)
-    p_const.add_argument("--c-max", type=int, default=None)
+    p_const.add_argument("--c-min", type=int, default=None,
+                         help="first c of the scan (default: the family's smallest c)")
+    p_const.add_argument("--c-max", type=int, default=200)
     p_const.add_argument("--eps", type=_rational, default=None,
-                         help="also tabulate the incidence coefficient at this eps (wd only)")
+                         help="also tabulate the incidence coefficient at this eps in (0, 1/2) (wd only)")
     p_const.add_argument("--cutoff", type=int, default=bounds.DEFAULT_CUTOFF)
     p_const.add_argument("--alpha", type=_rational, default=None)
     p_const.add_argument("--beta", type=_rational, default=None)
@@ -92,18 +96,13 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except Unresolved as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNRESOLVED
-    except (PointLineError, OSError) as exc:
+    except (_UsageError, PointLineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -158,7 +157,6 @@ def run_verify(
     ps: PointSet,
     descriptor: str = "<memory>",
     cross_check: bool = False,
-    cutoff: int = bounds.DEFAULT_CUTOFF,
     suite: list[str] | None = None,
     constants: bounds.CrossingConstants = bounds.DEFAULT_CONSTANTS,
 ) -> tuple[int, dict]:
@@ -177,7 +175,7 @@ def run_verify(
         if ours != oracle_lines:
             return EXIT_CHECK_FAILED, report
 
-    checks = bounds.verify_theorems(arr, constants, cutoff)
+    checks = bounds.verify_theorems(arr, constants)
     if suite:
         known = {c.name for c in checks}
         unknown = set(suite) - known
@@ -215,9 +213,7 @@ def _print_verify_text(report: dict) -> None:
 def cmd_verify(args) -> int:
     ps = generators.load_points_file(args.input)
     suite = [s.strip() for s in args.suite.split(",")] if args.suite else None
-    code, report = run_verify(
-        ps, args.input, cross_check=args.cross_check, cutoff=args.cutoff, suite=suite
-    )
+    code, report = run_verify(ps, args.input, cross_check=args.cross_check, suite=suite)
     if args.format == "json":
         print(json.dumps(report, indent=1))
     else:
@@ -249,12 +245,7 @@ def _generator_spec(args) -> generators.GeneratorSpec:
 
 
 def cmd_generate(args) -> int:
-    try:
-        spec = _generator_spec(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    ps = spec.build()
+    ps = _generator_spec(args).build()
     if args.out is None:
         generators.dump_points(ps, sys.stdout)
     else:
@@ -293,57 +284,35 @@ def _enclosure_strs(iv: bounds.Interval) -> tuple[str, str]:
     return str(lo), str(hi)
 
 
+# exact columns, then enclosure columns (printed as <name>_lo, <name>_hi;
+# a None enclosure is left out) of each family's records
+_COLUMNS = {"wd": (("h", "x", "y"), ("f", "delta")), "few": (("h", "x", "b"), ("a", "eps"))}
+
+
+def _row(record, exact, enclosed) -> dict:
+    row = {"c": record.c}
+    row.update((name, str(getattr(record, name))) for name in exact)
+    for name in enclosed:
+        iv = getattr(record, name)
+        if iv is not None:
+            row[f"{name}_lo"], row[f"{name}_hi"] = _enclosure_strs(iv)
+    return row
+
+
 def cmd_constants(args) -> int:
     k = _crossing_constants(args)
     if args.family == "wd":
-        c_min = args.c_min if args.c_min is not None else 8
-        c_max = args.c_max if args.c_max is not None else 200
-        scan = bounds.scan_constants_wd(c_min, c_max, k, cutoff=args.cutoff)
-        # one shared suffix pass so the per-c delta column stays cheap
-        tails = (
-            bounds._suffix_tail_table("(i+1)/i^3", c_min, c_max, scan.cutoff)
-            if args.eps is not None
-            else None
-        )
-        rows = []
-        for c, f_iv in scan.table:
-            h = bounds._wd_h(c)
-            f_lo, f_hi = _enclosure_strs(f_iv)
-            row = {
-                "c": c,
-                "h": str(h),
-                "x": str((h + 1) / 2),
-                "y": str(c - 5 * h - 2 + 18 * h / (c + 1)),
-                "f_lo": f_lo,
-                "f_hi": f_hi,
-            }
-            if tails is not None:
-                delta = bounds._wd_delta_from_series(c, args.eps, tails[c], k)
-                row["delta_lo"], row["delta_hi"] = _enclosure_strs(delta)
-            rows.append(row)
+        c_min = bounds.WD_C_MIN if args.c_min is None else args.c_min
+        scan = bounds.scan_constants_wd(c_min, args.c_max, k, cutoff=args.cutoff)
     else:
-        c_min = args.c_min if args.c_min is not None else 29
-        c_max = args.c_max if args.c_max is not None else 200
-        scan = bounds.scan_constants_few(c_min, c_max, k, cutoff=args.cutoff)
-        tails = bounds._suffix_tail_table("1/i^2", c_min, c_max, scan.cutoff)
-        rows = []
-        for c, eps_iv in scan.table:
-            a = bounds._few_a_from_series(c, tails[c], k)
-            b = Fraction(2 * c - 8) * k.alpha / (c * c + 3 * c - 18)
-            a_lo, a_hi = _enclosure_strs(a)
-            eps_lo, eps_hi = _enclosure_strs(eps_iv)
-            rows.append(
-                {
-                    "c": c,
-                    "h": str(Fraction(c * c - c - 2, 4 * c - 16)),
-                    "x": str(Fraction(c * c + 3 * c - 18, 4 * c - 16)),
-                    "b": str(b),
-                    "a_lo": a_lo,
-                    "a_hi": a_hi,
-                    "eps_lo": eps_lo,
-                    "eps_hi": eps_hi,
-                }
-            )
+        if args.eps is not None:
+            raise _UsageError("--eps applies to --family wd only")
+        c_min = bounds.FEW_C_MIN if args.c_min is None else args.c_min
+        scan = bounds.scan_constants_few(c_min, args.c_max, k, cutoff=args.cutoff)
+    records = scan.records
+    if args.eps is not None:
+        records = [p.with_eps(args.eps) for p in records]
+    rows = [_row(p, *_COLUMNS[args.family]) for p in records]
     result = {
         "family": args.family,
         "alpha": str(k.alpha),

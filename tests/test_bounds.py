@@ -376,6 +376,32 @@ def test_scan_few_small_range():
     assert scan.argmax_c == 44
 
 
+def test_scan_records_match_single_c_entry_points():
+    wd = scan_constants_wd(44, 48, cutoff=64)
+    assert [p.c for p in wd.records] == [c for c, _ in wd.table]
+    assert all(p.f == iv for p, (_, iv) in zip(wd.records, wd.table))
+    p46 = dict(zip([p.c for p in wd.records], wd.records))[46]
+    assert p46.eps is None and p46.delta is None
+    assert p46.f == f_wd(46, cutoff=wd.cutoff)
+    assert p46.with_eps(F(1, 26), 2) == wd_params(46, F(1, 26), 2, cutoff=wd.cutoff)
+
+    few = scan_constants_few(40, 48, cutoff=64)
+    assert all(p.eps == iv for p, (_, iv) in zip(few.records, few.table))
+    p44 = next(p for p in few.records if p.c == 44)
+    assert p44 == few_params(44, cutoff=few.cutoff)
+    assert p44.eps == eps_few(44, cutoff=few.cutoff)
+
+
+def test_with_eps_validation():
+    p = wd_params(46, F(1, 26), 2, cutoff=64)
+    for eps in (0, F(1, 2), 3, F(-1, 26)):
+        with pytest.raises(DomainError):
+            p.with_eps(eps)
+    with pytest.raises(DomainError):
+        p.with_eps(F(1, 26), 4)
+    assert p.with_eps(F(1, 30)).delta.lo > p.delta.lo
+
+
 # ---------------------------------------------------------------------------
 # Per-configuration verification
 # ---------------------------------------------------------------------------

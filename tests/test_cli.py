@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -96,9 +97,14 @@ def test_verify_unknown_suite_name(grid_file, capsys):
 
 def test_verify_exit_two_on_failed_check(grid_file, monkeypatch, capsys):
     failed = TheoremCheck("total_lines", True, ">=", F(1), F(2), False, "")
-    monkeypatch.setattr(bounds, "verify_theorems", lambda arr, k, cutoff: [failed])
+    monkeypatch.setattr(bounds, "verify_theorems", lambda arr, k: [failed])
     assert cli.main(["verify", grid_file]) == 2
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_verify_rejects_removed_cutoff_flag(grid_file, capsys):
+    assert cli.main(["verify", grid_file, "--cutoff", "-7"]) == 1
+    assert "--cutoff" in capsys.readouterr().err
 
 
 def test_verify_collinear_inapplicable_checks(tmp_path, capsys):
@@ -191,3 +197,65 @@ def test_constants_custom_alpha_beta(capsys):
 def test_usage_error_is_exit_one(capsys):
     assert cli.main(["constants", "--family", "nope"]) == 1
     assert cli.main(["frobnicate"]) == 1
+
+def test_constants_eps_outside_domain_is_exit_one(capsys):
+    assert cli.main(["constants", "--family", "wd", "--c-min", "46", "--c-max", "46",
+                     "--eps", "3", "--cutoff", "64"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "eps must lie in (0, 1/2)" in captured.err
+
+
+def test_constants_eps_with_few_family_is_usage_error(capsys):
+    assert cli.main(["constants", "--family", "few", "--c-min", "44", "--c-max", "44",
+                     "--eps", "1/26", "--cutoff", "64"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--eps" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "few", "--c-min", "40", "--c-max", "50"],
+    ["--family", "wd", "--c-min", "40", "--c-max", "50", "--eps", "1/26"],
+    ["--family", "few", "--c-min", "40", "--c-max", "48", "--cutoff", "64"],
+    ["--family", "wd", "--c-min", "44", "--c-max", "48", "--eps", "1/30", "--cutoff", "64"],
+])
+def test_constants_one_tail_pass_per_refinement_round(argv, monkeypatch, capsys):
+    cutoffs = []
+    table = bounds._suffix_tail_table
+
+    def counting(kind, c_min, c_max, cutoff):
+        cutoffs.append(cutoff)
+        return table(kind, c_min, c_max, cutoff)
+
+    monkeypatch.setattr(bounds, "_suffix_tail_table", counting)
+    assert cli.main(["constants", *argv, "--format", "json"]) == 0
+    final = json.loads(capsys.readouterr().out)["cutoff"]
+    rounds = [cutoffs[0] * 2**i for i in range(len(cutoffs))]
+    assert cutoffs == rounds
+    assert cutoffs[-1] == final
+
+
+def _outward(iv, digits=15):
+    scale = 10**digits
+    return F(math.floor(iv.lo * scale), scale), F(math.ceil(iv.hi * scale), scale)
+
+
+def test_constants_rows_are_rounded_api_records(capsys):
+    assert cli.main(["constants", "--family", "wd", "--c-min", "44", "--c-max", "48",
+                     "--eps", "1/26", "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    row = next(r for r in result["rows"] if r["c"] == 46)
+    p = bounds.wd_params(46, F(1, 26), 2, cutoff=result["cutoff"])
+    assert (F(row["delta_lo"]), F(row["delta_hi"])) == _outward(p.delta)
+    assert (F(row["f_lo"]), F(row["f_hi"])) == _outward(bounds.f_wd(46, cutoff=result["cutoff"]))
+    assert (row["h"], row["x"], row["y"]) == (str(p.h), str(p.x), str(p.y))
+
+    assert cli.main(["constants", "--family", "few", "--c-min", "40", "--c-max", "48",
+                     "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    row = next(r for r in result["rows"] if r["c"] == 44)
+    p = bounds.few_params(44, cutoff=result["cutoff"])
+    assert (F(row["a_lo"]), F(row["a_hi"])) == _outward(p.a)
+    assert (F(row["eps_lo"]), F(row["eps_hi"])) == _outward(p.eps)
+    assert (row["h"], row["x"], row["b"]) == (str(p.h), str(p.x), str(p.b))

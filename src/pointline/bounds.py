@@ -7,8 +7,9 @@ verdicts are exact rational comparisons; thresholds such as n/26 + 2 are
 never rounded.
 
 The constant formulas of the two bound families live in one record
-builder each (_wd_record, _few_record; BoundParamsWD.with_eps adds the
-eps-dependent delta).  wd_params, f_wd, few_params, eps_few and the scans
+builder each (_wd_record, _few_record; BoundParamsWD.f and
+BoundParamsWD.with_eps give f and the eps-dependent delta from the
+record's numerator).  wd_params, f_wd, few_params, eps_few and the scans
 over c all read their values from those records, and the scans return
 them, so callers such as the CLI format fields and never re-derive one.
 """
@@ -246,13 +247,22 @@ def _suffix_tail_table(kind: str, c_min: int, c_max: int, cutoff: int) -> dict[i
 # Bound-constant families
 #
 # Each family has one record builder taking (c, series enclosure, k); it is
-# the only place the family's constant formulas are written, apart from the
-# eps-dependent delta, which BoundParamsWD.with_eps adds to a built record.
+# the only place the family's constant formulas are written, apart from f
+# and the eps-dependent delta of the wd family, which BoundParamsWD derives
+# from the numerator its builder stores.
 # The single-c entry points and the scans over c are thin calls into them.
 # ---------------------------------------------------------------------------
 
 WD_C_MIN = 8
 FEW_C_MIN = 29
+
+
+def check_eps(eps: Rational) -> Fraction:
+    """eps as a Fraction; DomainError unless it lies in (0, 1/2)."""
+    eps = Fraction(eps)
+    if not 0 < eps < Fraction(1, 2):
+        raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -261,11 +271,12 @@ class BoundParamsWD:
 
     h = c(c-2)/(5c-18); x = (h+1)/2 dominates the per-size pair/incidence
     ratios; y = c - 5h - 2 + 18h/(c+1) is the negative correction that
-    folds the medium sizes into the series term; r is exact.  With
-    num = 1 - (beta/2)(offset + sum_{i>=c}(i+1)/i^3), f = num/(h+1+alpha)
-    encloses the largest eps the bound supports and delta =
-    (num - eps*alpha)/(h+1) the incidence coefficient at eps.  eps, q and
-    delta are None until with_eps fills them in.
+    folds the medium sizes into the series term; r is exact.  num =
+    1 - (beta/2)(offset + sum_{i>=c}(i+1)/i^3) is an enclosure (it absorbs
+    the series); f = num/(h+1+alpha) encloses the largest eps the bound
+    supports and delta = (num - eps*alpha)/(h+1) the incidence coefficient
+    at eps.  eps, q and delta are None until with_eps (and wd_params, for
+    q) fill them in.
     """
 
     c: int
@@ -276,21 +287,17 @@ class BoundParamsWD:
     y: Rational
     delta: Optional[Interval]
     r: Rational
-    f: Interval
+    num: Interval
     k: CrossingConstants
 
-    def with_eps(self, eps: Rational, q: Optional[int] = None) -> "BoundParamsWD":
-        """This record with delta filled in for eps in (0, 1/2) (and q in [0, 3])."""
-        eps = Fraction(eps)
-        if not 0 < eps < Fraction(1, 2):
-            raise DomainError(f"eps must lie in (0, 1/2), got {eps}")
-        if q is not None and not 0 <= q <= 3:
-            raise DomainError(f"q must be in [0, 3], got {q}")
-        alpha = self.k.alpha
-        # num is recovered from f rather than stored, which would add a
-        # second big-rational interval to every record of a scan
-        delta = (self.f * (self.h + 1 + alpha) - eps * alpha) / (self.h + 1)
-        return replace(self, eps=eps, q=q, delta=delta)
+    @property
+    def f(self) -> Interval:
+        return self.num / (self.h + 1 + self.k.alpha)
+
+    def with_eps(self, eps: Rational) -> "BoundParamsWD":
+        """This record with delta filled in for eps in (0, 1/2)."""
+        eps = check_eps(eps)
+        return replace(self, eps=eps, delta=(self.num - eps * self.k.alpha) / (self.h + 1))
 
 
 @dataclass(frozen=True)
@@ -313,7 +320,6 @@ class BoundParamsFew:
 def _wd_record(c: int, series: Interval, k: CrossingConstants) -> BoundParamsWD:
     h = Fraction(c * (c - 2), 5 * c - 18)
     offset = Fraction(-18 * (c - 2), c**3 * (5 * c - 18))  # y * (c+1)/c^3 in closed form
-    num = 1 - (k.beta / 2) * (offset + series)
     return BoundParamsWD(
         c=c,
         eps=None,
@@ -323,7 +329,7 @@ def _wd_record(c: int, series: Interval, k: CrossingConstants) -> BoundParamsWD:
         y=c - 5 * h - 2 + 18 * h / (c + 1),
         delta=None,
         r=(2 * h - 1 + k.alpha) / (h + 1),
-        f=num / (h + 1 + k.alpha),
+        num=1 - (k.beta / 2) * (offset + series),
         k=k,
     )
 
@@ -373,7 +379,8 @@ class _Family:
         cutoff = max(cutoff, c_max)
         while True:
             tails = _suffix_tail_table(self.series, c_min, c_max, cutoff)
-            records = tuple(self.build(c, tails[c], k) for c in range(c_min, c_max + 1))
+            # pop: each tail enclosure is freed once its record is built
+            records = tuple(self.build(c, tails.pop(c), k) for c in range(c_min, c_max + 1))
             table = tuple((p.c, getattr(p, self.objective)) for p in records)
             best_c, best = max(table, key=lambda row: row[1].lo)
             overlapping = [c for c, iv in table if c != best_c and iv.hi >= best.lo]
@@ -403,8 +410,14 @@ def wd_params(
     k: CrossingConstants = DEFAULT_CONSTANTS,
     cutoff: int = DEFAULT_CUTOFF,
 ) -> BoundParamsWD:
-    """Exact constants of the incidence bound for a given (c, eps, q)."""
-    return _WD.record(c, k, cutoff).with_eps(eps, q)
+    """Exact constants of the incidence bound for a given (c, eps, q).
+
+    eps and q are checked before the series is summed.
+    """
+    eps = check_eps(eps)
+    if not 0 <= q <= 3:
+        raise DomainError(f"q must be in [0, 3], got {q}")
+    return replace(_WD.record(c, k, cutoff).with_eps(eps), q=q)
 
 
 def f_wd(

@@ -301,18 +301,21 @@ def _row(record, exact, enclosed) -> dict:
 
 def cmd_constants(args) -> int:
     k = _crossing_constants(args)
+    if args.eps is not None:
+        if args.family != "wd":
+            raise _UsageError("--eps applies to --family wd only")
+        bounds.check_eps(args.eps)  # before the scan, not after it
     if args.family == "wd":
         c_min = bounds.WD_C_MIN if args.c_min is None else args.c_min
         scan = bounds.scan_constants_wd(c_min, args.c_max, k, cutoff=args.cutoff)
     else:
-        if args.eps is not None:
-            raise _UsageError("--eps applies to --family wd only")
         c_min = bounds.FEW_C_MIN if args.c_min is None else args.c_min
         scan = bounds.scan_constants_few(c_min, args.c_max, k, cutoff=args.cutoff)
-    records = scan.records
-    if args.eps is not None:
-        records = [p.with_eps(args.eps) for p in records]
-    rows = [_row(p, *_COLUMNS[args.family]) for p in records]
+    # one record with delta at a time: rows keep only the rounded strings
+    rows = [
+        _row(p if args.eps is None else p.with_eps(args.eps), *_COLUMNS[args.family])
+        for p in scan.records
+    ]
     result = {
         "family": args.family,
         "alpha": str(k.alpha),

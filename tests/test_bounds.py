@@ -1,7 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from pointline import bounds as bounds_mod
 from pointline import (
     CrossingConstants,
     DomainError,
@@ -383,7 +385,9 @@ def test_scan_records_match_single_c_entry_points():
     p46 = dict(zip([p.c for p in wd.records], wd.records))[46]
     assert p46.eps is None and p46.delta is None
     assert p46.f == f_wd(46, cutoff=wd.cutoff)
-    assert p46.with_eps(F(1, 26), 2) == wd_params(46, F(1, 26), 2, cutoff=wd.cutoff)
+    p = wd_params(46, F(1, 26), 2, cutoff=wd.cutoff)
+    assert p46.with_eps(F(1, 26)).delta == p.delta
+    assert replace(p46.with_eps(F(1, 26)), q=2) == p
 
     few = scan_constants_few(40, 48, cutoff=64)
     assert all(p.eps == iv for p, (_, iv) in zip(few.records, few.table))
@@ -397,9 +401,18 @@ def test_with_eps_validation():
     for eps in (0, F(1, 2), 3, F(-1, 26)):
         with pytest.raises(DomainError):
             p.with_eps(eps)
-    with pytest.raises(DomainError):
-        p.with_eps(F(1, 26), 4)
     assert p.with_eps(F(1, 30)).delta.lo > p.delta.lo
+    assert p.with_eps(F(1, 30)).q == 2
+
+
+@pytest.mark.parametrize("eps, q", [(3, 2), (0, 2), (F(1, 26), 4), (F(1, 26), -1)])
+def test_wd_params_rejects_eps_and_q_before_summing(eps, q, monkeypatch):
+    def no_tail(*args):
+        raise AssertionError("tail summed before eps and q were checked")
+
+    monkeypatch.setattr(bounds_mod, "tail_sum", no_tail)
+    with pytest.raises(DomainError):
+        wd_params(46, eps, q)
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,15 @@ def test_constants_eps_outside_domain_is_exit_one(capsys):
     assert "eps must lie in (0, 1/2)" in captured.err
 
 
+def test_constants_eps_outside_domain_fails_before_the_scan(monkeypatch, capsys):
+    def no_table(*args):
+        raise AssertionError("tail table built before eps was checked")
+
+    monkeypatch.setattr(bounds, "_suffix_tail_table", no_table)
+    assert cli.main(["constants", "--family", "wd", "--eps", "3"]) == 1
+    assert "eps must lie in (0, 1/2)" in capsys.readouterr().err
+
+
 def test_constants_eps_with_few_family_is_usage_error(capsys):
     assert cli.main(["constants", "--family", "few", "--c-min", "44", "--c-max", "44",
                      "--eps", "1/26", "--cutoff", "64"]) == 1

@@ -1,53 +1,31 @@
-"""Pure-Python line-grouping kernel and backend selection.
+"""The line-grouping kernel: the hot loop of arrangement construction.
 
-``group_collinear`` is the hot loop of arrangement construction: it maps
-every point pair to the canonical integer key of its line and collects
-line memberships.  A compiled twin (``pointline._fastkern``) handles the
-common case of integer coordinates small enough that every intermediate
-product fits in a signed 64-bit word; this module provides the exact
-fallback for rational or large coordinates and is always available.
-
-Set POINTLINE_PURE=1 in the environment to disable the compiled kernel.
+``group_collinear`` maps every point pair to the canonical integer key of
+its line and collects line memberships.  Coordinates are cleared to
+homogeneous integers first, so the whole loop is exact big-integer
+arithmetic for ints and Fractions alike, whatever their size.
 """
 from __future__ import annotations
 
-import os
-from fractions import Fraction
 from math import gcd, lcm
 
-try:
-    from . import _fastkern
-except ImportError:  # extension not built
-    _fastkern = None
 
-if os.environ.get("POINTLINE_PURE"):
-    _fastkern = None
-
-# |coordinate| bound under which all int64 intermediates are overflow-safe:
-# |a|,|b| <= 2B and |c| <= 2B^2 with B = 2^30 keeps |c| < 2^61.
-_FAST_COORD_BOUND = 1 << 30
-
-
-def group_collinear_py(xs: list, ys: list) -> dict:
+def group_collinear(xs: list, ys: list) -> dict:
     """Group all point pairs by line: {(a, b, c): set of point indices}.
 
     Coordinates may be ints or Fractions; each point is cleared to an
-    integer homogeneous triple (X, Y, W) once, so the pair loop is pure
-    integer arithmetic (the line through two points is their homogeneous
-    cross product).  Keys follow the LineKey normalization (content 1,
-    a > 0 or a = 0 < b).
+    integer homogeneous triple (X, Y, W) once, without Fraction
+    arithmetic, so the pair loop is pure integer arithmetic (the line
+    through two points is their homogeneous cross product).  Keys follow
+    the LineKey normalization (content 1, a > 0 or a = 0 < b).
     """
     n = len(xs)
-    hx = []
-    hy = []
-    hw = []
-    for k in range(n):
-        x = xs[k]
-        y = ys[k]
-        # ints expose .denominator == 1, so mixed input is fine
+    hx, hy, hw = [], [], []
+    for x, y in zip(xs, ys):
+        # ints expose .numerator and .denominator == 1, so mixed input is fine
         w = lcm(x.denominator, y.denominator)
-        hx.append(int(x * w))
-        hy.append(int(y * w))
+        hx.append(x.numerator * (w // x.denominator))
+        hy.append(y.numerator * (w // y.denominator))
         hw.append(w)
     groups: dict = {}
     for i in range(n):
@@ -74,30 +52,3 @@ def group_collinear_py(xs: list, ys: list) -> dict:
                 members.add(i)
                 members.add(j)
     return groups
-
-
-def group_collinear(xs: list, ys: list) -> dict:
-    """Dispatch to the best kernel for the given coordinates.
-
-    Integer coordinates run on machine ints; within the overflow bound
-    the compiled kernel takes over when it is available.  All paths
-    return identical groupings.
-    """
-    if _all_ints(xs) and _all_ints(ys):
-        xs = [int(v) for v in xs]
-        ys = [int(v) for v in ys]
-        if _fastkern is not None and _within_fast_bound(xs) and _within_fast_bound(ys):
-            return _fastkern.group_collinear(xs, ys)
-    return group_collinear_py(xs, ys)
-
-
-def _all_ints(values: list) -> bool:
-    return all(v.denominator == 1 for v in values)
-
-
-def _within_fast_bound(values: list[int]) -> bool:
-    return all(-_FAST_COORD_BOUND <= v <= _FAST_COORD_BOUND for v in values)
-
-
-def compiled_kernel_available() -> bool:
-    return _fastkern is not None

@@ -96,8 +96,8 @@ class IncidenceBreakdown:
 def build_arrangement(ps: PointSet) -> Arrangement:
     """Enumerate all determined lines of ps and compute its statistics.
 
-    Groups the C(n, 2) point pairs by canonical line key; output is
-    deterministic (lines sorted by key) regardless of kernel choice.
+    Groups the C(n, 2) point pairs by canonical line key with the exact
+    integer kernel; output is deterministic (lines sorted by key).
     """
     n = ps.n
     if n < 2:

@@ -47,11 +47,6 @@ class Interval:
     def of(cls, lo, hi) -> "Interval":
         return cls(Fraction(lo), Fraction(hi))
 
-    @classmethod
-    def point(cls, v) -> "Interval":
-        v = Fraction(v)
-        return cls(v, v)
-
     @property
     def width(self) -> Rational:
         return self.hi - self.lo
@@ -373,9 +368,12 @@ class _Family:
         every other enclosure's upper bound.  While enclosures overlap at the
         top, the cutoff doubles (up to max_cutoff); if the maximum still
         cannot be isolated, Unresolved is raised naming the overlapping set.
+        A start cutoff below 1 is an error; one below c_max is lifted to c_max.
         """
         if not self.c_min <= c_min <= c_max:
             raise DomainError(f"need {self.c_min} <= c_min <= c_max, got [{c_min}, {c_max}]")
+        if cutoff < 1:
+            raise InvalidCutoff(f"cutoff must be >= 1, got {cutoff}")
         cutoff = max(cutoff, c_max)
         while True:
             tails = _suffix_tail_table(self.series, c_min, c_max, cutoff)

@@ -123,6 +123,8 @@ def load_points(fp: IO[str]) -> PointSet:
         data = json.load(fp)
     except json.JSONDecodeError as exc:
         raise PointFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # a number literal past the int-conversion digit limit
+        raise PointFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "points" not in data:
         raise PointFormatError('top-level object must have a "points" field')
     raw = data["points"]
@@ -138,7 +140,10 @@ def load_points(fp: IO[str]) -> PointSet:
                 raise PointFormatError(
                     f"point {idx}, field {axis}: {value!r} is not a rational string"
                 )
-            coords.append(Fraction(value))
+            try:
+                coords.append(Fraction(value))
+            except ValueError as exc:  # more digits than the int-conversion limit
+                raise PointFormatError(f"point {idx}, field {axis}: {exc}") from exc
         pts.append(Point(*coords))
     try:
         return PointSet.of(pts)

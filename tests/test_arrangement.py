@@ -156,24 +156,20 @@ def test_classify_requires_c_at_least_8(grid33):
 
 
 def test_kernels_agree_on_lattice_input():
+    # int-typed and Fraction-typed copies of the same coordinates take the
+    # same path and group identically
     ps = grid(5, 7)
     xs = [p.x for p in ps.points]
     ys = [p.y for p in ps.points]
-    pure = _kern.group_collinear_py([int(x) for x in xs], [int(y) for y in ys])
-    assert _kern.group_collinear(xs, ys) == pure
+    assert all(isinstance(v, Fraction) for v in xs + ys)
+    as_ints = _kern.group_collinear([int(x) for x in xs], [int(y) for y in ys])
+    assert _kern.group_collinear(xs, ys) == as_ints
+    assert sum(len(m) * (len(m) - 1) // 2 for m in as_ints.values()) == 35 * 34 // 2
 
 
-def test_kernels_agree_with_negatives_and_mixed_signs():
-    coords = [(-3, 5), (2, -7), (0, 0), (-3, -3), (4, 4), (1, 0), (-1, 2), (3, -2)]
-    xs = [c[0] for c in coords]
-    ys = [c[1] for c in coords]
-    if _kern.compiled_kernel_available():
-        assert _kern._fastkern.group_collinear(xs, ys) == _kern.group_collinear_py(xs, ys)
-
-
-def test_huge_coordinates_fall_back_to_exact_path():
-    # scaling a grid by 2^40 exceeds the compiled kernel's bound but the
-    # statistics are scale-invariant
+def test_huge_coordinates_keep_exact_statistics():
+    # a grid scaled by 2^40 has products far past 64 bits; the statistics
+    # are scale-invariant and the big-integer kernel keeps them exact
     scale = 1 << 40
     pts = [(x * scale, y * scale) for x in range(3) for y in range(3)]
     arr = build_arrangement(pset(*pts))
@@ -218,6 +214,24 @@ def test_incidence_double_counting(coords):
 @given(lattice_sets)
 @settings(max_examples=80)
 def test_oracle_equivalence_small_sets(coords):
+    ps = pset(*coords)
+    arr = build_arrangement(ps)
+    assert sorted(rec.members for rec in arr.lines) == brute_force_lines(ps)
+
+
+# p/q with mixed denominators 1..4: lines of 3+ points occur, unlike the
+# rational circles, and clearing to homogeneous integers is exercised
+rational_sets = st.lists(
+    st.tuples(st.fractions(-3, 3, max_denominator=4), st.fractions(-3, 3, max_denominator=4)),
+    min_size=2,
+    max_size=12,
+    unique=True,
+)
+
+
+@given(rational_sets)
+@settings(max_examples=80)
+def test_oracle_equivalence_mixed_denominators(coords):
     ps = pset(*coords)
     arr = build_arrangement(ps)
     assert sorted(rec.members for rec in arr.lines) == brute_force_lines(ps)

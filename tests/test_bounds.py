@@ -274,6 +274,24 @@ def test_scan_domain():
         scan_constants_wd(5, 20)
 
 
+@pytest.mark.parametrize("cutoff", [0, -5])
+def test_scan_rejects_cutoff_below_one_before_any_tail(cutoff, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("tail table built before the cutoff was checked")
+
+    monkeypatch.setattr(bounds_mod, "_suffix_tail_table", no_table)
+    with pytest.raises(InvalidCutoff, match=str(cutoff)):
+        scan_constants_few(40, 48, cutoff=cutoff)
+    with pytest.raises(InvalidCutoff):
+        scan_constants_wd(44, 48, cutoff=cutoff)
+
+
+def test_scan_lifts_positive_cutoff_to_c_max():
+    scan = scan_constants_wd(46, 46, cutoff=1)
+    assert scan.argmax_c == 46
+    assert scan.cutoff == 46
+
+
 # ---------------------------------------------------------------------------
 # Few-point-line constants
 # ---------------------------------------------------------------------------

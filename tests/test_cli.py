@@ -55,6 +55,15 @@ def test_analyze_duplicate_point_file(tmp_path, capsys):
     assert "duplicates" in capsys.readouterr().err
 
 
+def test_analyze_coordinate_past_digit_limit_is_exit_one(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"points": [["1" * 5000, "0"], ["0", "1"]]}))
+    assert cli.main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: point 0, field x:")
+
+
 def test_analyze_single_point_file(tmp_path, capsys):
     path = tmp_path / "one.json"
     path.write_text('{"points": [["0", "0"]]}')
@@ -175,6 +184,15 @@ def test_constants_few_table(capsys):
 
 def test_constants_domain_error(capsys):
     assert cli.main(["constants", "--family", "wd", "--c-min", "5", "--c-max", "10"]) == 1
+
+
+@pytest.mark.parametrize("cutoff", ["0", "-5"])
+def test_constants_cutoff_below_one_is_exit_one(cutoff, capsys):
+    assert cli.main(["constants", "--family", "few", "--c-min", "40", "--c-max", "48",
+                     "--cutoff", cutoff]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cutoff must be >= 1, got {cutoff}" in captured.err
 
 
 def test_constants_exit_three_when_unresolved(monkeypatch, capsys):

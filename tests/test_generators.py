@@ -192,6 +192,18 @@ def test_load_rejects_numbers():
         _load('{"points": [[1, 2]]}')
 
 
+def test_load_rejects_coordinates_past_digit_limit():
+    huge = "1" * 5000
+    for entry, where in (([huge, "0"], "field x"), (["0", f"1/{huge}"], "field y")):
+        with pytest.raises(PointFormatError, match=f"point 1, {where}"):
+            _load(json.dumps({"points": [["0", "1"], entry]}))
+
+
+def test_load_rejects_number_literal_past_digit_limit():
+    with pytest.raises(PointFormatError, match="invalid JSON"):
+        _load('{"points": [[%s, "0"]]}' % ("1" * 5000))
+
+
 def test_load_rejects_duplicates():
     with pytest.raises(PointFormatError, match="duplicates"):
         _load('{"points": [["1", "2"], ["2/2", "4/2"]]}')

@@ -9,7 +9,6 @@ rational enclosures.
 from .arrangement import (
     Arrangement,
     IncidenceBreakdown,
-    LineRecord,
     PointSet,
     build_arrangement,
     classify_pairs_incidences,

@@ -11,13 +11,19 @@ from math import gcd, lcm
 
 
 def group_collinear(xs: list, ys: list) -> dict:
-    """Group all point pairs by line: {(a, b, c): set of point indices}.
+    """Group all point pairs by line: {(a, b, c): list of point indices}.
 
     Coordinates may be ints or Fractions; each point is cleared to an
     integer homogeneous triple (X, Y, W) once, without Fraction
     arithmetic, so the pair loop is pure integer arithmetic (the line
     through two points is their homogeneous cross product).  Keys follow
     the LineKey normalization (content 1, a > 0 or a = 0 < b).
+
+    A line is stored as [i, j] at its first pair and gains j only in row
+    i = members[0]: that row meets every other member, in ascending
+    order, and later rows skip the line.  So each member list is sorted
+    and the dict is in lexicographic member order, the order of
+    oracle.brute_force_lines.
     """
     n = len(xs)
     hx, hy, hw = [], [], []
@@ -47,8 +53,7 @@ def group_collinear(xs: list, ys: list) -> dict:
             key = (a, b, c)
             members = groups.get(key)
             if members is None:
-                groups[key] = {i, j}
-            else:
-                members.add(i)
-                members.add(j)
+                groups[key] = [i, j]
+            elif members[0] == i:
+                members.append(j)
     return groups

@@ -7,13 +7,15 @@ incidence count, the maximum collinear count, and per-point line counts.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping
 
 from . import _kern
 from .errors import DomainError, DuplicatePoint, PreconditionViolated, TooFewPoints
-from .geometry import LineKey, Point, Rational
+from .geometry import Point, Rational
 
 
 @dataclass(frozen=True)
@@ -42,25 +44,21 @@ class PointSet:
 
 
 @dataclass(frozen=True)
-class LineRecord:
-    """One determined line: its canonical key and the indices it contains."""
-
-    key: LineKey
-    members: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Arrangement:
     """Full line/incidence structure of a point set.
 
-    size_hist maps line size i (>= 2) to the number of lines with exactly
-    i points; only sizes that occur are stored.  incidences is the total
-    number of (point, line) incidences; max_collinear is the size of the
-    largest collinear subset.
+    lines maps each determined line's canonical key (a, b, c), a plain
+    int tuple that compares and hashes equal to its LineKey, to the
+    sorted indices of its points; lines come in lexicographic member
+    order, the order of oracle.brute_force_lines.  size_hist maps line
+    size i (>= 2) to the number of lines with exactly i points; only
+    sizes that occur are stored.  incidences is the total number of
+    (point, line) incidences; max_collinear is the size of the largest
+    collinear subset.
     """
 
     n: int
-    lines: tuple[LineRecord, ...]
+    lines: Mapping[tuple[int, int, int], tuple[int, ...]]
     size_hist: Mapping[int, int]
     max_collinear: int
     incidences: int
@@ -97,7 +95,8 @@ def build_arrangement(ps: PointSet) -> Arrangement:
     """Enumerate all determined lines of ps and compute its statistics.
 
     Groups the C(n, 2) point pairs by canonical line key with the exact
-    integer kernel; output is deterministic (lines sorted by key).
+    integer kernel, which returns the lines finished (sorted members, in
+    lexicographic member order); only the member lists become tuples.
     """
     n = ps.n
     if n < 2:
@@ -105,26 +104,16 @@ def build_arrangement(ps: PointSet) -> Arrangement:
     xs = [p.x for p in ps.points]
     ys = [p.y for p in ps.points]
     groups = _kern.group_collinear(xs, ys)
-
-    records = []
-    size_hist: dict[int, int] = {}
-    incidences = 0
-    per_point = [0] * n
-    for raw_key in sorted(groups):
-        members = tuple(sorted(groups[raw_key]))
-        records.append(LineRecord(LineKey(*raw_key), members))
-        size = len(members)
-        size_hist[size] = size_hist.get(size, 0) + 1
-        incidences += size
-        for v in members:
-            per_point[v] += 1
+    lines = {key: tuple(members) for key, members in groups.items()}
+    size_hist = dict(sorted(Counter(map(len, lines.values())).items()))
+    per_point = Counter(chain.from_iterable(lines.values()))
     return Arrangement(
         n=n,
-        lines=tuple(records),
+        lines=lines,
         size_hist=size_hist,
         max_collinear=max(size_hist),
-        incidences=incidences,
-        lines_per_point=tuple(per_point),
+        incidences=sum(i * count for i, count in size_hist.items()),
+        lines_per_point=tuple(per_point[v] for v in range(n)),
     )
 
 

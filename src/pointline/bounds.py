@@ -164,27 +164,6 @@ def _check_n_i(n: int, i: int) -> None:
         raise DomainError(f"line size threshold must be >= 2, got {i}")
 
 
-@dataclass(frozen=True)
-class HirzebruchReport:
-    applicable: bool
-    lhs: Rational
-    rhs: Rational
-    holds: Optional[bool]
-
-
-def hirzebruch_check(arr: Arrangement) -> HirzebruchReport:
-    """Check s_2 + (3/4) s_3 >= n + sum_{i>=5} (2i-9) s_i.
-
-    Applicable only when at most n-3 points are collinear; otherwise the
-    sides are still reported but no verdict is asserted.
-    """
-    s = arr.size_hist
-    lhs = Fraction(s.get(2, 0)) + Fraction(3, 4) * s.get(3, 0)
-    rhs = Fraction(arr.n + sum((2 * i - 9) * c for i, c in s.items() if i >= 5))
-    applicable = arr.max_collinear <= arr.n - 3
-    return HirzebruchReport(applicable, lhs, rhs, lhs >= rhs if applicable else None)
-
-
 TAIL_KINDS = ("1/i^2", "(i+1)/i^3")
 
 
@@ -197,10 +176,7 @@ def tail_sum(kind: str, c: int, cutoff: int) -> Interval:
     1/i^2 + 1/i^3.  Enclosures nest as the cutoff grows.
     """
     _check_tail_args(kind, c, cutoff)
-    if kind == "1/i^2":
-        partial = sum(Fraction(1, i * i) for i in range(c, cutoff + 1))
-    else:
-        partial = sum(Fraction(i + 1, i**3) for i in range(c, cutoff + 1))
+    partial = _partial_sum(kind, c, cutoff)
     t_lo, t_hi = _tail_bounds(kind, cutoff)
     return Interval(partial + t_lo, partial + t_hi)
 
@@ -214,6 +190,16 @@ def _check_tail_args(kind: str, c: int, cutoff: int) -> None:
         raise InvalidCutoff(f"cutoff {cutoff} below series start {c}")
 
 
+def _term(kind: str, i: int) -> Fraction:
+    """The i-th series term, 1/i^2 or (i+1)/i^3."""
+    return Fraction(1, i * i) if kind == "1/i^2" else Fraction(i + 1, i**3)
+
+
+def _partial_sum(kind: str, lo: int, hi: int) -> Fraction:
+    """Exact sum of the series terms for i in [lo, hi]."""
+    return sum(_term(kind, i) for i in range(lo, hi + 1))
+
+
 def _tail_bounds(kind: str, cutoff: int) -> tuple[Rational, Rational]:
     sq_lo, sq_hi = Fraction(1, cutoff + 1), Fraction(1, cutoff)
     if kind == "1/i^2":
@@ -224,17 +210,20 @@ def _tail_bounds(kind: str, cutoff: int) -> tuple[Rational, Rational]:
 
 
 def _suffix_tail_table(kind: str, c_min: int, c_max: int, cutoff: int) -> dict[int, Interval]:
-    """tail_sum for every c in [c_min, c_max] from one backward pass."""
+    """tail_sum for every c in [c_min, c_max] from one pass over the terms.
+
+    The partial sum over [c_max, cutoff] is summed forward, as tail_sum
+    does; the walk back then adds only the terms of [c_min, c_max).
+    """
     _check_tail_args(kind, c_min, cutoff)
     if c_max > cutoff:
         raise InvalidCutoff(f"cutoff {cutoff} below scan end {c_max}")
     t_lo, t_hi = _tail_bounds(kind, cutoff)
-    acc = Fraction(0)
-    partials: dict[int, Fraction] = {}
-    for i in range(cutoff, c_min - 1, -1):
-        acc += Fraction(1, i * i) if kind == "1/i^2" else Fraction(i + 1, i**3)
-        if i <= c_max:
-            partials[i] = acc
+    acc = _partial_sum(kind, c_max, cutoff)
+    partials = {c_max: acc}
+    for i in range(c_max - 1, c_min - 1, -1):
+        acc += _term(kind, i)
+        partials[i] = acc
     return {c: Interval(p + t_lo, p + t_hi) for c, p in partials.items()}
 
 
@@ -270,13 +259,11 @@ class BoundParamsWD:
     1 - (beta/2)(offset + sum_{i>=c}(i+1)/i^3) is an enclosure (it absorbs
     the series); f = num/(h+1+alpha) encloses the largest eps the bound
     supports and delta = (num - eps*alpha)/(h+1) the incidence coefficient
-    at eps.  eps, q and delta are None until with_eps (and wd_params, for
-    q) fill them in.
+    at eps.  eps and delta are None until with_eps fills them in.
     """
 
     c: int
     eps: Optional[Rational]
-    q: Optional[int]
     h: Rational
     x: Rational
     y: Rational
@@ -318,7 +305,6 @@ def _wd_record(c: int, series: Interval, k: CrossingConstants) -> BoundParamsWD:
     return BoundParamsWD(
         c=c,
         eps=None,
-        q=None,
         h=h,
         x=(h + 1) / 2,
         y=c - 5 * h - 2 + 18 * h / (c + 1),
@@ -404,18 +390,15 @@ _FEW = _Family("1/i^2", FEW_C_MIN, _few_record, "eps")
 def wd_params(
     c: int,
     eps: Rational,
-    q: int,
     k: CrossingConstants = DEFAULT_CONSTANTS,
     cutoff: int = DEFAULT_CUTOFF,
 ) -> BoundParamsWD:
-    """Exact constants of the incidence bound for a given (c, eps, q).
+    """Exact constants of the incidence bound for a given (c, eps).
 
-    eps and q are checked before the series is summed.
+    eps is checked before the series is summed.
     """
     eps = check_eps(eps)
-    if not 0 <= q <= 3:
-        raise DomainError(f"q must be in [0, 3], got {q}")
-    return replace(_WD.record(c, k, cutoff).with_eps(eps), q=q)
+    return _WD.record(c, k, cutoff).with_eps(eps)
 
 
 def f_wd(
@@ -506,6 +489,20 @@ def _check(name, applicable, relation, lhs, rhs, note="") -> TheoremCheck:
     return TheoremCheck(name, applicable, relation, lhs, rhs, holds, note)
 
 
+def hirzebruch_check(arr: Arrangement) -> TheoremCheck:
+    """Check s_2 + (3/4) s_3 >= n + sum_{i>=5} (2i-9) s_i.
+
+    Applicable only when at most n-3 points are collinear; otherwise the
+    sides are still reported but no verdict is asserted.
+    """
+    s = arr.size_hist
+    lhs = Fraction(s.get(2, 0)) + Fraction(3, 4) * s.get(3, 0)
+    rhs = arr.n + sum((2 * i - 9) * c for i, c in s.items() if i >= 5)
+    applicable = arr.max_collinear <= arr.n - 3
+    note = "" if applicable else f"needs max_collinear <= n-3, have {arr.max_collinear} > {arr.n - 3}"
+    return _check("hirzebruch", applicable, ">=", lhs, rhs, note)
+
+
 def verify_theorems(arr: Arrangement, k: CrossingConstants = DEFAULT_CONSTANTS) -> list[TheoremCheck]:
     """Run every supported inequality against one arrangement.
 
@@ -521,17 +518,7 @@ def verify_theorems(arr: Arrangement, k: CrossingConstants = DEFAULT_CONSTANTS) 
     non_collinear = l < n
     checks = []
 
-    hz = hirzebruch_check(arr)
-    checks.append(
-        _check(
-            "hirzebruch",
-            hz.applicable,
-            ">=",
-            hz.lhs,
-            hz.rhs,
-            note="" if hz.applicable else f"needs max_collinear <= n-3, have {l} > {n - 3}",
-        )
-    )
+    checks.append(hirzebruch_check(arr))
     checks.append(_st_check("st_edges", arr, visibility_edge_count, st_bound_edges, k))
     checks.append(_st_check("st_lines", arr, _lines_from, st_bound_lines, k))
 

@@ -169,10 +169,9 @@ def run_verify(
     report["l"] = arr.max_collinear
 
     if cross_check:
-        ours = sorted(rec.members for rec in arr.lines)
-        oracle_lines = brute_force_lines(ps)
-        report["cross_check"] = "ok" if ours == oracle_lines else "mismatch"
-        if ours != oracle_lines:
+        agree = sorted(arr.lines.values()) == brute_force_lines(ps)
+        report["cross_check"] = "ok" if agree else "mismatch"
+        if not agree:
             return EXIT_CHECK_FAILED, report
 
     checks = bounds.verify_theorems(arr, constants)

@@ -17,7 +17,8 @@ def brute_force_lines(ps: PointSet) -> list[tuple[int, ...]]:
 
     The result is the same abstract line set as build_arrangement: one
     entry per line through >= 2 points, each entry the sorted indices of
-    every point on it, entries sorted for determinism.
+    every point on it, entries sorted for determinism (the order of
+    build_arrangement(ps).lines.values()).
     """
     n = ps.n
     if n < 2:

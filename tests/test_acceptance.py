@@ -68,7 +68,7 @@ def test_criterion_1_constant_scan_argmax():
 
 
 def test_criterion_2_incidence_bound_constants():
-    p = wd_params(46, F(1, 26), 2, cutoff=4096)
+    p = wd_params(46, F(1, 26), cutoff=4096)
     ok = (
         p.delta.lo >= F(1, 26)
         and p.r == F(20803, 8944)
@@ -119,7 +119,7 @@ def test_criterion_4_oracle_equivalence():
     checked = 0
     for ps in _random_oracle_configs():
         arr = build_arrangement(ps)
-        assert sorted(rec.members for rec in arr.lines) == brute_force_lines(ps), (
+        assert list(arr.lines.values()) == brute_force_lines(ps), (
             f"mismatch on random config n={ps.n}"
         )
         checked += 1
@@ -127,7 +127,7 @@ def test_criterion_4_oracle_equivalence():
         for h in range(2, 9):
             ps = grid(w, h)
             arr = build_arrangement(ps)
-            assert sorted(rec.members for rec in arr.lines) == brute_force_lines(ps), (
+            assert list(arr.lines.values()) == brute_force_lines(ps), (
                 f"mismatch on grid {w}x{h}"
             )
             checked += 1

@@ -14,6 +14,7 @@ from pointline import (
     classify_pairs_incidences,
     compute_k,
     grid,
+    line_through,
     lines_with_at_most,
     max_lines_through_point,
     near_pencil,
@@ -72,8 +73,9 @@ def test_duplicate_points_rejected():
 def test_build_is_deterministic(grid33):
     again = build_arrangement(grid(3, 3))
     assert again == grid33
-    keys = [rec.key for rec in grid33.lines]
-    assert keys == sorted(keys)
+    assert list(again.lines.items()) == list(grid33.lines.items())
+    # lines come in lexicographic member order
+    assert list(grid33.lines.values()) == sorted(grid33.lines.values())
 
 
 def test_visibility_edge_count(grid33):
@@ -216,7 +218,7 @@ def test_incidence_double_counting(coords):
 def test_oracle_equivalence_small_sets(coords):
     ps = pset(*coords)
     arr = build_arrangement(ps)
-    assert sorted(rec.members for rec in arr.lines) == brute_force_lines(ps)
+    assert list(arr.lines.values()) == brute_force_lines(ps)
 
 
 # p/q with mixed denominators 1..4: lines of 3+ points occur, unlike the
@@ -234,7 +236,7 @@ rational_sets = st.lists(
 def test_oracle_equivalence_mixed_denominators(coords):
     ps = pset(*coords)
     arr = build_arrangement(ps)
-    assert sorted(rec.members for rec in arr.lines) == brute_force_lines(ps)
+    assert list(arr.lines.values()) == brute_force_lines(ps)
 
 
 @given(lattice_sets)
@@ -266,19 +268,34 @@ def test_breakdown_sum_identities(coords, c, q, alpha):
 
 def test_line_records_match_membership():
     arr = build_arrangement(grid(4, 4))
-    for rec in arr.lines:
-        assert len(rec.members) >= 2
-        assert list(rec.members) == sorted(rec.members)
+    for members in arr.lines.values():
+        assert len(members) >= 2
+        assert list(members) == sorted(members)
     # every member satisfies its line equation, no non-member does
     ps = grid(4, 4)
-    for rec in arr.lines[:10]:
-        key = rec.key
-        on_line = {
-            idx
-            for idx, p in enumerate(ps.points)
-            if key.a * p.x + key.b * p.y + key.c == 0
-        }
-        assert on_line == set(rec.members)
+    for (a, b, c), members in list(arr.lines.items())[:10]:
+        on_line = {idx for idx, p in enumerate(ps.points) if a * p.x + b * p.y + c == 0}
+        assert on_line == set(members)
+
+
+@pytest.mark.parametrize(
+    "ps",
+    [
+        grid(5, 4),
+        circle(9),
+        pset((0, 0), ("1/2", 0), (1, "1/3"), ("-1/2", "1/4"), (2, "-1/3"), ("1/3", "1/2"),
+             (-1, -1), ("1/4", "1/4")),
+    ],
+    ids=["grid", "circle", "mixed-denominators"],
+)
+def test_kernel_keys_match_line_through(ps):
+    # the kernel normalizes keys inline; they must equal geometry's LineKey
+    arr = build_arrangement(ps)
+    for key, members in arr.lines.items():
+        expected = line_through(ps.points[members[0]], ps.points[members[1]])
+        assert key == expected
+        assert hash(key) == hash(expected)
+        assert arr.lines[expected] == members
 
 
 def test_pointset_requires_a_point():

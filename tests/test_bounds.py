@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -141,9 +140,13 @@ def test_hirzebruch_grid44():
 
 
 def test_hirzebruch_near_pencil_not_applicable():
-    rep = hirzebruch_check(build_arrangement(near_pencil(5)))
+    arr = build_arrangement(near_pencil(5))
+    rep = hirzebruch_check(arr)
     assert not rep.applicable
     assert rep.holds is None
+    # the same record verify_theorems reports, note included
+    assert rep.note == "needs max_collinear <= n-3, have 4 > 2"
+    assert rep == _by_name(verify_theorems(arr))["hirzebruch"]
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +193,11 @@ def test_tail_sum_validation():
 
 
 def test_wd_params_h_minimum():
-    assert wd_params(8, F(1, 26), 2, cutoff=64).h == F(24, 11)
+    assert wd_params(8, F(1, 26), cutoff=64).h == F(24, 11)
 
 
 def test_wd_params_published_point():
-    p = wd_params(46, F(1, 26), 2)
+    p = wd_params(46, F(1, 26))
     assert p.h == F(506, 53)
     assert p.r == F(20803, 8944)
     assert p.r >= 2
@@ -205,11 +208,9 @@ def test_wd_params_published_point():
 
 def test_wd_params_validation():
     with pytest.raises(DomainError):
-        wd_params(7, F(1, 26), 2)
+        wd_params(7, F(1, 26))
     with pytest.raises(DomainError):
-        wd_params(46, F(1, 2), 2)
-    with pytest.raises(DomainError):
-        wd_params(46, F(1, 26), 5)
+        wd_params(46, F(1, 2))
 
 
 def test_wd_identities_sampled():
@@ -403,9 +404,9 @@ def test_scan_records_match_single_c_entry_points():
     p46 = dict(zip([p.c for p in wd.records], wd.records))[46]
     assert p46.eps is None and p46.delta is None
     assert p46.f == f_wd(46, cutoff=wd.cutoff)
-    p = wd_params(46, F(1, 26), 2, cutoff=wd.cutoff)
+    p = wd_params(46, F(1, 26), cutoff=wd.cutoff)
     assert p46.with_eps(F(1, 26)).delta == p.delta
-    assert replace(p46.with_eps(F(1, 26)), q=2) == p
+    assert p46.with_eps(F(1, 26)) == p
 
     few = scan_constants_few(40, 48, cutoff=64)
     assert all(p.eps == iv for p, (_, iv) in zip(few.records, few.table))
@@ -415,22 +416,21 @@ def test_scan_records_match_single_c_entry_points():
 
 
 def test_with_eps_validation():
-    p = wd_params(46, F(1, 26), 2, cutoff=64)
+    p = wd_params(46, F(1, 26), cutoff=64)
     for eps in (0, F(1, 2), 3, F(-1, 26)):
         with pytest.raises(DomainError):
             p.with_eps(eps)
     assert p.with_eps(F(1, 30)).delta.lo > p.delta.lo
-    assert p.with_eps(F(1, 30)).q == 2
 
 
-@pytest.mark.parametrize("eps, q", [(3, 2), (0, 2), (F(1, 26), 4), (F(1, 26), -1)])
-def test_wd_params_rejects_eps_and_q_before_summing(eps, q, monkeypatch):
+@pytest.mark.parametrize("eps", [3, 0])
+def test_wd_params_rejects_eps_before_summing(eps, monkeypatch):
     def no_tail(*args):
-        raise AssertionError("tail summed before eps and q were checked")
+        raise AssertionError("tail summed before eps was checked")
 
     monkeypatch.setattr(bounds_mod, "tail_sum", no_tail)
     with pytest.raises(DomainError):
-        wd_params(46, eps, q)
+        wd_params(46, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ def test_constants_rows_are_rounded_api_records(capsys):
                      "--eps", "1/26", "--format", "json"]) == 0
     result = json.loads(capsys.readouterr().out)
     row = next(r for r in result["rows"] if r["c"] == 46)
-    p = bounds.wd_params(46, F(1, 26), 2, cutoff=result["cutoff"])
+    p = bounds.wd_params(46, F(1, 26), cutoff=result["cutoff"])
     assert (F(row["delta_lo"]), F(row["delta_hi"])) == _outward(p.delta)
     assert (F(row["f_lo"]), F(row["f_hi"])) == _outward(bounds.f_wd(46, cutoff=result["cutoff"]))
     assert (row["h"], row["x"], row["y"]) == (str(p.h), str(p.x), str(p.y))

@@ -25,13 +25,13 @@ def test_matches_arrangement_on_grid():
     oracle = brute_force_lines(ps)
     arr = build_arrangement(ps)
     assert len(oracle) == 20
-    assert sorted(rec.members for rec in arr.lines) == oracle
+    assert list(arr.lines.values()) == oracle
 
 
 def test_matches_arrangement_on_rational_coordinates():
     ps = circle(8)
     arr = build_arrangement(ps)
-    assert sorted(rec.members for rec in arr.lines) == brute_force_lines(ps)
+    assert list(arr.lines.values()) == brute_force_lines(ps)
 
 
 def test_collinear_triples_merge():

@@ -1,23 +1,54 @@
-"""The line-grouping kernel: the hot loop of arrangement construction.
+"""The line kernels: the hot loops of arrangement construction.
+
+Both start from ``homogenise``, which clears every point to an integer
+homogeneous triple (X, Y, W), so ints and Fractions take one path.
 
 ``group_collinear`` maps every point pair to the canonical integer key of
-its line and collects line memberships.  Coordinates are cleared to
-homogeneous integers first, so the whole loop is exact big-integer
-arithmetic for ints and Fractions alike, whatever their size.
+its line and collects line memberships.  It is exact big-integer
+arithmetic, whatever the size of the coordinates, and the only kernel
+that builds lines.
+
+``int64_statistics`` builds no line at all: it counts, for every point,
+the distinct directions to the other points in blocks of numpy int64
+rows, and reads the line-size histogram and the per-point line counts off
+those runs.  It is exact only under its guard 2 * max(|X|, |Y|) * max(W)
+< 2^31 (for integer input, |coordinate| < 2^30); past it, it refuses the
+input before numpy is imported.
 """
 from __future__ import annotations
 
 from math import gcd, lcm
+
+# int64 elements per block of rows: each array of a block is 512 KB, so a
+# block stays in cache (larger blocks were no faster and cost more memory)
+_BLOCK_ELEMENTS = 1 << 16
+# every |dx|, |dy| of the int64 kernel stays below this bound
+_INT64_BOUND = 1 << 31
+
+
+def homogenise(xs: list, ys: list) -> tuple[list, list, list]:
+    """Clear each point (x, y) to integers (X, Y, W) with x = X/W, y = Y/W, W > 0.
+
+    W is the lcm of the two denominators; no Fraction arithmetic is done.
+    """
+    hx, hy, hw = [], [], []
+    for x, y in zip(xs, ys):
+        # ints expose .numerator and .denominator == 1, so mixed input is fine
+        w = lcm(x.denominator, y.denominator)
+        hx.append(x.numerator * (w // x.denominator))
+        hy.append(y.numerator * (w // y.denominator))
+        hw.append(w)
+    return hx, hy, hw
 
 
 def group_collinear(xs: list, ys: list) -> dict:
     """Group all point pairs by line: {(a, b, c): list of point indices}.
 
     Coordinates may be ints or Fractions; each point is cleared to an
-    integer homogeneous triple (X, Y, W) once, without Fraction
-    arithmetic, so the pair loop is pure integer arithmetic (the line
-    through two points is their homogeneous cross product).  Keys follow
-    the LineKey normalization (content 1, a > 0 or a = 0 < b).
+    integer homogeneous triple (X, Y, W) once, so the pair loop is pure
+    integer arithmetic (the line through two points is their homogeneous
+    cross product).  Keys follow the LineKey normalization (content 1,
+    a > 0 or a = 0 < b).
 
     A line is stored as [i, j] at its first pair and gains j only in row
     i = members[0]: that row meets every other member, in ascending
@@ -26,13 +57,7 @@ def group_collinear(xs: list, ys: list) -> dict:
     oracle.brute_force_lines.
     """
     n = len(xs)
-    hx, hy, hw = [], [], []
-    for x, y in zip(xs, ys):
-        # ints expose .numerator and .denominator == 1, so mixed input is fine
-        w = lcm(x.denominator, y.denominator)
-        hx.append(x.numerator * (w // x.denominator))
-        hy.append(y.numerator * (w // y.denominator))
-        hw.append(w)
+    hx, hy, hw = homogenise(xs, ys)
     groups: dict = {}
     for i in range(n):
         x1 = hx[i]
@@ -57,3 +82,66 @@ def group_collinear(xs: list, ys: list) -> dict:
             elif members[0] == i:
                 members.append(j)
     return groups
+
+
+def int64_statistics(hx: list, hy: list, hw: list) -> tuple[dict, list] | None:
+    """Line-size histogram and per-point line counts of distinct points, or None.
+
+    Takes the homogeneous triples of ``homogenise``.  Returns
+    ({size: number of lines}, [lines through point v for each v]) with
+    sizes ascending, or None, before numpy is imported, when
+    2 * max(|X|, |Y|) * max(W) >= 2^31.  Under that guard every direction
+    component below is smaller than 2^31 in magnitude, so each packed key
+    is exact.
+
+    For a row i and every column j the direction from point i to point j
+    is (dx, dy) = (X_j W_i - X_i W_j, Y_j W_i - Y_i W_j), a positive
+    multiple of the affine difference.  Reduced by its gcd and
+    sign-normalised (dx > 0, or dx = 0 < dy) it names the line through i
+    and j, and packs into dx * 2^32 + dy + 2^31; the diagonal gets the
+    sentinel -1.  After sorting each row, every run of m equal keys is
+    one (point, line) incidence on a line of m + 1 points: the number of
+    runs is the point's line count, and a line of k points is seen k
+    times, once from each member.
+    """
+    m = max(max(map(abs, hx)), max(map(abs, hy)))
+    if 2 * m * max(hw) >= _INT64_BOUND:
+        return None
+    import numpy as np
+
+    n = len(hx)
+    X = np.array(hx, dtype=np.int64)
+    Y = np.array(hy, dtype=np.int64)
+    W = np.array(hw, dtype=np.int64)
+    seen = np.zeros(n + 1, dtype=np.int64)  # seen[k]: incidences on k-point lines
+    per_point = np.empty(n, dtype=np.int64)
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        wi = W[lo:hi, None]
+        dx = X * wi - X[lo:hi, None] * W
+        dy = Y * wi - Y[lo:hi, None] * W
+        g = np.gcd(dx, dy)
+        diag = (np.arange(hi - lo), np.arange(lo, hi))
+        g[diag] = 1  # (0, 0); distinct points give g > 0 elsewhere
+        dx //= g
+        dy //= g
+        flip = (dx < 0) | ((dx == 0) & (dy < 0))
+        np.negative(dx, out=dx, where=flip)
+        np.negative(dy, out=dy, where=flip)
+        key = dx
+        key <<= 32
+        key += dy
+        key += _INT64_BOUND
+        key[diag] = -1
+        key.sort(axis=1)
+        # drop the sentinel column; a run starts at column 0 and at each change
+        key = key[:, 1:]
+        starts = np.ones(key.shape, dtype=bool)
+        np.not_equal(key[:, 1:], key[:, :-1], out=starts[:, 1:])
+        per_point[lo:hi] = starts.sum(axis=1)
+        first = np.flatnonzero(starts)
+        runs = np.diff(first, append=starts.size)
+        seen += np.bincount(runs + 1, minlength=n + 1)
+    size_hist = {k: int(seen[k]) // k for k in np.flatnonzero(seen).tolist()}
+    return size_hist, per_point.tolist()

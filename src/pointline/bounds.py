@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .arrangement import Arrangement, lines_with_at_most, max_lines_through_point, visibility_edge_count
+from .arrangement import Arrangement, lines_with_at_most, max_lines_through_point
 from .errors import DomainError, InvalidCutoff, Unresolved
 from .geometry import Rational
 
@@ -519,8 +519,9 @@ def verify_theorems(arr: Arrangement, k: CrossingConstants = DEFAULT_CONSTANTS) 
     checks = []
 
     checks.append(hirzebruch_check(arr))
-    checks.append(_st_check("st_edges", arr, visibility_edge_count, st_bound_edges, k))
-    checks.append(_st_check("st_lines", arr, _lines_from, st_bound_lines, k))
+    # sum_{j>=i} (j-1) s_j is visibility_edge_count(arr, i)
+    checks.append(_st_check("st_edges", arr, lambda j: j - 1, st_bound_edges, k))
+    checks.append(_st_check("st_lines", arr, lambda j: 1, st_bound_lines, k))
 
     idx, degree = max_lines_through_point(arr)
     checks.append(
@@ -562,25 +563,22 @@ def verify_theorems(arr: Arrangement, k: CrossingConstants = DEFAULT_CONSTANTS) 
     return checks
 
 
-def _lines_from(arr: Arrangement, i: int) -> int:
-    return sum(count for j, count in arr.size_hist.items() if j >= i)
+def _st_check(name, arr, weight, bound, k) -> TheoremCheck:
+    """Check sum_{j>=i} weight(j) * s_j <= bound(n, i) for every i in [2, max_collinear].
 
-
-def _st_check(name, arr, measure, bound, k) -> TheoremCheck:
-    """Check measure(arr, i) <= bound(n, i) for every i in [2, max_collinear].
-
+    One pass from i = max_collinear down keeps the suffix sum as an int.
     The verdict covers all thresholds; the displayed sides are those of
-    the tightest i (smallest slack).
+    the tightest i (smallest slack; the smallest such i on ties).
     """
     worst = None
-    all_hold = True
-    for i in range(2, arr.max_collinear + 1):
-        lhs = Fraction(measure(arr, i))
+    suffix = 0
+    for i in range(arr.max_collinear, 1, -1):
+        suffix += weight(i) * arr.size_hist.get(i, 0)
         rhs = bound(arr.n, i, k)
-        all_hold = all_hold and lhs <= rhs
-        slack = rhs - lhs
-        if worst is None or slack < worst[0]:
-            worst = (slack, i, lhs, rhs)
-    _, i, lhs, rhs = worst
+        slack = rhs - suffix
+        if worst is None or slack <= worst[0]:
+            worst = (slack, i, suffix, rhs)
+    slack, i, lhs, rhs = worst
     note = f"tightest at i={i} over i in [2, {arr.max_collinear}]"
-    return TheoremCheck(name, True, "<=", lhs, rhs, all_hold, note)
+    # every threshold holds exactly when the smallest slack is >= 0
+    return TheoremCheck(name, True, "<=", Fraction(lhs), rhs, slack >= 0, note)

@@ -169,7 +169,7 @@ def run_verify(
     report["l"] = arr.max_collinear
 
     if cross_check:
-        agree = sorted(arr.lines.values()) == brute_force_lines(ps)
+        agree = list(arr.lines.values()) == brute_force_lines(ps)
         report["cross_check"] = "ok" if agree else "mismatch"
         if not agree:
             return EXIT_CHECK_FAILED, report

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,7 @@ from pointline import (
     visibility_edge_count,
 )
 from pointline import _kern
-from pointline.arrangement import PointSet
+from pointline.arrangement import INT64_MIN_PAIRS, PointSet
 
 from conftest import pset
 
@@ -237,6 +239,136 @@ def test_oracle_equivalence_mixed_denominators(coords):
     ps = pset(*coords)
     arr = build_arrangement(ps)
     assert list(arr.lines.values()) == brute_force_lines(ps)
+
+
+# ---------------------------------------------------------------------------
+# The int64 statistics kernel against the exact kernel
+# ---------------------------------------------------------------------------
+
+
+def _exact_statistics(ps):
+    """(size_hist, lines_per_point) counted from the exact kernel's lines."""
+    groups = _kern.group_collinear([p.x for p in ps.points], [p.y for p in ps.points])
+    hist = dict(sorted(Counter(map(len, groups.values())).items()))
+    per_point = Counter(chain.from_iterable(groups.values()))
+    return hist, [per_point[v] for v in range(ps.n)]
+
+
+def _int64_statistics(ps):
+    return _kern.int64_statistics(*_kern.homogenise([p.x for p in ps.points], [p.y for p in ps.points]))
+
+
+def _assert_int64_exact(ps):
+    got = _int64_statistics(ps)
+    assert got is not None
+    hist, per_point = got
+    want_hist, want_per_point = _exact_statistics(ps)
+    assert list(hist.items()) == list(want_hist.items())
+    assert per_point == want_per_point
+
+
+@given(lattice_sets)
+@settings(max_examples=80)
+def test_int64_statistics_match_exact_on_integers(coords):
+    _assert_int64_exact(pset(*coords))
+
+
+@given(rational_sets)
+@settings(max_examples=80)
+def test_int64_statistics_match_exact_on_rationals(coords):
+    _assert_int64_exact(pset(*coords))
+
+
+# the largest integer coordinate the guard 2 * M * max(W) < 2^31 admits
+EDGE = (1 << 30) - 1
+
+
+edge_coordinates = st.sampled_from([-EDGE, 1 - EDGE, -1, 0, 1, EDGE - 1, EDGE])
+
+
+@given(st.lists(st.tuples(edge_coordinates, edge_coordinates), min_size=2, max_size=12, unique=True))
+@settings(max_examples=60)
+def test_int64_statistics_exact_at_the_guard(coords):
+    # directions such as (2M, 1 - 2M) are 2^31 - 2 wide and coprime
+    _assert_int64_exact(pset(*coords))
+
+
+@pytest.mark.parametrize(
+    "inside, past",
+    [
+        # integers: 2 * M < 2^31
+        ([(EDGE, 0), (-EDGE, EDGE), (0, -EDGE), (0, 0)],
+         [(EDGE + 1, 0), (-EDGE, EDGE), (0, -EDGE), (0, 0)]),
+        # W = 2: X = 2^29 - 1 gives 2^31 - 4; X = 2^29 gives exactly 2^31
+        ([(Fraction((1 << 29) - 1, 2), "1/2"), (0, 0), (1, "-1/2"), (-3, 5)],
+         [(1 << 28, "1/2"), (0, 0), (1, "-1/2"), (-3, 5)]),
+    ],
+    ids=["integers", "halves"],
+)
+def test_int64_guard_boundary(inside, past):
+    _assert_int64_exact(pset(*inside))
+    assert _int64_statistics(pset(*past)) is None
+
+
+@pytest.fixture(scope="module")
+def grid23():
+    ps = grid(23, 23)
+    assert ps.n * (ps.n - 1) // 2 >= INT64_MIN_PAIRS
+    return ps
+
+
+def _spy(monkeypatch, name):
+    calls = []
+    real = getattr(_kern, name)
+
+    def spy(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(_kern, name, spy)
+    return calls
+
+
+def test_large_input_builds_lines_only_when_read(grid23, monkeypatch):
+    int64_calls = _spy(monkeypatch, "int64_statistics")
+    exact_calls = _spy(monkeypatch, "group_collinear")
+    arr = build_arrangement(grid23)
+    assert len(int64_calls) == 1 and int64_calls[0] is not None
+    assert exact_calls == []
+    lines = arr.lines
+    assert arr.lines is lines and len(exact_calls) == 1
+    assert arr.num_lines == len(lines)
+    assert dict(arr.size_hist) == dict(sorted(Counter(map(len, lines.values())).items()))
+    per_point = Counter(chain.from_iterable(lines.values()))
+    assert arr.lines_per_point == tuple(per_point[v] for v in range(arr.n))
+    assert list(lines.values()) == sorted(lines.values())
+
+
+def test_large_input_past_the_guard_keeps_exact_statistics(grid23, monkeypatch):
+    scale = 1 << 30
+    big = pset(*[(p.x * scale, p.y * scale) for p in grid23.points])
+    int64_calls = _spy(monkeypatch, "int64_statistics")
+    exact_calls = _spy(monkeypatch, "group_collinear")
+    arr = build_arrangement(big)
+    assert int64_calls == [None] and len(exact_calls) == 1
+    arr.lines  # kept from the build, not built again
+    assert len(exact_calls) == 1
+    hist, per_point = _exact_statistics(grid23)
+    assert list(arr.size_hist.items()) == list(hist.items())
+    assert arr.lines_per_point == tuple(per_point)
+
+
+def test_arrangement_maps_are_read_only(grid33, grid23):
+    lazy = build_arrangement(grid23)
+    for arr in (grid33, lazy):
+        with pytest.raises(TypeError):
+            arr.size_hist[2] = 99
+        key = next(iter(arr.lines))
+        with pytest.raises(TypeError):
+            arr.lines[key] = (0, 1)
+        with pytest.raises(TypeError):
+            del arr.lines[key]
+        assert hash(arr) == hash(build_arrangement(PointSet(arr.points)))
 
 
 @given(lattice_sets)

@@ -9,6 +9,7 @@ from pointline import (
     GraphSize,
     Interval,
     InvalidCutoff,
+    TheoremCheck,
     Unresolved,
     build_arrangement,
     circle,
@@ -21,12 +22,14 @@ from pointline import (
     grid,
     hirzebruch_check,
     near_pencil,
+    random_points,
     scan_constants_few,
     scan_constants_wd,
     st_bound_edges,
     st_bound_lines,
     tail_sum,
     verify_theorems,
+    visibility_edge_count,
     wd_params,
 )
 
@@ -497,3 +500,47 @@ def test_verify_detects_violations_with_weak_constants():
     weak = CrossingConstants(alpha=F(1, 1000), beta=F(1, 1000))
     checks = _by_name(verify_theorems(build_arrangement(grid(4, 4)), weak))
     assert checks["st_edges"].holds is False
+
+
+def _st_check_resum(name, arr, measure, bound, k):
+    """The reference: re-sum measure(arr, i) at every threshold i."""
+    worst = None
+    all_hold = True
+    for i in range(2, arr.max_collinear + 1):
+        lhs = F(measure(arr, i))
+        rhs = bound(arr.n, i, k)
+        all_hold = all_hold and lhs <= rhs
+        slack = rhs - lhs
+        if worst is None or slack < worst[0]:
+            worst = (slack, i, lhs, rhs)
+    _, i, lhs, rhs = worst
+    note = f"tightest at i={i} over i in [2, {arr.max_collinear}]"
+    return TheoremCheck(name, True, "<=", lhs, rhs, all_hold, note)
+
+
+@pytest.mark.parametrize(
+    "ps",
+    [near_pencil(5), near_pencil(40), grid(4, 4), grid(7, 5), random_points(40, 3, 6)],
+    ids=["pencil5", "pencil40", "grid4", "grid7x5", "random40"],
+)
+@pytest.mark.parametrize(
+    "k", [bounds_mod.DEFAULT_CONSTANTS, CrossingConstants(alpha=F(1, 1000), beta=F(1, 1000))],
+    ids=["default", "weak"],
+)
+def test_st_checks_match_resum_reference(ps, k):
+    arr = build_arrangement(ps)
+    checks = _by_name(verify_theorems(arr, k))
+    edges = _st_check_resum("st_edges", arr, visibility_edge_count, st_bound_edges, k)
+    lines = _st_check_resum(
+        "st_lines", arr, lambda a, i: sum(c for j, c in a.size_hist.items() if j >= i), st_bound_lines, k
+    )
+    assert checks["st_edges"] == edges
+    assert checks["st_lines"] == lines
+
+
+def test_st_check_ties_keep_the_smallest_threshold():
+    # every threshold has slack 1: the displayed one is i = 2
+    arr = build_arrangement(grid(4, 4))
+    check = bounds_mod._st_check("flat", arr, lambda j: 0, lambda n, i, k: F(1), None)
+    assert check.note == "tightest at i=2 over i in [2, 4]"
+    assert check == _st_check_resum("flat", arr, lambda a, i: 0, lambda n, i, k: F(1), None)

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import pointline
 from pointline import Unresolved, bounds, cli, load_points_file
 from pointline.bounds import TheoremCheck
 
@@ -286,3 +290,21 @@ def test_constants_rows_are_rounded_api_records(capsys):
     assert (F(row["a_lo"]), F(row["a_hi"])) == _outward(p.a)
     assert (F(row["eps_lo"]), F(row["eps_hi"])) == _outward(p.eps)
     assert (row["h"], row["x"], row["b"]) == (str(p.h), str(p.x), str(p.b))
+
+
+def test_small_verify_does_not_import_numpy(tmp_path):
+    # numpy costs ~0.15 s and ~14 MB to import; inputs below the int64
+    # path's pair threshold must not pay for it
+    path = tmp_path / "pencil200.json"
+    assert cli.main(["generate", "near-pencil", "--n", "200", "--out", str(path)]) == 0
+    code = (
+        "import sys\n"
+        "import pointline.cli as cli\n"
+        f"assert cli.main(['verify', {str(path)!r}]) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(pointline.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

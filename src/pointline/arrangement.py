@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from . import _kern
 from .errors import DomainError, DuplicatePoint, PreconditionViolated, TooFewPoints
@@ -125,18 +125,14 @@ def build_arrangement(ps: PointSet) -> Arrangement:
     n = ps.n
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
-    stats = None
+    stats = lines = None
     if n * (n - 1) // 2 >= INT64_MIN_PAIRS:
         hx, hy, hw = _kern.homogenise([p.x for p in ps.points], [p.y for p in ps.points])
         stats = _kern.int64_statistics(hx, hy, hw)
     if stats is None:
         lines = _exact_lines(ps.points)
-        size_hist = dict(sorted(Counter(map(len, lines.values())).items()))
-        per_point = Counter(chain.from_iterable(lines.values()))
-        lines_per_point = [per_point[v] for v in range(n)]
-    else:
-        lines = None
-        size_hist, lines_per_point = stats
+        stats = _line_statistics(lines.values(), n)
+    size_hist, lines_per_point = stats
     arr = Arrangement(
         n=n,
         size_hist=MappingProxyType(size_hist),
@@ -149,6 +145,13 @@ def build_arrangement(ps: PointSet) -> Arrangement:
     if lines is not None:
         arr.__dict__["lines"] = lines  # fills the cached_property
     return arr
+
+
+def _line_statistics(lines: Collection[tuple[int, ...]], n: int) -> tuple[dict[int, int], list[int]]:
+    """size_hist (ascending sizes) and lines_per_point of the lines given as member tuples."""
+    size_hist = dict(sorted(Counter(map(len, lines)).items()))
+    per_point = Counter(chain.from_iterable(lines))
+    return size_hist, [per_point[v] for v in range(n)]
 
 
 def _exact_lines(points: tuple[Point, ...]) -> Mapping[tuple[int, int, int], tuple[int, ...]]:

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import bounds, generators
-from .arrangement import Arrangement, PointSet, build_arrangement, max_lines_through_point
+from .arrangement import Arrangement, PointSet, _line_statistics, build_arrangement, max_lines_through_point
 from .errors import PointLineError, Unresolved
 from .oracle import brute_force_lines
 
@@ -63,7 +63,7 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="run the inequality checks on a point-set file")
     p_verify.add_argument("input", help="point-set JSON file")
     p_verify.add_argument("--cross-check", action="store_true",
-                          help="first compare against the brute-force line oracle")
+                          help="first compare lines and statistics against the brute-force oracle")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--suite", default=None,
                           help="comma-separated check names to run (default: all)")
@@ -120,7 +120,7 @@ def _stats_dict(descriptor: str, arr: Arrangement) -> dict:
         "num_lines": arr.num_lines,
         "incidences": arr.incidences,
         "max_collinear": arr.max_collinear,
-        "s": {str(i): arr.size_hist[i] for i in sorted(arr.size_hist)},
+        "s": {str(i): count for i, count in arr.size_hist.items()},
         "max_point_lines": {"index": idx, "count": count},
     }
 
@@ -169,7 +169,10 @@ def run_verify(
     report["l"] = arr.max_collinear
 
     if cross_check:
-        agree = list(arr.lines.values()) == brute_force_lines(ps)
+        # the printed statistics too: the int64 path does not count them from arr.lines
+        oracle = brute_force_lines(ps)
+        printed = (dict(arr.size_hist), list(arr.lines_per_point))
+        agree = oracle == list(arr.lines.values()) and _line_statistics(oracle, arr.n) == printed
         report["cross_check"] = "ok" if agree else "mismatch"
         if not agree:
             return EXIT_CHECK_FAILED, report

@@ -25,7 +25,7 @@ from pointline import (
 from pointline import _kern
 from pointline.arrangement import INT64_MIN_PAIRS, PointSet
 
-from conftest import pset
+from conftest import pset, rational_sets
 
 ALPHA = Fraction(103, 16)
 
@@ -221,16 +221,6 @@ def test_oracle_equivalence_small_sets(coords):
     ps = pset(*coords)
     arr = build_arrangement(ps)
     assert list(arr.lines.values()) == brute_force_lines(ps)
-
-
-# p/q with mixed denominators 1..4: lines of 3+ points occur, unlike the
-# rational circles, and clearing to homogeneous integers is exercised
-rational_sets = st.lists(
-    st.tuples(st.fractions(-3, 3, max_denominator=4), st.fractions(-3, 3, max_denominator=4)),
-    min_size=2,
-    max_size=12,
-    unique=True,
-)
 
 
 @given(rational_sets)

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import pointline
-from pointline import Unresolved, bounds, cli, load_points_file
+from pointline import Unresolved, _kern, arrangement, bounds, cli, load_points_file
 from pointline.bounds import TheoremCheck
 
 
@@ -79,6 +79,26 @@ def test_verify_grid_exit_zero(grid_file, capsys):
     out = capsys.readouterr().out
     assert "cross_check: ok" in out
     assert "hirzebruch: 18 >= 9 -> holds" in out
+
+
+def test_cross_check_catches_wrong_printed_statistics(tmp_path, monkeypatch, capsys):
+    # the int64 path counts the printed statistics without building lines,
+    # so a miscount there leaves arr.lines (and the line comparison) intact
+    path = tmp_path / "g55.json"
+    assert cli.main(["generate", "grid", "--w", "5", "--h", "5", "--out", str(path)]) == 0
+    real = _kern.int64_statistics
+
+    def one_line_too_many(hx, hy, hw):
+        size_hist, per_point = real(hx, hy, hw)
+        size_hist[2] += 1
+        return size_hist, per_point
+
+    monkeypatch.setattr(arrangement, "INT64_MIN_PAIRS", 1)
+    monkeypatch.setattr(_kern, "int64_statistics", one_line_too_many)
+    assert cli.main(["verify", str(path), "--cross-check"]) == 2
+    out = capsys.readouterr().out
+    assert "lines: 141" in out
+    assert "cross_check: mismatch" in out
 
 
 def test_verify_json_report_shape(grid_file, capsys):

@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings
 
-from pointline import TooFewPoints, brute_force_lines, build_arrangement, circle, grid
+from pointline import TooFewPoints, _kern, brute_force_lines, build_arrangement, circle, grid, orient
 
-from conftest import pset
+from conftest import pset, rational_sets
 
 
 def test_two_points_single_line():
@@ -28,8 +29,9 @@ def test_matches_arrangement_on_grid():
     assert list(arr.lines.values()) == oracle
 
 
-def test_matches_arrangement_on_rational_coordinates():
-    ps = circle(8)
+@pytest.mark.parametrize("n", [8, 120])
+def test_matches_arrangement_on_rational_coordinates(n):
+    ps = circle(n)
     arr = build_arrangement(ps)
     assert list(arr.lines.values()) == brute_force_lines(ps)
 
@@ -38,3 +40,36 @@ def test_collinear_triples_merge():
     lines = brute_force_lines(pset((0, 0), (1, 1), (2, 2), (5, 0)))
     assert (0, 1, 2) in lines
     assert len(lines) == 4
+
+
+def test_does_not_use_the_line_kernels(monkeypatch):
+    # (1/2, 1/3), (1, 2/3), (3/2, 1) lie on y = 2x/3; their clearing
+    # must not borrow the kernel's homogenise
+    ps = pset(("1/2", "1/3"), (1, "2/3"), ("3/2", 1), (0, "1/5"), ("1/3", 0), ("-1/4", "3/2"))
+    expected = list(build_arrangement(ps).lines.values())
+    assert (0, 1, 2) in expected
+
+    def refuse(*args):
+        raise AssertionError("the oracle called a line kernel")
+
+    monkeypatch.setattr(_kern, "homogenise", refuse)
+    monkeypatch.setattr(_kern, "group_collinear", refuse)
+    assert brute_force_lines(ps) == expected
+
+
+def _naive_lines(ps):
+    pts = ps.points
+    n = len(pts)
+    return sorted({
+        tuple(r for r in range(n) if orient(pts[i], pts[j], pts[r]) == 0)
+        for i in range(n)
+        for j in range(i + 1, n)
+    })
+
+
+@given(rational_sets.map(lambda coords: coords[:8]))
+@settings(max_examples=80)
+def test_homogeneous_predicate_matches_rational_orientation(coords):
+    # the naive enumeration tests collinearity in Fractions, without the kernel
+    ps = pset(*coords)
+    assert brute_force_lines(ps) == _naive_lines(ps)

@@ -2,9 +2,14 @@
 
 Everything here is exact: closed-form quantities are Fractions, and the
 two infinite series that appear in the bound coefficients are bracketed
-by an Interval (exact partial sum plus integral tail bounds).  Inequality
-verdicts are exact rational comparisons; thresholds such as n/26 + 2 are
-never rounded.
+by an Interval: an exact partial sum up to a cutoff M, plus the
+Euler-Maclaurin bracket of the remainder past M (truncated after the B_2
+and after the B_4 term; Graham, Knuth and Patashnik, Concrete
+Mathematics, 2nd ed., section 9.5; T. M. Apostol, "An elementary view of
+Euler's summation formula", Amer. Math. Monthly 106 (1999) 409-418).
+The bracket is O(1/M^5) wide, so a few hundred exact terms suffice.
+Inequality verdicts are exact rational comparisons; thresholds such as
+n/26 + 2 are never rounded.
 
 The constant formulas of the two bound families live in one record
 builder each (_wd_record, _few_record; BoundParamsWD.f and
@@ -23,8 +28,8 @@ from .arrangement import Arrangement, lines_with_at_most, max_lines_through_poin
 from .errors import DomainError, InvalidCutoff, Unresolved
 from .geometry import Rational
 
-DEFAULT_CUTOFF = 4096
-MAX_CUTOFF = 1 << 20
+DEFAULT_CUTOFF = 256
+MAX_CUTOFF = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -170,10 +175,18 @@ TAIL_KINDS = ("1/i^2", "(i+1)/i^3")
 def tail_sum(kind: str, c: int, cutoff: int) -> Interval:
     """Rigorous enclosure of sum_{i>=c} of 1/i^2 or (i+1)/i^3.
 
-    Exact rational partial sum for i in [c, cutoff] plus integral bounds
-    for the remainder: sum_{i>M} 1/i^2 is in [1/(M+1), 1/M] and
-    sum_{i>M} 1/i^3 in [1/(2(M+1)^2), 1/(2M^2)]; (i+1)/i^3 splits as
-    1/i^2 + 1/i^3.  Enclosures nest as the cutoff grows.
+    Exact rational partial sum for i in [c, cutoff] plus the
+    Euler-Maclaurin bracket of the remainder past M = cutoff:
+    sum_{i>M} 1/i^2 lies in [U2 - 1/(30M^5), U2] with
+    U2 = 1/M - 1/(2M^2) + 1/(6M^3), and sum_{i>M} 1/i^3 in
+    [U3 - 1/(12M^6), U3] with U3 = 1/(2M^2) - 1/(2M^3) + 1/(4M^4).
+    U2 and U3 stop after the B_2 term, the lower ends after the B_4
+    term; every derivative of x^-s alternates in sign, so each
+    remainder has the sign of the next term and is bounded by it
+    (Graham, Knuth and Patashnik, Concrete Mathematics, section 9.5;
+    Apostol, Amer. Math. Monthly 106 (1999)).  (i+1)/i^3 splits as
+    1/i^2 + 1/i^3.  The bracket's width is O(1/M^5), and enclosures
+    nest as the cutoff grows.
     """
     _check_tail_args(kind, c, cutoff)
     partial = _partial_sum(kind, c, cutoff)
@@ -200,12 +213,14 @@ def _partial_sum(kind: str, lo: int, hi: int) -> Fraction:
     return sum(_term(kind, i) for i in range(lo, hi + 1))
 
 
-def _tail_bounds(kind: str, cutoff: int) -> tuple[Rational, Rational]:
-    sq_lo, sq_hi = Fraction(1, cutoff + 1), Fraction(1, cutoff)
+def _tail_bounds(kind: str, m: int) -> tuple[Rational, Rational]:
+    """Euler-Maclaurin bracket of the sum of the terms with i > m (see tail_sum)."""
+    sq_hi = Fraction(6 * m * m - 3 * m + 1, 6 * m**3)  # 1/M - 1/(2M^2) + 1/(6M^3)
+    sq_lo = sq_hi - Fraction(1, 30 * m**5)
     if kind == "1/i^2":
         return sq_lo, sq_hi
-    cb_lo = Fraction(1, 2 * (cutoff + 1) ** 2)
-    cb_hi = Fraction(1, 2 * cutoff**2)
+    cb_hi = Fraction(2 * m * m - 2 * m + 1, 4 * m**4)  # 1/(2M^2) - 1/(2M^3) + 1/(4M^4)
+    cb_lo = cb_hi - Fraction(1, 12 * m**6)
     return sq_lo + cb_lo, sq_hi + cb_hi
 
 
@@ -520,8 +535,8 @@ def verify_theorems(arr: Arrangement, k: CrossingConstants = DEFAULT_CONSTANTS) 
 
     checks.append(hirzebruch_check(arr))
     # sum_{j>=i} (j-1) s_j is visibility_edge_count(arr, i)
-    checks.append(_st_check("st_edges", arr, lambda j: j - 1, st_bound_edges, k))
-    checks.append(_st_check("st_lines", arr, lambda j: 1, st_bound_lines, k))
+    checks.append(_st_check("st_edges", arr, lambda j: j - 1, 2, st_bound_edges, k))
+    checks.append(_st_check("st_lines", arr, lambda j: 1, 3, st_bound_lines, k))
 
     idx, degree = max_lines_through_point(arr)
     checks.append(
@@ -563,22 +578,31 @@ def verify_theorems(arr: Arrangement, k: CrossingConstants = DEFAULT_CONSTANTS) 
     return checks
 
 
-def _st_check(name, arr, weight, bound, k) -> TheoremCheck:
-    """Check sum_{j>=i} weight(j) * s_j <= bound(n, i) for every i in [2, max_collinear].
+def _st_check(name, arr, weight, e, bound, k) -> TheoremCheck:
+    """Check sum_{j>=i} weight(j) * s_j <= bound(n, i, k) for every i in [2, max_collinear].
 
-    One pass from i = max_collinear down keeps the suffix sum as an int.
-    The verdict covers all thresholds; the displayed sides are those of
-    the tightest i (smallest slack; the smallest such i on ties).
+    bound(n, i, k) must be max{alpha*n / (i-1)^(e-2), beta*n^2 / (2(i-1)^e)},
+    as st_bound_edges (e = 2) and st_bound_lines (e = 3) are.  One pass
+    from i = max_collinear down keeps the suffix sum as an int; alpha*n
+    and beta*n^2/2 are split into numerator and denominator once, and each
+    threshold's slack is compared by cross-multiplication in ints.  Only
+    the tightest i (smallest slack; the smallest such i on ties) has its
+    bound built, by bound itself, for display.
     """
+    a, b = Fraction(k.alpha * arr.n), Fraction(k.beta * arr.n**2, 2)
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
     worst = None
     suffix = 0
     for i in range(arr.max_collinear, 1, -1):
         suffix += weight(i) * arr.size_hist.get(i, 0)
-        rhs = bound(arr.n, i, k)
-        slack = rhs - suffix
-        if worst is None or slack <= worst[0]:
-            worst = (slack, i, suffix, rhs)
-    slack, i, lhs, rhs = worst
+        sq = (i - 1) ** 2
+        # the bound is num/den: a/(i-1)^(e-2) and b/(i-1)^e over one denominator
+        den = ad * bd * sq * (i - 1) ** (e - 2)
+        slack = max(an * bd * sq, bn * ad) - suffix * den
+        # slack/den <= worst slack/den, both denominators positive
+        if worst is None or slack * worst[1] <= worst[0] * den:
+            worst = (slack, den, i, suffix)
+    slack, _, i, lhs = worst
     note = f"tightest at i={i} over i in [2, {arr.max_collinear}]"
     # every threshold holds exactly when the smallest slack is >= 0
-    return TheoremCheck(name, True, "<=", Fraction(lhs), rhs, slack >= 0, note)
+    return TheoremCheck(name, True, "<=", Fraction(lhs), bound(arr.n, i, k), slack >= 0, note)

@@ -86,7 +86,10 @@ def _build_parser() -> _Parser:
     p_const.add_argument("--c-max", type=int, default=200)
     p_const.add_argument("--eps", type=_rational, default=None,
                          help="also tabulate the incidence coefficient at this eps in (0, 1/2) (wd only)")
-    p_const.add_argument("--cutoff", type=int, default=bounds.DEFAULT_CUTOFF)
+    p_const.add_argument("--cutoff", type=int, default=bounds.DEFAULT_CUTOFF,
+                         help="last series term summed exactly; the rest is bracketed, and the "
+                              f"cutoff doubles up to {bounds.MAX_CUTOFF} while the argmax is not "
+                              f"isolated (default: {bounds.DEFAULT_CUTOFF})")
     p_const.add_argument("--alpha", type=_rational, default=None)
     p_const.add_argument("--beta", type=_rational, default=None)
     p_const.add_argument("--format", choices=("text", "json"), default="text")

@@ -206,7 +206,8 @@ def test_criterion_7_series_enclosures():
                 assert tail_sum(kind, c, cutoff).encloses(tail_sum(kind, c, 2 * cutoff))
     iv = tail_sum("1/i^2", 2, 4096)
     assert iv.width < F(24, 10**5)
-    assert iv.contains(F("0.6449340668"))
+    # sum_{i>=2} 1/i^2 = pi^2/6 - 1, to 40 digits
+    assert iv.contains(F("0.6449340668482264364724151666460251892189"))
     _report("7 series enclosures", True, f"width at 4096 = {float(iv.width):.2e}")
 
 

@@ -157,15 +157,20 @@ def test_hirzebruch_near_pencil_not_applicable():
 # ---------------------------------------------------------------------------
 
 
+# sum_{i>=2} 1/i^2 = pi^2/6 - 1, to 40 digits
+PI2_6_MINUS_1 = F("0.6449340668482264364724151666460251892189")
+
+
 def test_tail_sum_one_term():
+    # 1/4, plus the bracket at M = 2: U2 = 1/2 - 1/8 + 1/48 = 19/48, less 1/(30 * 2^5)
     iv = tail_sum("1/i^2", 2, 2)
-    assert iv == Interval.of(F(1, 4) + F(1, 3), F(1, 4) + F(1, 2))
+    assert iv == Interval.of(F(619, 960), F(31, 48))
 
 
 def test_tail_sum_contains_reference():
-    # sum_{i>=2} 1/i^2 = pi^2/6 - 1 = 0.6449340668...
     iv = tail_sum("1/i^2", 2, 4096)
-    assert iv.contains(F("0.6449340668"))
+    assert iv.contains(PI2_6_MINUS_1)
+    assert tail_sum("1/i^2", 2, 2).contains(PI2_6_MINUS_1)
 
 
 def test_tail_sum_nesting():
@@ -179,6 +184,45 @@ def test_tail_sum_nesting():
 def test_tail_sum_width_shrinks():
     iv = tail_sum("(i+1)/i^3", 46, 4096)
     assert iv.width < F(1, 10**6)
+
+
+def _integral_tail_sum(kind, c, cutoff):
+    """The reference: exact partial sum plus the integral bracket of the remainder,
+    sum_{i>M} 1/i^2 in [1/(M+1), 1/M] and sum_{i>M} 1/i^3 in [1/(2(M+1)^2), 1/(2M^2)]."""
+    m = cutoff
+    cubes = kind != "1/i^2"
+    partial = sum(F(1, i * i) + (F(1, i**3) if cubes else 0) for i in range(c, m + 1))
+    lo, hi = F(1, m + 1), F(1, m)
+    if cubes:
+        lo, hi = lo + F(1, 2 * (m + 1) ** 2), hi + F(1, 2 * m * m)
+    return Interval(partial + lo, partial + hi)
+
+
+@pytest.mark.parametrize("kind", ["1/i^2", "(i+1)/i^3"])
+def test_default_cutoff_lies_inside_integral_bracket_at_4096(kind):
+    assert bounds_mod.DEFAULT_CUTOFF == 256
+    for c in (8, 29, 44, 46, 100, 200):
+        new = tail_sum(kind, c, 256)
+        assert _integral_tail_sum(kind, c, 4096).encloses(new), c
+        assert new.width < F(1, 10**13)
+
+
+def test_default_scan_sums_no_more_than_the_default_cutoff(monkeypatch):
+    # a scan that went back to thousands of exact terms would still be
+    # right, only many times slower; count the terms it sums
+    calls = []
+    term = bounds_mod._term
+
+    def counting(kind, i):
+        calls.append(i)
+        return term(kind, i)
+
+    monkeypatch.setattr(bounds_mod, "_term", counting)
+    scan = scan_constants_wd(8, 200)
+    assert scan.cutoff == 256
+    assert scan.argmax_c == 46
+    assert 0 < len(calls) <= 256
+    assert max(calls) <= 256
 
 
 def test_tail_sum_validation():
@@ -261,16 +305,20 @@ def test_scan_low_range_below_peak():
     assert best.hi < f_wd(46, cutoff=1024).lo
 
 
+# beta close to the f(45) = f(46) tie: f(46) - f(45) is about 2.5e-17, so
+# the enclosures of 45 and 46 overlap until the cutoff reaches 2048
+NEAR_TIE = CrossingConstants(alpha=ALPHA, beta=F(26356235, 856114))
+
+
 def test_scan_refinement_resolves():
-    # widths at cutoff 64 exceed the f(45)/f(46) gap; doubling must kick in
-    scan = scan_constants_wd(44, 48, cutoff=64)
+    scan = scan_constants_wd(45, 46, NEAR_TIE, cutoff=64)
     assert scan.argmax_c == 46
-    assert scan.cutoff > 64
+    assert scan.cutoff == 2048
 
 
 def test_scan_unresolved_at_cutoff_limit():
-    with pytest.raises(Unresolved):
-        scan_constants_wd(44, 48, cutoff=64, max_cutoff=64)
+    with pytest.raises(Unresolved, match="at cutoff 1024: 46 overlaps with \\[45\\]"):
+        scan_constants_wd(45, 46, NEAR_TIE, cutoff=64, max_cutoff=1024)
 
 
 def test_scan_domain():
@@ -539,8 +587,11 @@ def test_st_checks_match_resum_reference(ps, k):
 
 
 def test_st_check_ties_keep_the_smallest_threshold():
-    # every threshold has slack 1: the displayed one is i = 2
+    # beta so small that the bound is alpha*n = 16 at every threshold, and
+    # weight 0: every threshold has slack 16, so the displayed one is i = 2
     arr = build_arrangement(grid(4, 4))
-    check = bounds_mod._st_check("flat", arr, lambda j: 0, lambda n, i, k: F(1), None)
+    k = CrossingConstants(alpha=F(1), beta=F(1, 1000))
+    check = bounds_mod._st_check("flat", arr, lambda j: 0, 2, st_bound_edges, k)
     assert check.note == "tightest at i=2 over i in [2, 4]"
-    assert check == _st_check_resum("flat", arr, lambda a, i: 0, lambda n, i, k: F(1), None)
+    assert check.rhs == 16
+    assert check == _st_check_resum("flat", arr, lambda a, i: 0, st_bound_edges, k)

@@ -227,6 +227,17 @@ def test_constants_exit_three_when_unresolved(monkeypatch, capsys):
     assert cli.main(["constants", "--family", "wd", "--c-min", "8", "--c-max", "10"]) == 3
 
 
+def test_constants_exit_three_on_a_near_tie(capsys):
+    # beta within 1e-28 of the tie f(45) = f(46) (beta* = 30.7858941683...):
+    # no cutoff up to MAX_CUTOFF = 4096 can separate the two enclosures, and
+    # the scan gives up there after summing at most 4096 terms a round
+    assert cli.main(["constants", "--family", "wd", "--c-min", "45", "--c-max", "46",
+                     "--alpha", "103/16", "--beta", "2038012241309377/66199546784903"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argmax not isolated at cutoff 4096: 46 overlaps with [45]" in captured.err
+
+
 def test_constants_custom_alpha_beta(capsys):
     assert cli.main(["constants", "--family", "wd", "--c-min", "46", "--c-max", "46",
                      "--alpha", "7", "--beta", "30", "--cutoff", "1024",

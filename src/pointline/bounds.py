@@ -8,6 +8,9 @@ and after the B_4 term; Graham, Knuth and Patashnik, Concrete
 Mathematics, 2nd ed., section 9.5; T. M. Apostol, "An elementary view of
 Euler's summation formula", Amer. Math. Monthly 106 (1999) 409-418).
 The bracket is O(1/M^5) wide, so a few hundred exact terms suffice.
+There is one tail path: _suffix_tail_table encloses the series from
+every start c in a range in one pass over the terms, and tail_sum reads
+its entry for a single c.
 Inequality verdicts are exact rational comparisons; thresholds such as
 n/26 + 2 are never rounded.
 
@@ -188,29 +191,12 @@ def tail_sum(kind: str, c: int, cutoff: int) -> Interval:
     1/i^2 + 1/i^3.  The bracket's width is O(1/M^5), and enclosures
     nest as the cutoff grows.
     """
-    _check_tail_args(kind, c, cutoff)
-    partial = _partial_sum(kind, c, cutoff)
-    t_lo, t_hi = _tail_bounds(kind, cutoff)
-    return Interval(partial + t_lo, partial + t_hi)
-
-
-def _check_tail_args(kind: str, c: int, cutoff: int) -> None:
-    if kind not in TAIL_KINDS:
-        raise DomainError(f"unknown series kind {kind!r}; expected one of {TAIL_KINDS}")
-    if c < 2:
-        raise DomainError(f"series start must be >= 2, got {c}")
-    if cutoff < c:
-        raise InvalidCutoff(f"cutoff {cutoff} below series start {c}")
+    return _suffix_tail_table(kind, c, c, cutoff)[c]
 
 
 def _term(kind: str, i: int) -> Fraction:
     """The i-th series term, 1/i^2 or (i+1)/i^3."""
     return Fraction(1, i * i) if kind == "1/i^2" else Fraction(i + 1, i**3)
-
-
-def _partial_sum(kind: str, lo: int, hi: int) -> Fraction:
-    """Exact sum of the series terms for i in [lo, hi]."""
-    return sum(_term(kind, i) for i in range(lo, hi + 1))
 
 
 def _tail_bounds(kind: str, m: int) -> tuple[Rational, Rational]:
@@ -227,14 +213,19 @@ def _tail_bounds(kind: str, m: int) -> tuple[Rational, Rational]:
 def _suffix_tail_table(kind: str, c_min: int, c_max: int, cutoff: int) -> dict[int, Interval]:
     """tail_sum for every c in [c_min, c_max] from one pass over the terms.
 
-    The partial sum over [c_max, cutoff] is summed forward, as tail_sum
-    does; the walk back then adds only the terms of [c_min, c_max).
+    The partial sum over [c_max, cutoff] is summed forward; the walk back
+    then adds only the terms of [c_min, c_max).
     """
-    _check_tail_args(kind, c_min, cutoff)
+    if kind not in TAIL_KINDS:
+        raise DomainError(f"unknown series kind {kind!r}; expected one of {TAIL_KINDS}")
+    if c_min < 2:
+        raise DomainError(f"series start must be >= 2, got {c_min}")
+    if cutoff < c_min:
+        raise InvalidCutoff(f"cutoff {cutoff} below series start {c_min}")
     if c_max > cutoff:
         raise InvalidCutoff(f"cutoff {cutoff} below scan end {c_max}")
     t_lo, t_hi = _tail_bounds(kind, cutoff)
-    acc = _partial_sum(kind, c_max, cutoff)
+    acc = sum(_term(kind, i) for i in range(c_max, cutoff + 1))
     partials = {c_max: acc}
     for i in range(c_max - 1, c_min - 1, -1):
         acc += _term(kind, i)
@@ -362,19 +353,22 @@ class _Family:
             raise DomainError(f"c must be >= {self.c_min}, got {c}")
         return self.build(c, tail_sum(self.series, c, cutoff), k)
 
-    def scan(self, c_min, c_max, k, cutoff, max_cutoff) -> ScanResult:
+    def scan(self, c_min, c_max, k, cutoff) -> ScanResult:
         """Isolate the c maximizing the objective enclosure by interval dominance.
 
         The argmax is accepted only when its enclosure's lower bound exceeds
         every other enclosure's upper bound.  While enclosures overlap at the
-        top, the cutoff doubles (up to max_cutoff); if the maximum still
+        top, the cutoff doubles (up to MAX_CUTOFF); if the maximum still
         cannot be isolated, Unresolved is raised naming the overlapping set.
-        A start cutoff below 1 is an error; one below c_max is lifted to c_max.
+        The start cutoff must lie in [1, MAX_CUTOFF]; one below c_max is
+        lifted to c_max.
         """
         if not self.c_min <= c_min <= c_max:
             raise DomainError(f"need {self.c_min} <= c_min <= c_max, got [{c_min}, {c_max}]")
         if cutoff < 1:
             raise InvalidCutoff(f"cutoff must be >= 1, got {cutoff}")
+        if cutoff > MAX_CUTOFF:
+            raise InvalidCutoff(f"cutoff must be <= {MAX_CUTOFF}, got {cutoff}")
         cutoff = max(cutoff, c_max)
         while True:
             tails = _suffix_tail_table(self.series, c_min, c_max, cutoff)
@@ -385,7 +379,7 @@ class _Family:
             overlapping = [c for c, iv in table if c != best_c and iv.hi >= best.lo]
             if not overlapping:
                 return ScanResult(argmax_c=best_c, table=table, cutoff=cutoff, records=records)
-            if cutoff * 2 > max_cutoff:
+            if cutoff * 2 > MAX_CUTOFF:
                 raise Unresolved(
                     f"argmax not isolated at cutoff {cutoff}: "
                     f"{best_c} overlaps with {overlapping}"
@@ -428,10 +422,9 @@ def scan_constants_wd(
     c_max: int,
     k: CrossingConstants = DEFAULT_CONSTANTS,
     cutoff: int = DEFAULT_CUTOFF,
-    max_cutoff: int = MAX_CUTOFF,
 ) -> ScanResult:
     """Isolate the c in [c_min, c_max] maximizing f(c); records are BoundParamsWD."""
-    return _WD.scan(c_min, c_max, k, cutoff, max_cutoff)
+    return _WD.scan(c_min, c_max, k, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +458,9 @@ def scan_constants_few(
     c_max: int,
     k: CrossingConstants = DEFAULT_CONSTANTS,
     cutoff: int = DEFAULT_CUTOFF,
-    max_cutoff: int = MAX_CUTOFF,
 ) -> ScanResult:
     """Isolate the c in [c_min, c_max] maximizing 2A(c)/(1 + 2B(c)); records are BoundParamsFew."""
-    return _FEW.scan(c_min, c_max, k, cutoff, max_cutoff)
+    return _FEW.scan(c_min, c_max, k, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +527,8 @@ def verify_theorems(arr: Arrangement, k: CrossingConstants = DEFAULT_CONSTANTS) 
 
     checks.append(hirzebruch_check(arr))
     # sum_{j>=i} (j-1) s_j is visibility_edge_count(arr, i)
-    checks.append(_st_check("st_edges", arr, lambda j: j - 1, 2, st_bound_edges, k))
-    checks.append(_st_check("st_lines", arr, lambda j: 1, 3, st_bound_lines, k))
+    checks.append(_st_check("st_edges", arr, 2, k))
+    checks.append(_st_check("st_lines", arr, 3, k))
 
     idx, degree = max_lines_through_point(arr)
     checks.append(
@@ -578,31 +570,30 @@ def verify_theorems(arr: Arrangement, k: CrossingConstants = DEFAULT_CONSTANTS) 
     return checks
 
 
-def _st_check(name, arr, weight, e, bound, k) -> TheoremCheck:
-    """Check sum_{j>=i} weight(j) * s_j <= bound(n, i, k) for every i in [2, max_collinear].
+def _st_check(name, arr, e, k) -> TheoremCheck:
+    """Check sum_{j>=i} (j-1)^(3-e) s_j <= bound(i) for every i in [2, max_collinear].
 
-    bound(n, i, k) must be max{alpha*n / (i-1)^(e-2), beta*n^2 / (2(i-1)^e)},
-    as st_bound_edges (e = 2) and st_bound_lines (e = 3) are.  One pass
-    from i = max_collinear down keeps the suffix sum as an int; alpha*n
-    and beta*n^2/2 are split into numerator and denominator once, and each
-    threshold's slack is compared by cross-multiplication in ints.  Only
-    the tightest i (smallest slack; the smallest such i on ties) has its
-    bound built, by bound itself, for display.
+    Both the weight and bound(i) = max{alpha*n / (i-1)^(e-2), beta*n^2 /
+    (2(i-1)^e)} come from e: e = 2 is st_bound_edges, e = 3 st_bound_lines.
+    One pass from i = max_collinear down keeps the suffix sum as an int,
+    and each bound is num/den in ints, so slacks compare by
+    cross-multiplication.  The tightest i (smallest slack; the smallest
+    such i on ties) is shown with rhs num/den, the integers that decide
+    the verdict.
     """
     a, b = Fraction(k.alpha * arr.n), Fraction(k.beta * arr.n**2, 2)
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
     worst = None
     suffix = 0
     for i in range(arr.max_collinear, 1, -1):
-        suffix += weight(i) * arr.size_hist.get(i, 0)
-        sq = (i - 1) ** 2
-        # the bound is num/den: a/(i-1)^(e-2) and b/(i-1)^e over one denominator
-        den = ad * bd * sq * (i - 1) ** (e - 2)
-        slack = max(an * bd * sq, bn * ad) - suffix * den
+        suffix += (i - 1) ** (3 - e) * arr.size_hist.get(i, 0)
+        # a/(i-1)^(e-2) and b/(i-1)^e over one denominator
+        num, den = max(an * bd * (i - 1) ** 2, bn * ad), ad * bd * (i - 1) ** e
+        slack = num - suffix * den
         # slack/den <= worst slack/den, both denominators positive
         if worst is None or slack * worst[1] <= worst[0] * den:
-            worst = (slack, den, i, suffix)
-    slack, _, i, lhs = worst
+            worst = (slack, den, num, i, suffix)
+    slack, den, num, i, lhs = worst
     note = f"tightest at i={i} over i in [2, {arr.max_collinear}]"
     # every threshold holds exactly when the smallest slack is >= 0
-    return TheoremCheck(name, True, "<=", Fraction(lhs), bound(arr.n, i, k), slack >= 0, note)
+    return TheoremCheck(name, True, "<=", Fraction(lhs), Fraction(num, den), slack >= 0, note)

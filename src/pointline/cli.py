@@ -70,7 +70,7 @@ def _build_parser() -> _Parser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("generate", help="write a generated point configuration")
-    p_gen.add_argument("kind", choices=("grid", "near-pencil", "circle", "random", "collinear"))
+    p_gen.add_argument("kind", choices=tuple(_GENERATOR_FLAGS))
     p_gen.add_argument("--n", type=int, help="point count (near-pencil, circle, random, collinear)")
     p_gen.add_argument("--w", type=int, help="grid width")
     p_gen.add_argument("--h", type=int, help="grid height")
@@ -87,11 +87,12 @@ def _build_parser() -> _Parser:
     p_const.add_argument("--eps", type=_rational, default=None,
                          help="also tabulate the incidence coefficient at this eps in (0, 1/2) (wd only)")
     p_const.add_argument("--cutoff", type=int, default=bounds.DEFAULT_CUTOFF,
-                         help="last series term summed exactly; the rest is bracketed, and the "
-                              f"cutoff doubles up to {bounds.MAX_CUTOFF} while the argmax is not "
-                              f"isolated (default: {bounds.DEFAULT_CUTOFF})")
-    p_const.add_argument("--alpha", type=_rational, default=None)
-    p_const.add_argument("--beta", type=_rational, default=None)
+                         help=f"last series term summed exactly, 1..{bounds.MAX_CUTOFF}; the rest "
+                              "is bracketed, and the cutoff doubles up to "
+                              f"{bounds.MAX_CUTOFF} while the argmax is not isolated "
+                              f"(default: {bounds.DEFAULT_CUTOFF})")
+    p_const.add_argument("--alpha", type=_rational, default=bounds.DEFAULT_CONSTANTS.alpha)
+    p_const.add_argument("--beta", type=_rational, default=bounds.DEFAULT_CONSTANTS.beta)
     p_const.add_argument("--format", choices=("text", "json"), default="text")
     p_const.set_defaults(func=cmd_constants)
 
@@ -161,7 +162,6 @@ def run_verify(
     descriptor: str = "<memory>",
     cross_check: bool = False,
     suite: list[str] | None = None,
-    constants: bounds.CrossingConstants = bounds.DEFAULT_CONSTANTS,
 ) -> tuple[int, dict]:
     """Build, optionally cross-check, and run the inequality checks.
 
@@ -180,7 +180,7 @@ def run_verify(
         if not agree:
             return EXIT_CHECK_FAILED, report
 
-    checks = bounds.verify_theorems(arr, constants)
+    checks = bounds.verify_theorems(arr)
     if suite:
         known = {c.name for c in checks}
         unknown = set(suite) - known
@@ -231,22 +231,24 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# each generator kind, as named on the command line, and the flags it requires
+_GENERATOR_FLAGS = {
+    "grid": ("w", "h"),
+    "near-pencil": ("n",),
+    "circle": ("n",),
+    "random": ("n", "seed", "bound"),
+    "collinear": ("n",),
+}
+
+
 def _generator_spec(args) -> generators.GeneratorSpec:
-    kind = args.kind.replace("-", "_")
-    required = {
-        "grid": ("w", "h"),
-        "near_pencil": ("n",),
-        "circle": ("n",),
-        "collinear": ("n",),
-        "random": ("n", "seed", "bound"),
-    }[kind]
     params = {}
-    for name in required:
+    for name in _GENERATOR_FLAGS[args.kind]:
         value = getattr(args, name)
         if value is None:
             raise _UsageError(f"generator {args.kind!r} requires --{name}")
         params[name] = value
-    return generators.GeneratorSpec(kind, params)
+    return generators.GeneratorSpec(args.kind.replace("-", "_"), params)
 
 
 def cmd_generate(args) -> int:
@@ -261,14 +263,6 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 # constants
 # ---------------------------------------------------------------------------
-
-
-def _crossing_constants(args) -> bounds.CrossingConstants:
-    defaults = bounds.DEFAULT_CONSTANTS
-    return bounds.CrossingConstants(
-        alpha=args.alpha if args.alpha is not None else defaults.alpha,
-        beta=args.beta if args.beta is not None else defaults.beta,
-    )
 
 
 _ENCLOSURE_DIGITS = 15
@@ -305,7 +299,7 @@ def _row(record, exact, enclosed) -> dict:
 
 
 def cmd_constants(args) -> int:
-    k = _crossing_constants(args)
+    k = bounds.CrossingConstants(args.alpha, args.beta)
     if args.eps is not None:
         if args.family != "wd":
             raise _UsageError("--eps applies to --family wd only")

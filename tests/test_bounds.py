@@ -316,9 +316,13 @@ def test_scan_refinement_resolves():
     assert scan.cutoff == 2048
 
 
+# beta within 1e-28 of the tie: no cutoff up to MAX_CUTOFF separates them
+TRUE_TIE = CrossingConstants(alpha=ALPHA, beta=F(2038012241309377, 66199546784903))
+
+
 def test_scan_unresolved_at_cutoff_limit():
-    with pytest.raises(Unresolved, match="at cutoff 1024: 46 overlaps with \\[45\\]"):
-        scan_constants_wd(45, 46, NEAR_TIE, cutoff=64, max_cutoff=1024)
+    with pytest.raises(Unresolved, match="at cutoff 4096: 46 overlaps with \\[45\\]"):
+        scan_constants_wd(45, 46, TRUE_TIE, cutoff=64)
 
 
 def test_scan_domain():
@@ -326,7 +330,7 @@ def test_scan_domain():
         scan_constants_wd(5, 20)
 
 
-@pytest.mark.parametrize("cutoff", [0, -5])
+@pytest.mark.parametrize("cutoff", [0, -5, 4097])
 def test_scan_rejects_cutoff_below_one_before_any_tail(cutoff, monkeypatch):
     def no_table(*args):
         raise AssertionError("tail table built before the cutoff was checked")
@@ -587,11 +591,12 @@ def test_st_checks_match_resum_reference(ps, k):
 
 
 def test_st_check_ties_keep_the_smallest_threshold():
-    # beta so small that the bound is alpha*n = 16 at every threshold, and
-    # weight 0: every threshold has slack 16, so the displayed one is i = 2
-    arr = build_arrangement(grid(4, 4))
+    # four collinear points: sum_{j>=i} (j-1) s_j = 3 at every threshold, and
+    # beta so small that the bound is alpha*n = 4 there, so every threshold
+    # has slack 1 and the displayed one is i = 2
+    arr = build_arrangement(collinear(4))
     k = CrossingConstants(alpha=F(1), beta=F(1, 1000))
-    check = bounds_mod._st_check("flat", arr, lambda j: 0, 2, st_bound_edges, k)
+    check = bounds_mod._st_check("st_edges", arr, 2, k)
     assert check.note == "tightest at i=2 over i in [2, 4]"
-    assert check.rhs == 16
-    assert check == _st_check_resum("flat", arr, lambda a, i: 0, st_bound_edges, k)
+    assert check.lhs == 3 and check.rhs == 4
+    assert check == _st_check_resum("st_edges", arr, visibility_edge_count, st_bound_edges, k)

@@ -130,7 +130,7 @@ def test_verify_unknown_suite_name(grid_file, capsys):
 
 def test_verify_exit_two_on_failed_check(grid_file, monkeypatch, capsys):
     failed = TheoremCheck("total_lines", True, ">=", F(1), F(2), False, "")
-    monkeypatch.setattr(bounds, "verify_theorems", lambda arr, k: [failed])
+    monkeypatch.setattr(bounds, "verify_theorems", lambda arr: [failed])
     assert cli.main(["verify", grid_file]) == 2
     assert "FAILED" in capsys.readouterr().out
 
@@ -217,6 +217,16 @@ def test_constants_cutoff_below_one_is_exit_one(cutoff, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"cutoff must be >= 1, got {cutoff}" in captured.err
+
+
+def test_constants_cutoff_above_max_is_exit_one(capsys):
+    # a start cutoff past the refinement limit is refused; the limit itself is not
+    argv = ["constants", "--family", "few", "--c-min", "40", "--c-max", "48", "--cutoff"]
+    assert cli.main([*argv, "4097"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cutoff must be <= 4096, got 4097" in captured.err
+    assert cli.main([*argv, "4096"]) == 0
 
 
 def test_constants_exit_three_when_unresolved(monkeypatch, capsys):

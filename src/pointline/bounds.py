@@ -361,7 +361,7 @@ class _Family:
         top, the cutoff doubles (up to MAX_CUTOFF); if the maximum still
         cannot be isolated, Unresolved is raised naming the overlapping set.
         The start cutoff must lie in [1, MAX_CUTOFF]; one below c_max is
-        lifted to c_max.
+        lifted to c_max, so c_max must not exceed MAX_CUTOFF either.
         """
         if not self.c_min <= c_min <= c_max:
             raise DomainError(f"need {self.c_min} <= c_min <= c_max, got [{c_min}, {c_max}]")
@@ -369,6 +369,8 @@ class _Family:
             raise InvalidCutoff(f"cutoff must be >= 1, got {cutoff}")
         if cutoff > MAX_CUTOFF:
             raise InvalidCutoff(f"cutoff must be <= {MAX_CUTOFF}, got {cutoff}")
+        if c_max > MAX_CUTOFF:
+            raise InvalidCutoff(f"c_max must be <= {MAX_CUTOFF}, the largest cutoff, got {c_max}")
         cutoff = max(cutoff, c_max)
         while True:
             tails = _suffix_tail_table(self.series, c_min, c_max, cutoff)

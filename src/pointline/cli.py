@@ -17,6 +17,7 @@ scan could not isolate its argmax at the refinement limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -51,6 +52,7 @@ def _rational(text: str) -> Fraction:
         raise _UsageError(f"not a rational: {text!r}") from exc
 
 
+@functools.cache  # built on the first main call; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pointline", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -342,6 +342,17 @@ def test_scan_rejects_cutoff_below_one_before_any_tail(cutoff, monkeypatch):
         scan_constants_wd(44, 48, cutoff=cutoff)
 
 
+def test_scan_rejects_c_max_above_max_cutoff_before_any_tail(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("tail table built before c_max was checked")
+
+    monkeypatch.setattr(bounds_mod, "_suffix_tail_table", no_table)
+    with pytest.raises(InvalidCutoff, match="4097"):
+        scan_constants_few(40, 4097)
+    with pytest.raises(InvalidCutoff, match="4097"):
+        scan_constants_wd(44, 4097, cutoff=64)
+
+
 def test_scan_lifts_positive_cutoff_to_c_max():
     scan = scan_constants_wd(46, 46, cutoff=1)
     assert scan.argmax_c == 46

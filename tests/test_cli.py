@@ -101,6 +101,47 @@ def test_cross_check_catches_wrong_printed_statistics(tmp_path, monkeypatch, cap
     assert "cross_check: mismatch" in out
 
 
+def test_cross_check_on_the_int64_statistics_path(tmp_path, monkeypatch, capsys):
+    # 529 points give 139,656 pairs >= INT64_MIN_PAIRS, so the printed
+    # statistics come from int64_statistics and the oracle vouches for them
+    path = tmp_path / "g2323.json"
+    assert cli.main(["generate", "grid", "--w", "23", "--h", "23", "--out", str(path)]) == 0
+    real, calls = _kern.int64_statistics, []
+
+    def spy(hx, hy, hw):
+        result = real(hx, hy, hw)
+        calls.append(result is not None)
+        return result
+
+    monkeypatch.setattr(_kern, "int64_statistics", spy)
+    assert cli.main(["verify", str(path), "--cross-check"]) == 0
+    assert calls == [True]
+    out = capsys.readouterr().out
+    assert "n: 529" in out
+    assert "cross_check: ok" in out
+
+
+def test_parser_is_built_once_per_process(grid_file, capsys):
+    # the memoised parser must not carry state from one call to the next
+    calls = [
+        ["verify", grid_file, "--cross-check"],
+        ["constants", "--family", "few", "--c-min", "40", "--c-max", "44"],
+        ["verify", grid_file],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        code = cli.main(argv)
+        fresh.append((code, capsys.readouterr().out))
+    cli._build_parser.cache_clear()
+    reused = []
+    for argv in calls:
+        code = cli.main(argv)
+        reused.append((code, capsys.readouterr().out))
+    assert cli._build_parser.cache_info().misses == 1
+    assert reused == fresh
+
+
 def test_verify_json_report_shape(grid_file, capsys):
     assert cli.main(["verify", grid_file, "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -227,6 +268,15 @@ def test_constants_cutoff_above_max_is_exit_one(capsys):
     assert captured.out == ""
     assert "cutoff must be <= 4096, got 4097" in captured.err
     assert cli.main([*argv, "4096"]) == 0
+
+
+def test_constants_c_max_above_max_cutoff_is_exit_one(capsys):
+    # c_max lifts the start cutoff, so it is held to the same limit
+    assert cli.main(["constants", "--family", "few", "--c-max", "4097"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "c_max must be <= 4096" in captured.err
+    assert "4097" in captured.err
 
 
 def test_constants_exit_three_when_unresolved(monkeypatch, capsys):

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointline import TooFewPoints, _kern, brute_force_lines, build_arrangement, circle, grid, orient
 
@@ -54,6 +57,7 @@ def test_does_not_use_the_line_kernels(monkeypatch):
 
     monkeypatch.setattr(_kern, "homogenise", refuse)
     monkeypatch.setattr(_kern, "group_collinear", refuse)
+    monkeypatch.setattr(_kern, "int64_statistics", refuse)
     assert brute_force_lines(ps) == expected
 
 
@@ -73,3 +77,36 @@ def test_homogeneous_predicate_matches_rational_orientation(coords):
     # the naive enumeration tests collinearity in Fractions, without the kernel
     ps = pset(*coords)
     assert brute_force_lines(ps) == _naive_lines(ps)
+
+
+# halves in [-2, 2]: 81 points, so 16 of them often put collinear runs on
+# both sides of a point, and a line's smallest member is rarely its first pair
+_HALVES = [Fraction(k, 2) for k in range(-4, 5)]
+grid_subsets = st.lists(
+    st.tuples(st.sampled_from(_HALVES), st.sampled_from(_HALVES)),
+    min_size=2,
+    max_size=16,
+    unique=True,
+)
+
+
+@given(grid_subsets)
+@settings(max_examples=80)
+def test_direction_grouping_matches_rational_orientation(coords):
+    ps = pset(*coords)
+    assert brute_force_lines(ps) == _naive_lines(ps)
+
+
+def test_coordinates_past_int64():
+    # every cleared coordinate and direction is far past 2^63; a reduction
+    # or sign step done in fixed width would split or merge these lines
+    big = 2**63 + 1
+    den = 2**62 + 3
+    ps = pset((0, 0), (big, big), (2 * big, 2 * big), (big, 0), (0, big),
+              (Fraction(big, 2), Fraction(big, 2)), (Fraction(big, den), 0))
+    lines = brute_force_lines(ps)
+    assert lines == _naive_lines(ps)
+    assert (0, 1, 2, 5) in lines  # y = x
+    assert (3, 4, 5) in lines     # x + y = big
+    assert (0, 3, 6) in lines     # y = 0
+    assert len(lines) == 3 + 9  # 21 pairs, 12 of them on the three lines above

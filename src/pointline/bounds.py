@@ -512,8 +512,13 @@ def hirzebruch_check(arr: Arrangement) -> TheoremCheck:
     return _check("hirzebruch", applicable, ">=", lhs, rhs, note)
 
 
+# the name of each check verify_theorems runs, in its order
+CHECK_NAMES = ("hirzebruch", "st_edges", "st_lines", "point_degree", "incidences",
+               "total_lines", "lines_le3", "half_le3")
+
+
 def verify_theorems(arr: Arrangement, k: CrossingConstants = DEFAULT_CONSTANTS) -> list[TheoremCheck]:
-    """Run every supported inequality against one arrangement.
+    """Run every supported inequality against one arrangement, in CHECK_NAMES order.
 
     Premises are part of the statements: an inapplicable check reports
     its sides with holds=None and counts as success for exit purposes.

@@ -168,7 +168,14 @@ def run_verify(
     """Build, optionally cross-check, and run the inequality checks.
 
     Returns (exit_code, report_dict); the CLI layer only formats it.
+    An unknown suite name is an error before any work.
     """
+    if suite:
+        unknown = set(suite).difference(bounds.CHECK_NAMES)
+        if unknown:
+            raise PointLineError(
+                f"unknown check name(s) {sorted(unknown)}; available: {sorted(bounds.CHECK_NAMES)}"
+            )
     arr = build_arrangement(ps)
     report = _stats_dict(descriptor, arr)
     report["l"] = arr.max_collinear
@@ -184,12 +191,6 @@ def run_verify(
 
     checks = bounds.verify_theorems(arr)
     if suite:
-        known = {c.name for c in checks}
-        unknown = set(suite) - known
-        if unknown:
-            raise PointLineError(
-                f"unknown check name(s) {sorted(unknown)}; available: {sorted(known)}"
-            )
         checks = [c for c in checks if c.name in suite]
     report["checks"] = [
         {

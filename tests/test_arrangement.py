@@ -423,3 +423,69 @@ def test_kernel_keys_match_line_through(ps):
 def test_pointset_requires_a_point():
     with pytest.raises(DomainError):
         PointSet.of([])
+
+
+# ---------------------------------------------------------------------------
+# The exact kernel skips the pairs of lines an earlier row finished
+# ---------------------------------------------------------------------------
+
+
+def _assert_lines_match_oracle(ps):
+    arr = build_arrangement(ps)
+    assert list(arr.lines.values()) == brute_force_lines(ps)
+    for key, members in arr.lines.items():
+        assert key == line_through(ps.points[members[0]], ps.points[members[1]])
+
+
+# up to 20 points of the 5x5 integer grid or of the halves grid in [-2, 2]^2:
+# long lines cross at shared points, in any point order
+_HALVES = [Fraction(k, 2) for k in range(-4, 5)]
+collinear_heavy_sets = st.one_of(
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=20, unique=True),
+    st.lists(st.tuples(st.sampled_from(_HALVES), st.sampled_from(_HALVES)),
+             min_size=2, max_size=20, unique=True),
+)
+
+
+@given(collinear_heavy_sets)
+@settings(max_examples=150)
+def test_oracle_equivalence_collinear_heavy_sets(coords):
+    _assert_lines_match_oracle(pset(*coords))
+
+
+@pytest.mark.parametrize(
+    "ps",
+    [
+        near_pencil(200),
+        grid(12, 12),
+        # y = 0 and x + y = 3, six points each, crossing at (3, 0)
+        pset(*[(x, 0) for x in range(6)], *[(x, 3 - x) for x in range(-1, 5) if x != 3]),
+        pset(*[(p.x * (1 << 40), p.y * (1 << 40)) for p in near_pencil(200).points]),
+    ],
+    ids=["near-pencil-200", "grid-12x12", "two-crossing-6-lines", "near-pencil-scaled-2^40"],
+)
+def test_oracle_equivalence_long_lines(ps):
+    _assert_lines_match_oracle(ps)
+
+
+def _gcd_calls(monkeypatch, ps):
+    calls = 0
+    real = _kern.gcd
+
+    def counting_gcd(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(_kern, "gcd", counting_gcd)
+    _kern.group_collinear([p.x for p in ps.points], [p.y for p in ps.points])
+    return calls
+
+
+def test_kernel_skips_pairs_of_finished_lines(monkeypatch):
+    # C(199, 2) of the 19,900 pairs lie on the long line, found in its first row
+    assert _gcd_calls(monkeypatch, near_pencil(200)) <= 2 * 200
+
+
+def test_kernel_evaluates_every_pair_without_three_collinear(monkeypatch):
+    assert _gcd_calls(monkeypatch, circle(50)) == 50 * 49 // 2

@@ -522,6 +522,13 @@ def test_verify_near_pencil_100():
     assert all(c.holds is not False for c in checks.values())
 
 
+@pytest.mark.parametrize("ps", [near_pencil(100), grid(3, 3), collinear(5), circle(3)],
+                         ids=["near-pencil", "grid", "collinear", "triangle"])
+def test_check_names_are_the_names_verify_theorems_returns(ps):
+    # the CLI validates --suite against CHECK_NAMES before it builds anything
+    assert tuple(c.name for c in verify_theorems(build_arrangement(ps))) == bounds_mod.CHECK_NAMES
+
+
 def test_verify_grid33_all_applicable_hold():
     checks = _by_name(verify_theorems(build_arrangement(grid(3, 3))))
     assert checks["lines_le3"].lhs == 20

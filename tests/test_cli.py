@@ -169,6 +169,23 @@ def test_verify_unknown_suite_name(grid_file, capsys):
     assert "unknown check" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [(), ("--cross-check",)], ids=["plain", "cross-check"])
+def test_verify_unknown_suite_name_fails_before_the_build(grid_file, monkeypatch, capsys, extra):
+    # a typo must not wait for the arrangement, nor turn into a cross-check verdict
+    def no_build(ps):
+        raise AssertionError("build_arrangement called")
+
+    monkeypatch.setattr(cli, "build_arrangement", no_build)
+    monkeypatch.setattr(cli, "brute_force_lines", no_build)
+    assert cli.main(["verify", grid_file, "--suite", "hirzebruch,bogus", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unknown check name(s) ['bogus']; available: "
+        f"{sorted(bounds.CHECK_NAMES)}\n"
+    )
+
+
 def test_verify_exit_two_on_failed_check(grid_file, monkeypatch, capsys):
     failed = TheoremCheck("total_lines", True, ">=", F(1), F(2), False, "")
     monkeypatch.setattr(bounds, "verify_theorems", lambda arr: [failed])

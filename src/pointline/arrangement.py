@@ -6,10 +6,12 @@ maximum collinear count, and per-point line counts, together with the
 lines themselves (every line through at least two of the points).
 
 Large inputs whose homogeneous coordinates fit the int64 guard
-(2 * max(|X|, |Y|) * max(W) < 2^31) get their statistics from the numpy
-int64 kernel, and their lines only when asked for; every other input
-goes through the exact big-integer kernel, which builds the lines and
-the statistics from them.
+(2 * max(|X|, |Y|) * max(W) < 2^31) get their statistics from the
+vectorised numpy kernel, and their lines only when asked for; it keys
+directions by their exact float64 slope below 2^26 and by gcd-reduced
+int64 keys from there up to the guard.  Every other input goes through
+the exact big-integer kernel, which builds the lines and the statistics
+from them.
 """
 from __future__ import annotations
 
@@ -111,12 +113,14 @@ def build_arrangement(ps: PointSet) -> Arrangement:
     """Enumerate all determined lines of ps and compute its statistics.
 
     Two paths give the same statistics.  From INT64_MIN_PAIRS pairs on,
-    the numpy int64 kernel counts them without building any line, when
-    the coordinates fit its guard (for integer input |coordinate| <
-    2^30); lines is then built only if it is read.  Smaller inputs, and
-    any input past the guard, take the exact big-integer kernel, which
-    returns the lines finished (sorted members, in lexicographic member
-    order); the statistics are counted from them and lines is kept.
+    the vectorised numpy kernel counts them without building any line,
+    when the coordinates fit its guard (for integer input |coordinate| <
+    2^30); it sorts exact float64 slopes for integer input below 2^25,
+    and gcd-reduced int64 keys above.  lines is then built only if it is
+    read.  Smaller inputs, and any input past the guard, take the exact
+    big-integer kernel, which returns the lines finished (sorted members,
+    in lexicographic member order); the statistics are counted from them
+    and lines is kept.
 
     The threshold keeps numpy out of small runs: importing it costs
     0.15-0.19 s and 14 MB of RSS, about what the exact loop spends on

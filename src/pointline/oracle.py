@@ -11,13 +11,14 @@ gives every line through i; a line is emitted only in the row of its
 smallest member.
 
 What it shares with the kernels: the idea of a reduced direction, which
-the int64 statistics path also uses.  What it does not share: the
-clearing (its own formula, no lcm), the integer type (Python ints, no
-int64 and no numpy), the (a, b, c) line key (none is built) and any
-function of _kern.  O(n^2) gcds, on a 2-core VM with CPython 3.11:
-4-7 ms for a rational circle of 80 points, 9-22 ms for a 12x12 grid or
-150 random lattice points, 0.4-0.55 s for a 30x30 grid or 800 random
-lattice points.
+the vectorised statistics path uses from 2 * max(|X|, |Y|) * max(W) =
+2^26 on; below that it keys a direction by its float64 slope instead.
+What it does not share: the clearing (its own formula, no lcm), the
+integer type (Python ints, no int64, no floats and no numpy), the
+(a, b, c) line key (none is built) and any function of _kern.  O(n^2)
+gcds, on a 2-core VM with CPython 3.11: 4-7 ms for a rational circle of
+80 points, 9-22 ms for a 12x12 grid or 150 random lattice points,
+0.4-0.55 s for a 30x30 grid or 800 random lattice points.
 """
 from __future__ import annotations
 

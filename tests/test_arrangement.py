@@ -2,8 +2,9 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pointline import (
     DomainError,
@@ -298,6 +299,118 @@ def test_int64_statistics_exact_at_the_guard(coords):
 def test_int64_guard_boundary(inside, past):
     _assert_int64_exact(pset(*inside))
     assert _int64_statistics(pset(*past)) is None
+
+
+# ---------------------------------------------------------------------------
+# The float64 slope key below 2 * M * max(W) < 2^26 and the switch to gcd keys
+# ---------------------------------------------------------------------------
+
+N = 1 << 26
+# the largest |numerator| and |denominator| of a slope the float key takes
+SLOPE_MAX = N - 1
+slope_ints = st.integers(-SLOPE_MAX, SLOPE_MAX)
+
+
+@st.composite
+def close_fractions(draw):
+    """(p, q, r, s) with r/s within 2/|s| of p/q, often equal or Farey neighbours."""
+    q = draw(slope_ints.filter(bool))
+    s = draw(slope_ints.filter(bool))
+    p = draw(slope_ints)
+    r = p * s // q + draw(st.integers(-1, 1))
+    return p, q, max(-SLOPE_MAX, min(SLOPE_MAX, r)), s
+
+
+@given(close_fractions())
+# Farey neighbours next to 2^26: p*s - r*q = +-1 with the largest admitted terms
+@example((N - 1, N - 2, N - 2, N - 3))
+@example((N - 2, N - 1, N - 3, N - 2))
+@example((1, N - 1, 1, N - 2))
+@example((N - 1, N - 2, -(N - 2), -(N - 3)))
+@example((-(N - 1), N - 2, N - 2, -(N - 3)))
+@example((N - 1, 1, N - 2, 1))
+@example((N - 2, N - 4, N // 2 - 1, N // 2 - 2))  # equal
+@settings(max_examples=300)
+def test_float_slopes_separate_distinct_fractions(fractions):
+    """The lemma the slope key rests on: p*s != r*q iff float64 p/q != r/s."""
+    p, q, r, s = fractions
+    a, b = np.divide(np.array([p, r], dtype=np.float64), np.array([q, s], dtype=np.float64))
+    assert (a == b) == (p * s == r * q)
+
+
+# the largest integer coordinate the slope key admits: 2 * M < 2^26
+SWITCH = (1 << 25) - 1
+
+
+switch_coordinates = st.sampled_from(
+    [-SWITCH - 1, -SWITCH, 1 - SWITCH, -1, 0, 1, SWITCH - 1, SWITCH, SWITCH + 1]
+)
+
+
+@given(st.lists(st.tuples(switch_coordinates, switch_coordinates), min_size=2, max_size=12, unique=True))
+@settings(max_examples=80)
+def test_int64_statistics_exact_at_the_switch(coords):
+    # at +-SWITCH the float key runs, a coordinate +-2^25 takes the gcd key
+    _assert_int64_exact(pset(*coords))
+
+
+# X = 1 - 2^24 at W = 2: 2 * |X| * W = 2^26 - 4, inside the slope key
+HALF_EDGE = Fraction(1 - (1 << 24), 2)
+
+
+class GcdCalled(Exception):
+    pass
+
+
+def _forbid_gcd(monkeypatch):
+    """Make numpy.gcd raise: of the two keys, only the gcd key calls it."""
+
+    def gcd(*args, **kwargs):
+        raise GcdCalled
+
+    monkeypatch.setattr(np, "gcd", gcd)
+
+
+@pytest.mark.parametrize(
+    "inside, past",
+    [
+        # integers: 2 * M < 2^26
+        ([(SWITCH, 0), (-SWITCH, SWITCH), (0, -SWITCH), (0, 0), (SWITCH, -SWITCH)],
+         [(SWITCH + 1, 0), (-SWITCH, SWITCH), (0, -SWITCH), (0, 0), (SWITCH, -SWITCH)]),
+        ([(-SWITCH, -SWITCH), (SWITCH, SWITCH), (0, 0), (1, 0), (SWITCH, 1 - SWITCH)],
+         [(-SWITCH - 1, -SWITCH), (SWITCH, SWITCH), (0, 0), (1, 0), (SWITCH, 1 - SWITCH)]),
+        # W = 2: X = 2^24 - 1 gives 2^26 - 4; X = 2^24 gives exactly 2^26
+        ([(Fraction((1 << 24) - 1, 2), "1/2"), (0, 0), (1, "-1/2"), (-3, 5), (HALF_EDGE, "-1/2")],
+         [(1 << 23, "1/2"), (0, 0), (1, "-1/2"), (-3, 5), (HALF_EDGE, "-1/2")]),
+    ],
+    ids=["integers", "negative-integers", "halves"],
+)
+def test_slope_key_switch(inside, past, monkeypatch):
+    _assert_int64_exact(pset(*inside))
+    _assert_int64_exact(pset(*past))
+    _forbid_gcd(monkeypatch)
+    _assert_int64_exact(pset(*inside))
+    with pytest.raises(GcdCalled):
+        _int64_statistics(pset(*past))
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        # (0, 0) sees (-1, 0) at slope 0 / -1 = -0.0 and (1, 0) at +0.0
+        [(-1, 0), (0, 0), (1, 0), (0, 5)],
+        # (0, 0) sees (0, -1) at -1 / 0 = -inf and (0, 1) at +inf
+        [(0, -1), (0, 0), (0, 1), (3, 0)],
+        # both through (0, 0), beside a second horizontal and vertical line
+        [(-1, 0), (0, 0), (1, 0), (0, -1), (0, 1), (0, 3), (2, 2), (2, -3), (-4, 2)],
+        # both through (0, 1/2), with W = 2
+        [("-1/2", "1/2"), (0, "1/2"), ("3/2", "1/2"), (0, "-1/2"), (0, "5/2"), ("1/2", 1)],
+    ],
+    ids=["horizontal", "vertical", "both", "both-halves"],
+)
+def test_slope_key_signed_zero_and_infinity(coords, monkeypatch):
+    _forbid_gcd(monkeypatch)
+    _assert_int64_exact(pset(*coords))
 
 
 @pytest.fixture(scope="module")

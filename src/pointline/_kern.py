@@ -16,11 +16,10 @@ the distinct directions to the other points in blocks of numpy rows, and
 reads the line-size histogram and the per-point line counts off those
 runs.  It keys each direction by its float64 slope dy / dx while
 2 * max(|X|, |Y|) * max(W) < 2^26 (for integer input, |coordinate| <
-2^25), exact because distinct fractions of integers below 2^26 round to
-distinct doubles, and by a gcd-reduced packed int64 key from there up to
-its guard 2 * max(|X|, |Y|) * max(W) < 2^31 (for integer input,
-|coordinate| < 2^30); past the guard, it refuses the input before numpy
-is imported.
+2^25), and by a gcd-reduced packed int64 key from there up to its guard
+2 * max(|X|, |Y|) * max(W) < 2^31 (for integer input, |coordinate| <
+2^30); both keys are exact (see its docstring).  Past the guard, it
+refuses the input before numpy is imported.
 """
 from __future__ import annotations
 

@@ -5,13 +5,11 @@ histogram of line sizes, the total point-line incidence count, the
 maximum collinear count, and per-point line counts, together with the
 lines themselves (every line through at least two of the points).
 
-Large inputs whose homogeneous coordinates fit the int64 guard
-(2 * max(|X|, |Y|) * max(W) < 2^31) get their statistics from the
-vectorised numpy kernel, and their lines only when asked for; it keys
-directions by their exact float64 slope below 2^26 and by gcd-reduced
-int64 keys from there up to the guard.  Every other input goes through
-the exact big-integer kernel, which builds the lines and the statistics
-from them.
+Large inputs within the int64 guard of _kern.int64_statistics (for
+integer input, |coordinate| < 2^30) get their statistics from the
+vectorised numpy kernel, and their lines only when asked for.  Every
+other input goes through the exact big-integer kernel, which builds the
+lines and the statistics from them.
 """
 from __future__ import annotations
 
@@ -115,12 +113,11 @@ def build_arrangement(ps: PointSet) -> Arrangement:
     Two paths give the same statistics.  From INT64_MIN_PAIRS pairs on,
     the vectorised numpy kernel counts them without building any line,
     when the coordinates fit its guard (for integer input |coordinate| <
-    2^30); it sorts exact float64 slopes for integer input below 2^25,
-    and gcd-reduced int64 keys above.  lines is then built only if it is
-    read.  Smaller inputs, and any input past the guard, take the exact
-    big-integer kernel, which returns the lines finished (sorted members,
-    in lexicographic member order); the statistics are counted from them
-    and lines is kept.
+    2^30; stated in full in _kern.int64_statistics).  lines is then built
+    only if it is read.  Smaller inputs, and any input past the guard,
+    take the exact big-integer kernel, which returns the lines finished
+    (sorted members, in lexicographic member order); the statistics are
+    counted from them and lines is kept.
 
     The threshold keeps numpy out of small runs: importing it costs
     0.15-0.19 s and 14 MB of RSS, about what the exact loop spends on

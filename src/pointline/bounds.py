@@ -116,8 +116,11 @@ class CrossingConstants:
     """Constants (alpha, beta) of the crossing-number lower bound.
 
     Every graph with n vertices and m >= alpha*n edges has crossing
-    number at least m^3 / (beta * n^2).  Defaults are the sharpest
-    published pair; both are overridable for sensitivity scans.
+    number at least m^3 / (beta * n^2).  Defaults are the pair of Pach,
+    Radoicic, Tardos and Toth (Discrete Comput. Geom. 36, 2006) behind
+    n/26 + 2 and n(n - l)/61; Ackerman's (7, 29) (Comput. Geom. 85, 2019)
+    has a larger alpha and a smaller beta, so neither dominates.  Both are
+    overridable for sensitivity scans.
     """
 
     alpha: Rational = Fraction(103, 16)
@@ -155,21 +158,35 @@ def crossing_lower_bound(g: GraphSize, k: CrossingConstants = DEFAULT_CONSTANTS)
 
 def st_bound_edges(n: int, i: int, k: CrossingConstants = DEFAULT_CONSTANTS) -> Rational:
     """Upper bound max{alpha*n, beta*n^2 / (2(i-1)^2)} on sum_{j>=i} (j-1)*s_j."""
-    _check_n_i(n, i)
-    return max(k.alpha * n, k.beta * n**2 / (2 * (i - 1) ** 2))
+    return Fraction(*_st_bound(n, 2, k)(i))
 
 
 def st_bound_lines(n: int, i: int, k: CrossingConstants = DEFAULT_CONSTANTS) -> Rational:
     """Upper bound max{alpha*n / (i-1), beta*n^2 / (2(i-1)^3)} on sum_{j>=i} s_j."""
-    _check_n_i(n, i)
-    return max(k.alpha * n / (i - 1), k.beta * n**2 / (2 * (i - 1) ** 3))
+    return Fraction(*_st_bound(n, 3, k)(i))
 
 
-def _check_n_i(n: int, i: int) -> None:
+def _st_bound(n: int, e: int, k: CrossingConstants) -> Callable[[int], tuple[int, int]]:
+    """The Szemeredi-Trotter bound on n points as bound(i) -> (num, den), den > 0.
+
+    num/den = max{alpha*n / (i-1)^(e-2), beta*n^2 / (2(i-1)^e)} for i >= 2
+    (e = 2: st_bound_edges, e = 3: st_bound_lines).  alpha*n and beta*n^2/2
+    are split into integers once, so each bound(i) is integer arithmetic.
+    """
     if n < 1:
         raise DomainError(f"point count must be >= 1, got {n}")
-    if i < 2:
-        raise DomainError(f"line size threshold must be >= 2, got {i}")
+    a, b = Fraction(k.alpha * n), Fraction(k.beta * n**2, 2)
+    # a/(i-1)^(e-2) and b/(i-1)^e over the one denominator den*(i-1)^e
+    a_num, b_num = a.numerator * b.denominator, b.numerator * a.denominator
+    den = a.denominator * b.denominator
+
+    def bound(i: int) -> tuple[int, int]:
+        if i < 2:
+            raise DomainError(f"line size threshold must be >= 2, got {i}")
+        num = a_num * (i - 1) ** 2  # max(num, b_num) below, without a call per threshold
+        return (num if num > b_num else b_num), den * (i - 1) ** e
+
+    return bound
 
 
 TAIL_KINDS = ("1/i^2", "(i+1)/i^3")
@@ -580,22 +597,18 @@ def verify_theorems(arr: Arrangement, k: CrossingConstants = DEFAULT_CONSTANTS) 
 def _st_check(name, arr, e, k) -> TheoremCheck:
     """Check sum_{j>=i} (j-1)^(3-e) s_j <= bound(i) for every i in [2, max_collinear].
 
-    Both the weight and bound(i) = max{alpha*n / (i-1)^(e-2), beta*n^2 /
-    (2(i-1)^e)} come from e: e = 2 is st_bound_edges, e = 3 st_bound_lines.
-    One pass from i = max_collinear down keeps the suffix sum as an int,
-    and each bound is num/den in ints, so slacks compare by
-    cross-multiplication.  The tightest i (smallest slack; the smallest
-    such i on ties) is shown with rhs num/den, the integers that decide
-    the verdict.
+    Both the weight and bound(i) = _st_bound(n, e, k)(i) come from e.  One
+    pass from i = max_collinear down keeps the suffix sum as an int, and
+    each bound is num/den in ints, so slacks compare by cross-multiplication.
+    The tightest i (smallest slack; the smallest such i on ties) is shown
+    with rhs num/den, the integers that decide the verdict.
     """
-    a, b = Fraction(k.alpha * arr.n), Fraction(k.beta * arr.n**2, 2)
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    bound = _st_bound(arr.n, e, k)
     worst = None
     suffix = 0
     for i in range(arr.max_collinear, 1, -1):
         suffix += (i - 1) ** (3 - e) * arr.size_hist.get(i, 0)
-        # a/(i-1)^(e-2) and b/(i-1)^e over one denominator
-        num, den = max(an * bd * (i - 1) ** 2, bn * ad), ad * bd * (i - 1) ** e
+        num, den = bound(i)
         slack = num - suffix * den
         # slack/den <= worst slack/den, both denominators positive
         if worst is None or slack * worst[1] <= worst[0] * den:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import sys
@@ -72,7 +73,7 @@ def _build_parser() -> _Parser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("generate", help="write a generated point configuration")
-    p_gen.add_argument("kind", choices=tuple(_GENERATOR_FLAGS))
+    p_gen.add_argument("kind", choices=tuple(kind.replace("_", "-") for kind in generators._GENERATORS))
     p_gen.add_argument("--n", type=int, help="point count (near-pencil, circle, random, collinear)")
     p_gen.add_argument("--w", type=int, help="grid width")
     p_gen.add_argument("--h", type=int, help="grid height")
@@ -234,28 +235,15 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# each generator kind, as named on the command line, and the flags it requires
-_GENERATOR_FLAGS = {
-    "grid": ("w", "h"),
-    "near-pencil": ("n",),
-    "circle": ("n",),
-    "random": ("n", "seed", "bound"),
-    "collinear": ("n",),
-}
-
-
-def _generator_spec(args) -> generators.GeneratorSpec:
-    params = {}
-    for name in _GENERATOR_FLAGS[args.kind]:
-        value = getattr(args, name)
-        if value is None:
-            raise _UsageError(f"generator {args.kind!r} requires --{name}")
-        params[name] = value
-    return generators.GeneratorSpec(args.kind.replace("-", "_"), params)
-
-
 def cmd_generate(args) -> int:
-    ps = _generator_spec(args).build()
+    gen = generators._GENERATORS[args.kind.replace("-", "_")]
+    params = {}
+    # each generator's parameters, in order, are the flags it requires
+    for name in inspect.signature(gen).parameters:
+        params[name] = getattr(args, name)
+        if params[name] is None:
+            raise _UsageError(f"generator {args.kind!r} requires --{name}")
+    ps = gen(**params)
     if args.out is None:
         generators.dump_points(ps, sys.stdout)
     else:

@@ -22,7 +22,7 @@ class DuplicatePoint(DomainError):
 
 
 class InvalidCutoff(DomainError):
-    """A series cutoff smaller than the series start index."""
+    """A cutoff below 1, the series start or the scan end, or a cutoff or c_max above MAX_CUTOFF."""
 
 
 class PreconditionViolated(DomainError):

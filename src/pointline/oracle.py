@@ -11,8 +11,8 @@ gives every line through i; a line is emitted only in the row of its
 smallest member.
 
 What it shares with the kernels: the idea of a reduced direction, which
-the vectorised statistics path uses from 2 * max(|X|, |Y|) * max(W) =
-2^26 on; below that it keys a direction by its float64 slope instead.
+the vectorised statistics path keys by for integer input with |coordinate|
+>= 2^25 (see _kern.int64_statistics).
 What it does not share: the clearing (its own formula, no lcm), the
 integer type (Python ints, no int64, no floats and no numpy), the
 (a, b, c) line key (none is built) and any function of _kern.  O(n^2)

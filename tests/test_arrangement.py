@@ -155,6 +155,15 @@ def test_classify_all_small():
     assert (bd.small_pairs, bd.medium_pairs, bd.large_pairs) == (15, 0, 0)
 
 
+def test_classify_medium_bucket():
+    # alpha = 0 and eps*n = 12 give k = 12, so the 11-point base line is medium
+    arr = build_arrangement(near_pencil(12))
+    bd = classify_pairs_incidences(arr, 8, Fraction(1), 0, Fraction(0))
+    assert bd.k == 12 and not bd.degenerate_k
+    assert (bd.small_pairs, bd.medium_pairs, bd.large_pairs) == (11, 55, 0)
+    assert (bd.small_incidences, bd.medium_incidences, bd.large_incidences) == (22, 11, 0)
+
+
 def test_classify_requires_c_at_least_8(grid33):
     with pytest.raises(DomainError):
         classify_pairs_incidences(grid33, 7, Fraction(1, 4), 2, ALPHA)

@@ -118,10 +118,12 @@ def test_st_bounds_monotone_in_n():
 
 
 def test_st_bound_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^line size threshold must be >= 2, got 1$"):
         st_bound_edges(9, 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^point count must be >= 1, got 0$"):
         st_bound_lines(0, 2)
+    with pytest.raises(DomainError, match="point count"):
+        st_bound_lines(0, 1)  # n is checked first
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +574,18 @@ def test_verify_detects_violations_with_weak_constants():
     assert checks["st_edges"].holds is False
 
 
-def _st_check_resum(name, arr, measure, bound, k):
+def _st_bound_reference(n, i, e, k):
+    """The Szemeredi-Trotter bound in Fractions, written apart from bounds."""
+    return max(k.alpha * n / F(i - 1) ** (e - 2), k.beta * n**2 / (2 * F(i - 1) ** e))
+
+
+def _st_check_resum(name, arr, measure, e, k):
     """The reference: re-sum measure(arr, i) at every threshold i."""
     worst = None
     all_hold = True
     for i in range(2, arr.max_collinear + 1):
         lhs = F(measure(arr, i))
-        rhs = bound(arr.n, i, k)
+        rhs = _st_bound_reference(arr.n, i, e, k)
         all_hold = all_hold and lhs <= rhs
         slack = rhs - lhs
         if worst is None or slack < worst[0]:
@@ -600,10 +607,8 @@ def _st_check_resum(name, arr, measure, bound, k):
 def test_st_checks_match_resum_reference(ps, k):
     arr = build_arrangement(ps)
     checks = _by_name(verify_theorems(arr, k))
-    edges = _st_check_resum("st_edges", arr, visibility_edge_count, st_bound_edges, k)
-    lines = _st_check_resum(
-        "st_lines", arr, lambda a, i: sum(c for j, c in a.size_hist.items() if j >= i), st_bound_lines, k
-    )
+    edges = _st_check_resum("st_edges", arr, visibility_edge_count, 2, k)
+    lines = _st_check_resum("st_lines", arr, lambda a, i: sum(c for j, c in a.size_hist.items() if j >= i), 3, k)
     assert checks["st_edges"] == edges
     assert checks["st_lines"] == lines
 
@@ -617,4 +622,4 @@ def test_st_check_ties_keep_the_smallest_threshold():
     check = bounds_mod._st_check("st_edges", arr, 2, k)
     assert check.note == "tightest at i=2 over i in [2, 4]"
     assert check.lhs == 3 and check.rhs == 4
-    assert check == _st_check_resum("st_edges", arr, visibility_edge_count, st_bound_edges, k)
+    assert check == _st_check_resum("st_edges", arr, visibility_edge_count, 2, k)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 import pointline
-from pointline import Unresolved, _kern, arrangement, bounds, cli, load_points_file
+from pointline import Unresolved, _kern, arrangement, bounds, cli, generators, load_points_file
 from pointline.bounds import TheoremCheck
 
 
@@ -222,8 +223,20 @@ def test_generate_random_deterministic(tmp_path):
 
 def test_generate_invalid_params(capsys):
     assert cli.main(["generate", "near-pencil", "--n", "2"]) == 1
-    assert cli.main(["generate", "random", "--n", "5"]) == 1  # missing seed/bound
     capsys.readouterr()
+    # the flags a generator requires are its parameters, checked in order
+    assert cli.main(["generate", "random", "--n", "5"]) == 1
+    assert capsys.readouterr().err == "error: generator 'random' requires --seed\n"
+
+
+def test_every_generator_parameter_is_a_generate_flag(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["generate", "--help"])
+    words = capsys.readouterr().out.split()
+    assert "{grid,near-pencil,circle,random,collinear}" in words
+    for kind, gen in generators._GENERATORS.items():
+        for name in inspect.signature(gen).parameters:
+            assert f"--{name}" in words, (kind, name)
 
 
 def test_generate_unwritable_path(capsys):
@@ -324,9 +337,23 @@ def test_constants_custom_alpha_beta(capsys):
     assert result["beta"] == "30"
 
 
+def test_module_runs_as_a_script():
+    src = os.path.dirname(os.path.dirname(pointline.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["constants", "--family", "wd", "--c-min", "46", "--c-max", "46"]
+    done = subprocess.run([sys.executable, "-m", "pointline.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "argmax_c: 46"
+
+
 def test_usage_error_is_exit_one(capsys):
     assert cli.main(["constants", "--family", "nope"]) == 1
     assert cli.main(["frobnicate"]) == 1
+    capsys.readouterr()
+    for flag, text in (("--alpha", "foo"), ("--beta", "1/0")):
+        assert cli.main(["constants", "--family", "wd", flag, text]) == 1
+        assert capsys.readouterr().err == f"error: not a rational: {text!r}\n"
 
 def test_constants_eps_outside_domain_is_exit_one(capsys):
     assert cli.main(["constants", "--family", "wd", "--c-min", "46", "--c-max", "46",

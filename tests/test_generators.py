@@ -61,6 +61,8 @@ def test_circle_first_points():
     assert ps.points[0] == point(1, 0)
     assert ps.points[1] == point(0, 1)
     assert ps.points[2] == point(F(-3, 5), F(4, 5))
+    with pytest.raises(DomainError, match="circle needs n >= 3"):
+        circle(2)
 
 
 @pytest.mark.parametrize("n", [3, 5, 12, 40])
@@ -98,6 +100,8 @@ def test_random_points_capacity():
     with pytest.raises(DomainError):
         random_points(26, 1, 2)  # (2*2+1)^2 = 25 slots
     assert random_points(25, 1, 2).n == 25  # exactly fills the lattice
+    with pytest.raises(DomainError, match="bound must be >= 1"):
+        random_points(5, 1, 0)  # no lattice at all
 
 
 def test_collinear_sets():

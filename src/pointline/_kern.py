@@ -11,10 +11,12 @@ row already finished is skipped, not evaluated, so its cost is about the
 number of pairs not covered by such a line: n(n - 1)/2 with no three points
 collinear, about 2n on a near-pencil.
 
-``int64_statistics`` builds no line at all: it counts, for every point,
-the distinct directions to the other points in blocks of numpy rows, and
-reads the line-size histogram and the per-point line counts off those
-runs.  It keys each direction by its float64 slope dy / dx while
+``int64_statistics`` builds no line at all: it sorts, for every point,
+the directions to the other points in blocks of numpy rows, and reads the
+per-point line counts off the equal neighbours of each sorted row and the
+line-size histogram off the runs of equal neighbours; only lines of 3 or
+more points give such a run, and 2-point lines are counted as the
+remainder.  It keys each direction by its float64 slope dy / dx while
 2 * max(|X|, |Y|) * max(W) < 2^26 (for integer input, |coordinate| <
 2^25), and by a gcd-reduced packed int64 key from there up to its guard
 2 * max(|X|, |Y|) * max(W) < 2^31 (for integer input, |coordinate| <
@@ -147,14 +149,22 @@ def int64_statistics(hx: list, hy: list, hw: list) -> tuple[dict, list] | None:
       names the line and fits in int64; the diagonal's key 0 is the
       sentinel, below every other key.
 
-    After sorting each row its sentinel comes first, and every run of m
-    equal keys after it is one (point, line) incidence on a line of m + 1
-    points: the number of runs is the point's line count, and a line of k
-    points is seen k times, once from each member.  The block buffers are
+    After sorting each row its sentinel comes first, and every run of
+    equal keys among the n - 1 after it is one (point, line) incidence: a
+    line of k points is seen k times, once from each member.  The row's
+    equal-neighbour mask (key c equals key c + 1) is written into a bool
+    block whose first and last columns stay False, so in the flattened
+    block no run of True crosses a row end.  A point's line count is
+    n - 1 less its row's equal neighbours.  A run of r equal neighbours is
+    a line of r + 2 points; the edges of those runs, two per line of 3 or
+    more points and none for a 2-point line, give their sizes, and the
+    2-point incidences are the runs left over.  Integer input (every W =
+    1) forms (dx, dy) by one subtraction each.  The block buffers are
     allocated once per call and written in place.
     """
     m = max(max(map(abs, hx)), max(map(abs, hy)))
-    bound = 2 * m * max(hw)
+    w_max = max(hw)
+    bound = 2 * m * w_max
     if bound >= _INT64_BOUND:
         return None
     import numpy as np
@@ -171,15 +181,21 @@ def int64_statistics(hx: list, hy: list, hw: list) -> tuple[dict, list] | None:
     # the block buffers; a short last block uses their leading rows
     bufs = [np.empty((rows, n), dtype=dtype) for _ in range(3)]
     bufs.append(np.empty((rows, n), dtype=bool))
-    bufs.append(np.ones((rows, n - 1), dtype=bool))  # column 0 stays True
+    # eq[:, c] for 0 < c < n - 1: sorted keys c and c + 1 of the row are
+    # equal (the sentinel is key 0); columns 0 and n - 1 stay False
+    bufs.append(np.zeros((rows, n), dtype=bool))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        dx, dy, tmp, vertical, starts = (buf[: hi - lo] for buf in bufs)
-        wi = W[lo:hi, None]
-        np.multiply(X, wi, out=dx)
-        dx -= np.multiply(X[lo:hi, None], W, out=tmp)
-        np.multiply(Y, wi, out=dy)
-        dy -= np.multiply(Y[lo:hi, None], W, out=tmp)
+        dx, dy, tmp, vertical, eq = (buf[: hi - lo] for buf in bufs)
+        if w_max == 1:
+            np.subtract(X, X[lo:hi, None], out=dx)
+            np.subtract(Y, Y[lo:hi, None], out=dy)
+        else:
+            wi = W[lo:hi, None]
+            np.multiply(X, wi, out=dx)
+            dx -= np.multiply(X[lo:hi, None], W, out=tmp)
+            np.multiply(Y, wi, out=dy)
+            dy -= np.multiply(Y[lo:hi, None], W, out=tmp)
         diag = (np.arange(hi - lo), np.arange(lo, hi))
         if slope:
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -196,11 +212,15 @@ def int64_statistics(hx: list, hy: list, hw: list) -> tuple[dict, list] | None:
             key += dy
             np.abs(key, out=key)
         key.sort(axis=1)
-        # drop the sentinel column; a run starts at column 0 and at each change
-        key = key[:, 1:]
-        np.not_equal(key[:, 1:], key[:, :-1], out=starts[:, 1:])
-        per_point[lo:hi] = starts.sum(axis=1)
-        runs = np.diff(np.flatnonzero(starts), append=starts.size)
-        seen[1:] += np.bincount(runs, minlength=n)  # a run of m: a line of m + 1
+        np.equal(key[:, 2:], key[:, 1:-1], out=eq[:, 1:-1])
+        # a row's runs are its n - 1 keys less its equal neighbours
+        per_point[lo:hi] = n - 1 - np.count_nonzero(eq, axis=1)
+        # a run of r equal neighbours (r + 1 keys): a line of r + 2 points;
+        # eq starts and ends False, so its edges pair up as (start, end)
+        flat = eq.reshape(-1)
+        edges = np.flatnonzero(flat[1:] != flat[:-1])
+        long_runs = edges[1::2] - edges[::2]
+        seen[2] += per_point[lo:hi].sum() - long_runs.size
+        seen += np.bincount(long_runs + 2, minlength=n + 1)
     size_hist = {k: int(seen[k]) // k for k in np.flatnonzero(seen).tolist()}
     return size_hist, per_point.tolist()

@@ -73,8 +73,10 @@ def _build_parser() -> _Parser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("generate", help="write a generated point configuration")
-    p_gen.add_argument("kind", choices=tuple(kind.replace("_", "-") for kind in generators._GENERATORS))
-    p_gen.add_argument("--n", type=int, help="point count (near-pencil, circle, random, collinear)")
+    kinds = {kind.replace("_", "-"): gen for kind, gen in generators._GENERATORS.items()}
+    p_gen.add_argument("kind", choices=tuple(kinds))
+    takes_n = ", ".join(kind for kind, gen in kinds.items() if "n" in inspect.signature(gen).parameters)
+    p_gen.add_argument("--n", type=int, help=f"point count ({takes_n})")
     p_gen.add_argument("--w", type=int, help="grid width")
     p_gen.add_argument("--h", type=int, help="grid height")
     p_gen.add_argument("--seed", type=int, help="random generator seed")

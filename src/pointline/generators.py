@@ -140,8 +140,9 @@ def load_points(fp: IO[str]) -> PointSet:
                 raise PointFormatError(
                     f"point {idx}, field {axis}: {value!r} is not a rational string"
                 )
+            num, _, den = value.partition("/")
             try:
-                coords.append(Fraction(value))
+                coords.append(Fraction(int(num), int(den)) if den else Fraction(int(num)))
             except ValueError as exc:  # more digits than the int-conversion limit
                 raise PointFormatError(f"point {idx}, field {axis}: {exc}") from exc
         pts.append(Point(*coords))

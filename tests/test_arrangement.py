@@ -15,6 +15,7 @@ from pointline import (
     build_arrangement,
     circle,
     classify_pairs_incidences,
+    collinear,
     compute_k,
     grid,
     line_through,
@@ -265,6 +266,10 @@ def _assert_int64_exact(ps):
     want_hist, want_per_point = _exact_statistics(ps)
     assert list(hist.items()) == list(want_hist.items())
     assert per_point == want_per_point
+    # plain ints in ascending size, as the exact path gives them
+    assert all(type(v) is int for v in chain(hist, hist.values(), per_point))
+    assert list(hist) == sorted(hist)
+    return hist
 
 
 @given(lattice_sets)
@@ -277,6 +282,42 @@ def test_int64_statistics_match_exact_on_integers(coords):
 @settings(max_examples=80)
 def test_int64_statistics_match_exact_on_rationals(coords):
     _assert_int64_exact(pset(*coords))
+
+
+# small dense lattices: most rows end in a run of equal keys
+dense_sets = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=16, unique=True
+)
+
+
+@given(st.one_of(dense_sets, rational_sets), st.integers(1, 48))
+@example([(i, 0) for i in range(5)], 10)
+@example([(x, y) for x in range(4) for y in range(4)], 48)
+@settings(max_examples=150)
+def test_int64_statistics_in_blocks_of_short_rows(coords, block_elements):
+    # a block of about block_elements / n rows: a run of equal neighbours
+    # ends in one row's last column right before the next row's first
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kern, "_BLOCK_ELEMENTS", block_elements)
+        _assert_int64_exact(pset(*coords))
+
+
+@pytest.mark.parametrize(
+    "build, w, hist",
+    [
+        (lambda: collinear(600), 1, {600: 1}),
+        (lambda: near_pencil(600), 1, {2: 599, 599: 1}),
+        # W = 2 takes the multiply form of the difference step
+        (lambda: pset(*[(p.x / 2, p.y / 2) for p in grid(23, 23).points]), 2, None),
+    ],
+    ids=["collinear-600", "near-pencil-600", "grid-23-halves"],
+)
+def test_int64_statistics_above_the_pair_threshold(build, w, hist):
+    ps = build()
+    assert ps.n * (ps.n - 1) // 2 >= INT64_MIN_PAIRS
+    assert max(_kern.homogenise([p.x for p in ps.points], [p.y for p in ps.points])[2]) == w
+    got = _assert_int64_exact(ps)
+    assert hist is None or got == hist
 
 
 # the largest integer coordinate the guard 2 * M * max(W) < 2^31 admits

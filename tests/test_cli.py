@@ -239,6 +239,17 @@ def test_every_generator_parameter_is_a_generate_flag(capsys):
             assert f"--{name}" in words, (kind, name)
 
 
+def test_generate_n_help_names_the_kinds_that_take_n(monkeypatch, capsys):
+    def two_rows(n, k):
+        raise AssertionError("never built")
+
+    monkeypatch.setitem(generators._GENERATORS, "two_rows", two_rows)
+    with pytest.raises(SystemExit):
+        cli._build_parser.__wrapped__().parse_args(["generate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--n N point count (near-pencil, circle, random, collinear, two-rows)" in text
+
+
 def test_generate_unwritable_path(capsys):
     assert cli.main(["generate", "grid", "--w", "2", "--h", "2",
                      "--out", "/nonexistent/dir/out.json"]) == 1

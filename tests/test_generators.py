@@ -3,6 +3,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pointline import (
     DomainError,
@@ -19,6 +20,7 @@ from pointline import (
     point,
     random_points,
 )
+from pointline.generators import _COORD_RE
 
 
 def test_grid_33():
@@ -217,3 +219,40 @@ def test_load_accepts_unreduced_and_negative():
     ps = _load('{"points": [["-4/2", "0"], ["3", "9/3"]]}')
     assert ps.points[0] == point(-2, 0)
     assert ps.points[1] == point(3, 3)
+
+
+@st.composite
+def _digit_strings(draw, first):
+    """Digit strings, short or around the 4300-digit int-conversion limit."""
+    length = draw(st.one_of(st.integers(1, 5), st.integers(4298, 4302)))
+    tail = draw(st.text("0123456789", min_size=1, max_size=5))
+    return (draw(st.sampled_from(first)) + tail * length)[:length]
+
+
+coordinate_strings = st.builds(
+    lambda sign, num, den: sign + num + ("/" + den if den else ""),
+    st.sampled_from(["", "-"]),
+    _digit_strings("0123456789"),
+    st.one_of(st.none(), _digit_strings("123456789")),
+)
+
+
+@given(coordinate_strings)
+@example("007")
+@example("-0")
+@example("4/6")
+@example("-12/8")
+@example("-" + "9" * 4300)
+@example("0" * 4299 + "1/1" + "0" * 4300)
+@settings(max_examples=150)
+def test_load_parses_coordinates_as_fraction_does(value):
+    assert _COORD_RE.fullmatch(value)
+    try:
+        want = F(value)
+    except ValueError as exc:  # the same text int() raises past the digit limit
+        with pytest.raises(PointFormatError) as info:
+            _load(json.dumps({"points": [[value, "0"]]}))
+        assert str(info.value) == f"point 0, field x: {exc}"
+    else:
+        (got, _), = _load(json.dumps({"points": [[value, "0"]]})).points
+        assert type(got) is F and got == want

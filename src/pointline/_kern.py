@@ -7,9 +7,12 @@ homogeneous triple (X, Y, W), so ints and Fractions take one path.
 their line and collects line memberships.  It is exact big-integer
 arithmetic, whatever the size of the coordinates, and the only kernel
 that builds lines.  A pair on a line of 3 or more points that an earlier
-row already finished is skipped, not evaluated, so its cost is about the
-number of pairs not covered by such a line: n(n - 1)/2 with no three points
-collinear, about 2n on a near-pencil.
+row already finished is skipped, not evaluated: each point keeps one int
+bitmask of its covered columns, and a row lists its other columns by a
+C-level scan, so its cost is about the number of pairs not covered by
+such a line: n(n - 1)/2 with no three points collinear, about 2n on a
+near-pencil.  Given max_pairs, it gives up (returns None) before it
+would evaluate more pairs than that.
 
 ``int64_statistics`` builds no line at all: it sorts, for every point,
 the directions to the other points in blocks of numpy rows, and reads the
@@ -51,7 +54,7 @@ def homogenise(xs: list, ys: list) -> tuple[list, list, list]:
     return hx, hy, hw
 
 
-def group_collinear(xs: list, ys: list) -> dict:
+def group_collinear(xs: list, ys: list, max_pairs: int | None = None) -> dict | None:
     """Group all point pairs by line: {(a, b, c): list of point indices}.
 
     Coordinates may be ints or Fractions; each point is cleared to an
@@ -65,33 +68,46 @@ def group_collinear(xs: list, ys: list) -> dict:
     ascending order.  So each member list is sorted and the dict is in
     lexicographic member order, the order of oracle.brute_force_lines.
 
-    A later row never meets a finished line again.  When row r ends, each
-    line of at least 3 points created in it is registered with each of
-    its members after r but its last, and row i skips the later members
-    of the lines registered for it.  A pair (i, j) that is still
-    evaluated can only lie on a line created in row i: had that line a
-    member before i, it would have at least 3 points and j would be
-    skipped.  So a found key is appended to without a test.  The pairs
+    A later row never meets a finished line again.  Each point v keeps
+    one int bitmask of the columns it skips: when row r ends, every
+    member v of a line of at least 3 points created in it, but the first
+    and the last, gets the bits of the members after v OR-ed in.  Row i
+    lists the columns left clear by a C-level scan of the mask's binary
+    string, so a skipped pair costs no Python step.  A pair (i, j) that
+    is still evaluated can only lie on a line created in row i: had that
+    line a member before i, it would have at least 3 points and j would
+    be skipped.  So a found key is appended to without a test.  The pairs
     evaluated are those not covered by a longer line through an earlier
     point, about 2n on a near-pencil instead of n^2 / 2, and all of them
     on input with no three points collinear.
+
+    With max_pairs given, returns None, before any row that would take
+    the number of pairs evaluated past max_pairs.
     """
     n = len(xs)
     hx, hy, hw = homogenise(xs, ys)
     groups: dict = {}
-    # registered[v]: (members, t) of finished lines with members[t] == v
-    registered: dict = {}
+    # covered[v]: bit j set when the pair (v, j) lies on a finished line
+    covered = [0] * n
+    pairs = 0
     for i in range(n):
         x1 = hx[i]
         y1 = hy[i]
         w1 = hw[i]
-        columns = range(i + 1, n)
-        lines = registered.pop(i, None)
-        if lines is not None:
-            skip = set()
-            for members, t in lines:
-                skip.update(members[t + 1:])
-            columns = [j for j in columns if j not in skip]
+        mask = covered[i]
+        if mask:
+            # bits[k] == "1": column i + k is evaluated
+            bits = bin((((1 << n) - (2 << i)) & ~mask) >> i)[:1:-1]
+            columns = []
+            k = bits.find("1")
+            while k >= 0:
+                columns.append(i + k)
+                k = bits.find("1", k + 1)
+        else:
+            columns = range(i + 1, n)
+        pairs += len(columns)
+        if max_pairs is not None and pairs > max_pairs:
+            return None
         long_lines = []  # lines of row i that reached 3 points
         for j in columns:
             w2 = hw[j]
@@ -114,8 +130,12 @@ def group_collinear(xs: list, ys: list) -> dict:
                 if len(members) == 3:
                     long_lines.append(members)
         for members in long_lines:
-            for t in range(1, len(members) - 1):
-                registered.setdefault(members[t], []).append((members, t))
+            after = 1 << members[-1]  # the members after members[t]
+            for t in range(len(members) - 2, 0, -1):
+                v = members[t]
+                covered[v] |= after
+                after |= 1 << v
+        covered[i] = 0
     return groups
 
 

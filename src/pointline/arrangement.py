@@ -5,11 +5,12 @@ histogram of line sizes, the total point-line incidence count, the
 maximum collinear count, and per-point line counts, together with the
 lines themselves (every line through at least two of the points).
 
-Large inputs within the int64 guard of _kern.int64_statistics (for
-integer input, |coordinate| < 2^30) get their statistics from the
+Large inputs that the exact big-integer kernel cannot finish within 4n
+evaluated pairs, and that fit the int64 guard of _kern.int64_statistics
+(for integer input, |coordinate| < 2^30), get their statistics from the
 vectorised numpy kernel, and their lines only when asked for.  Every
-other input goes through the exact big-integer kernel, which builds the
-lines and the statistics from them.
+other input, near-pencils included, goes through the exact kernel, which
+builds the lines and the statistics from them.
 """
 from __future__ import annotations
 
@@ -110,14 +111,17 @@ class IncidenceBreakdown:
 def build_arrangement(ps: PointSet) -> Arrangement:
     """Enumerate all determined lines of ps and compute its statistics.
 
-    Two paths give the same statistics.  From INT64_MIN_PAIRS pairs on,
-    the vectorised numpy kernel counts them without building any line,
-    when the coordinates fit its guard (for integer input |coordinate| <
-    2^30; stated in full in _kern.int64_statistics).  lines is then built
-    only if it is read.  Smaller inputs, and any input past the guard,
-    take the exact big-integer kernel, which returns the lines finished
-    (sorted members, in lexicographic member order); the statistics are
-    counted from them and lines is kept.
+    Inputs below INT64_MIN_PAIRS pairs take the exact big-integer kernel,
+    which returns the lines finished (sorted members, in lexicographic
+    member order); the statistics are counted from them and lines is
+    kept.  From INT64_MIN_PAIRS pairs on, the exact kernel is first tried
+    with a budget of 4n evaluated pairs; a near-pencil needs about 2n, so
+    it finishes there and keeps its lines, as on the exact path.  If the
+    attempt gives up, the vectorised numpy kernel counts the statistics
+    without building any line, when the coordinates fit its guard (for
+    integer input |coordinate| < 2^30; stated in full in
+    _kern.int64_statistics), and lines is built only if it is read.  Past
+    the guard, the full exact kernel runs.
 
     The threshold keeps numpy out of small runs: importing it costs
     0.15-0.19 s and 14 MB of RSS, about what the exact loop spends on
@@ -126,12 +130,18 @@ def build_arrangement(ps: PointSet) -> Arrangement:
     n = ps.n
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
-    stats = lines = None
-    if n * (n - 1) // 2 >= INT64_MIN_PAIRS:
+    # a near-pencil's exact run evaluates about 2n pairs, so 4n lets it finish;
+    # an input that needs about n^2 / 2 gives up after 4n, a few ms next to
+    # the vectorised path's n^2 work and its numpy import
+    budget = 4 * n if n * (n - 1) // 2 >= INT64_MIN_PAIRS else None
+    lines = _exact_lines(ps.points, budget)
+    stats = None
+    if lines is None:
         hx, hy, hw = _kern.homogenise([p.x for p in ps.points], [p.y for p in ps.points])
         stats = _kern.int64_statistics(hx, hy, hw)
+        if stats is None:
+            lines = _exact_lines(ps.points)
     if stats is None:
-        lines = _exact_lines(ps.points)
         stats = _line_statistics(lines.values(), n)
     size_hist, lines_per_point = stats
     arr = Arrangement(
@@ -155,8 +165,13 @@ def _line_statistics(lines: Collection[tuple[int, ...]], n: int) -> tuple[dict[i
     return size_hist, [per_point[v] for v in range(n)]
 
 
-def _exact_lines(points: tuple[Point, ...]) -> Mapping[tuple[int, int, int], tuple[int, ...]]:
-    groups = _kern.group_collinear([p.x for p in points], [p.y for p in points])
+def _exact_lines(
+    points: tuple[Point, ...], max_pairs: int | None = None
+) -> Mapping[tuple[int, int, int], tuple[int, ...]] | None:
+    """The exact kernel's lines as a read-only map, or None past max_pairs evaluated pairs."""
+    groups = _kern.group_collinear([p.x for p in points], [p.y for p in points], max_pairs=max_pairs)
+    if groups is None:
+        return None
     return MappingProxyType({key: tuple(members) for key, members in groups.items()})
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import isqrt
 from typing import Callable, Optional
 
 from .arrangement import Arrangement, lines_with_at_most, max_lines_through_point
@@ -158,20 +159,23 @@ def crossing_lower_bound(g: GraphSize, k: CrossingConstants = DEFAULT_CONSTANTS)
 
 def st_bound_edges(n: int, i: int, k: CrossingConstants = DEFAULT_CONSTANTS) -> Rational:
     """Upper bound max{alpha*n, beta*n^2 / (2(i-1)^2)} on sum_{j>=i} (j-1)*s_j."""
-    return Fraction(*_st_bound(n, 2, k)(i))
+    return Fraction(*_st_bound(n, 2, k)[0](i))
 
 
 def st_bound_lines(n: int, i: int, k: CrossingConstants = DEFAULT_CONSTANTS) -> Rational:
     """Upper bound max{alpha*n / (i-1), beta*n^2 / (2(i-1)^3)} on sum_{j>=i} s_j."""
-    return Fraction(*_st_bound(n, 3, k)(i))
+    return Fraction(*_st_bound(n, 3, k)[0](i))
 
 
-def _st_bound(n: int, e: int, k: CrossingConstants) -> Callable[[int], tuple[int, int]]:
+def _st_bound(n: int, e: int, k: CrossingConstants) -> tuple[Callable[[int], tuple[int, int]], int]:
     """The Szemeredi-Trotter bound on n points as bound(i) -> (num, den), den > 0.
 
     num/den = max{alpha*n / (i-1)^(e-2), beta*n^2 / (2(i-1)^e)} for i >= 2
     (e = 2: st_bound_edges, e = 3: st_bound_lines).  alpha*n and beta*n^2/2
     are split into integers once, so each bound(i) is integer arithmetic.
+    Returned with bound is alpha_from, the least i >= 2 from which the alpha
+    term is the max; bound(i) never increases with i, and for e = 2 it is
+    the constant alpha*n from alpha_from on.
     """
     if n < 1:
         raise DomainError(f"point count must be >= 1, got {n}")
@@ -186,7 +190,9 @@ def _st_bound(n: int, e: int, k: CrossingConstants) -> Callable[[int], tuple[int
         num = a_num * (i - 1) ** 2  # max(num, b_num) below, without a call per threshold
         return (num if num > b_num else b_num), den * (i - 1) ** e
 
-    return bound
+    # the least t >= 1 with a_num * t^2 >= b_num, that is t^2 >= ceil(b_num / a_num)
+    t = isqrt(-(-b_num // a_num) - 1) + 1
+    return bound, t + 1
 
 
 TAIL_KINDS = ("1/i^2", "(i+1)/i^3")
@@ -597,17 +603,24 @@ def verify_theorems(arr: Arrangement, k: CrossingConstants = DEFAULT_CONSTANTS) 
 def _st_check(name, arr, e, k) -> TheoremCheck:
     """Check sum_{j>=i} (j-1)^(3-e) s_j <= bound(i) for every i in [2, max_collinear].
 
-    Both the weight and bound(i) = _st_bound(n, e, k)(i) come from e.  One
-    pass from i = max_collinear down keeps the suffix sum as an int, and
-    each bound is num/den in ints, so slacks compare by cross-multiplication.
+    Both the weight and bound(i) come from e (see _st_bound).  The suffix
+    sum is constant on [prev + 1, p] for consecutive line sizes prev < p
+    present (prev = 1 below the smallest), and bound(i) does not increase
+    with i, so the smallest slack there is at p; only where the e = 2
+    bound is flat does it tie over [max(prev + 1, alpha_from), p], and
+    the smallest such i stands for the tie.  So one pass over the present
+    sizes, from max_collinear down, keeps the suffix sum as an int; each
+    bound is num/den in ints, so slacks compare by cross-multiplication.
     The tightest i (smallest slack; the smallest such i on ties) is shown
     with rhs num/den, the integers that decide the verdict.
     """
-    bound = _st_bound(arr.n, e, k)
+    bound, alpha_from = _st_bound(arr.n, e, k)
+    sizes = sorted(arr.size_hist, reverse=True)
     worst = None
     suffix = 0
-    for i in range(arr.max_collinear, 1, -1):
-        suffix += (i - 1) ** (3 - e) * arr.size_hist.get(i, 0)
+    for p, prev in zip(sizes, sizes[1:] + [1]):
+        suffix += (p - 1) ** (3 - e) * arr.size_hist[p]
+        i = max(prev + 1, alpha_from) if e == 2 and p >= alpha_from else p
         num, den = bound(i)
         slack = num - suffix * den
         # slack/den <= worst slack/den, both denominators positive

@@ -22,6 +22,7 @@ from pointline import (
     lines_with_at_most,
     max_lines_through_point,
     near_pencil,
+    random_points,
     visibility_edge_count,
 )
 from pointline import _kern
@@ -474,8 +475,8 @@ def _spy(monkeypatch, name):
     calls = []
     real = getattr(_kern, name)
 
-    def spy(*args):
-        calls.append(real(*args))
+    def spy(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
         return calls[-1]
 
     monkeypatch.setattr(_kern, name, spy)
@@ -487,9 +488,9 @@ def test_large_input_builds_lines_only_when_read(grid23, monkeypatch):
     exact_calls = _spy(monkeypatch, "group_collinear")
     arr = build_arrangement(grid23)
     assert len(int64_calls) == 1 and int64_calls[0] is not None
-    assert exact_calls == []
+    assert exact_calls == [None]  # the budgeted attempt gave up
     lines = arr.lines
-    assert arr.lines is lines and len(exact_calls) == 1
+    assert arr.lines is lines and len(exact_calls) == 2 and exact_calls[1] is not None
     assert arr.num_lines == len(lines)
     assert dict(arr.size_hist) == dict(sorted(Counter(map(len, lines.values())).items()))
     per_point = Counter(chain.from_iterable(lines.values()))
@@ -503,9 +504,11 @@ def test_large_input_past_the_guard_keeps_exact_statistics(grid23, monkeypatch):
     int64_calls = _spy(monkeypatch, "int64_statistics")
     exact_calls = _spy(monkeypatch, "group_collinear")
     arr = build_arrangement(big)
-    assert int64_calls == [None] and len(exact_calls) == 1
-    arr.lines  # kept from the build, not built again
-    assert len(exact_calls) == 1
+    assert int64_calls == [None]
+    assert len(exact_calls) == 2 and exact_calls[0] is None and exact_calls[1] is not None
+    # kept from the full run, not built again
+    assert list(arr.lines.values()) == [tuple(m) for m in exact_calls[1].values()]
+    assert len(exact_calls) == 2
     hist, per_point = _exact_statistics(grid23)
     assert list(arr.size_hist.items()) == list(hist.items())
     assert arr.lines_per_point == tuple(per_point)
@@ -624,25 +627,36 @@ def test_oracle_equivalence_collinear_heavy_sets(coords):
         # y = 0 and x + y = 3, six points each, crossing at (3, 0)
         pset(*[(x, 0) for x in range(6)], *[(x, 3 - x) for x in range(-1, 5) if x != 3]),
         pset(*[(p.x * (1 << 40), p.y * (1 << 40)) for p in near_pencil(200).points]),
+        # x = 50 (rows 0-19 and 120-139) and y = 0 (rows 20-119) cross at
+        # (50, 0), row 70, an inner member of both: its 140-bit mask is
+        # OR-ed at the end of row 0 and again at the end of row 20
+        pset(*[(50, y) for y in range(-20, 0)], *[(x, 0) for x in range(100)],
+             *[(50, y) for y in range(1, 21)], (3, 7)),
     ],
-    ids=["near-pencil-200", "grid-12x12", "two-crossing-6-lines", "near-pencil-scaled-2^40"],
+    ids=["near-pencil-200", "grid-12x12", "two-crossing-6-lines", "near-pencil-scaled-2^40",
+         "crossing-long-lines-141"],
 )
 def test_oracle_equivalence_long_lines(ps):
     _assert_lines_match_oracle(ps)
 
 
-def _gcd_calls(monkeypatch, ps):
-    calls = 0
+def _count_gcd(monkeypatch):
+    """Count the exact kernel's gcd calls, one per evaluated pair: calls[0]."""
+    calls = [0]
     real = _kern.gcd
 
     def counting_gcd(*args):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return real(*args)
 
     monkeypatch.setattr(_kern, "gcd", counting_gcd)
-    _kern.group_collinear([p.x for p in ps.points], [p.y for p in ps.points])
     return calls
+
+
+def _gcd_calls(monkeypatch, ps):
+    calls = _count_gcd(monkeypatch)
+    _kern.group_collinear([p.x for p in ps.points], [p.y for p in ps.points])
+    return calls[0]
 
 
 def test_kernel_skips_pairs_of_finished_lines(monkeypatch):
@@ -652,3 +666,31 @@ def test_kernel_skips_pairs_of_finished_lines(monkeypatch):
 
 def test_kernel_evaluates_every_pair_without_three_collinear(monkeypatch):
     assert _gcd_calls(monkeypatch, circle(50)) == 50 * 49 // 2
+
+
+# ---------------------------------------------------------------------------
+# Large inputs first try the exact kernel with a budget of 4n pairs
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", [1, 1 << 40], ids=["integers", "scaled-2^40"])
+def test_large_near_pencil_takes_the_exact_path(scale, monkeypatch):
+    ps = pset(*[(p.x * scale, p.y * scale) for p in near_pencil(600).points])
+    assert ps.n * (ps.n - 1) // 2 >= INT64_MIN_PAIRS
+    int64_calls = _spy(monkeypatch, "int64_statistics")
+    gcd_calls = _count_gcd(monkeypatch)
+    arr = build_arrangement(ps)
+    assert int64_calls == []
+    assert gcd_calls[0] <= 2 * ps.n
+    assert "lines" in arr.__dict__  # kept from the build
+    assert dict(arr.size_hist) == {2: 599, 599: 1}
+    assert arr.lines_per_point == (2,) * 599 + (599,)
+
+
+@pytest.mark.parametrize(
+    "ps", [grid(30, 30), random_points(800, 1, 2000)], ids=["grid-30x30", "random-800"]
+)
+def test_budgeted_attempt_gives_up_within_4n_pairs(ps, monkeypatch):
+    gcd_calls = _count_gcd(monkeypatch)
+    assert _kern.group_collinear([p.x for p in ps.points], [p.y for p in ps.points], max_pairs=4 * ps.n) is None
+    assert 0 < gcd_calls[0] <= 4 * ps.n

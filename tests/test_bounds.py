@@ -1,6 +1,8 @@
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pointline import bounds as bounds_mod
 from pointline import (
@@ -623,3 +625,48 @@ def test_st_check_ties_keep_the_smallest_threshold():
     assert check.note == "tightest at i=2 over i in [2, 4]"
     assert check.lhs == 3 and check.rhs == 4
     assert check == _st_check_resum("st_edges", arr, visibility_edge_count, 2, k)
+
+
+def _st_check_per_threshold(name, arr, e, k):
+    """The reference: one slack per threshold i, from max_collinear down."""
+    bound, _ = bounds_mod._st_bound(arr.n, e, k)
+    worst = None
+    suffix = 0
+    for i in range(arr.max_collinear, 1, -1):
+        suffix += (i - 1) ** (3 - e) * arr.size_hist.get(i, 0)
+        num, den = bound(i)
+        slack = num - suffix * den
+        if worst is None or slack * worst[1] <= worst[0] * den:
+            worst = (slack, den, num, i, suffix)
+    slack, den, num, i, lhs = worst
+    note = f"tightest at i={i} over i in [2, {arr.max_collinear}]"
+    return TheoremCheck(name, True, "<=", F(lhs), F(num, den), slack >= 0, note)
+
+
+_positive = st.fractions(min_value=F(1, 1000), max_value=50, max_denominator=1000)
+
+
+@st.composite
+def _st_cases(draw):
+    n = draw(st.integers(1, 300))
+    alpha = draw(_positive)
+    if draw(st.booleans()):
+        beta = draw(_positive)
+    else:
+        # beta*n^2/2 = alpha*n*t^2: the e = 2 bound is flat from i = t + 1 on,
+        # and equal to both terms there, so flat stretches span many thresholds
+        beta = 2 * alpha * draw(st.integers(1, 12)) ** 2 / n
+    # zero counts split an interval of constant suffix sum in two
+    hist = draw(st.dictionaries(st.integers(2, 60), st.integers(0, 40), min_size=1, max_size=10))
+    arr = SimpleNamespace(n=n, size_hist=dict(sorted(hist.items())), max_collinear=max(hist))
+    return arr, CrossingConstants(alpha=alpha, beta=beta)
+
+
+@given(_st_cases(), st.sampled_from([2, 3]))
+@settings(max_examples=400)
+@example((SimpleNamespace(n=4, size_hist={4: 1}, max_collinear=4), CrossingConstants(F(1), F(1, 1000))), 2)
+@example((SimpleNamespace(n=10, size_hist={2: 5, 9: 1, 20: 0, 30: 2}, max_collinear=30),
+          CrossingConstants(F(1), F(2 * 9, 10))), 2)
+def test_st_check_visits_present_sizes_like_every_threshold(case, e):
+    arr, k = case
+    assert bounds_mod._st_check("st", arr, e, k) == _st_check_per_threshold("st", arr, e, k)

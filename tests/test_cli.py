@@ -438,11 +438,10 @@ def test_constants_rows_are_rounded_api_records(capsys):
     assert (row["h"], row["x"], row["b"]) == (str(p.h), str(p.x), str(p.b))
 
 
-def test_small_verify_does_not_import_numpy(tmp_path):
-    # numpy costs ~0.15 s and ~14 MB to import; inputs below the int64
-    # path's pair threshold must not pay for it
-    path = tmp_path / "pencil200.json"
-    assert cli.main(["generate", "near-pencil", "--n", "200", "--out", str(path)]) == 0
+def _verify_imports_numpy(tmp_path, n):
+    """Whether verify on near-pencil n, in a fresh interpreter, imports numpy."""
+    path = tmp_path / f"pencil{n}.json"
+    assert cli.main(["generate", "near-pencil", "--n", str(n), "--out", str(path)]) == 0
     code = (
         "import sys\n"
         "import pointline.cli as cli\n"
@@ -453,4 +452,16 @@ def test_small_verify_does_not_import_numpy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    return done.stdout.splitlines()[-1] == "True"
+
+
+def test_small_verify_does_not_import_numpy(tmp_path):
+    # numpy costs ~0.15 s and ~14 MB to import; inputs below the int64
+    # path's pair threshold must not pay for it
+    assert not _verify_imports_numpy(tmp_path, 200)
+
+
+def test_large_near_pencil_verify_does_not_import_numpy(tmp_path):
+    # 2000 points are far above the pair threshold, but the exact kernel
+    # finishes a near-pencil within its 4n-pair budget
+    assert not _verify_imports_numpy(tmp_path, 2000)

@@ -1,7 +1,7 @@
 """The line kernels: the hot loops of arrangement construction.
 
-Both start from ``homogenise``, which clears every point to an integer
-homogeneous triple (X, Y, W), so ints and Fractions take one path.
+Both take the triples of ``homogenise``, which clears every point to an
+integer homogeneous triple (X, Y, W), so ints and Fractions take one path.
 
 ``group_collinear`` maps point pairs to the canonical integer key of
 their line and collects line memberships.  It is exact big-integer
@@ -19,12 +19,10 @@ the directions to the other points in blocks of numpy rows, and reads the
 per-point line counts off the equal neighbours of each sorted row and the
 line-size histogram off the runs of equal neighbours; only lines of 3 or
 more points give such a run, and 2-point lines are counted as the
-remainder.  It keys each direction by its float64 slope dy / dx while
-2 * max(|X|, |Y|) * max(W) < 2^26 (for integer input, |coordinate| <
-2^25), and by a gcd-reduced packed int64 key from there up to its guard
-2 * max(|X|, |Y|) * max(W) < 2^31 (for integer input, |coordinate| <
-2^30); both keys are exact (see its docstring).  Past the guard, it
-refuses the input before numpy is imported.
+remainder.  It keys each direction by its float64 slope dy / dx, which
+is exact while 2 * max(|X|, |Y|) * max(W) < 2^26 (for integer input,
+|coordinate| < 2^25; see its docstring).  Past that guard, it refuses the
+input before numpy is imported.
 """
 from __future__ import annotations
 
@@ -33,8 +31,6 @@ from math import gcd, lcm
 # 8-byte elements per block of rows: each array of a block is 512 KB, so a
 # block stays in cache (larger blocks were no faster and cost more memory)
 _BLOCK_ELEMENTS = 1 << 16
-# every |dx|, |dy| of the vectorised kernel stays below this bound
-_INT64_BOUND = 1 << 31
 # below this bound every |dx|, |dy| is an exact double and dy / dx an exact key
 _SLOPE_BOUND = 1 << 26
 
@@ -54,14 +50,13 @@ def homogenise(xs: list, ys: list) -> tuple[list, list, list]:
     return hx, hy, hw
 
 
-def group_collinear(xs: list, ys: list, max_pairs: int | None = None) -> dict | None:
+def group_collinear(hx: list, hy: list, hw: list, max_pairs: int | None = None) -> dict | None:
     """Group all point pairs by line: {(a, b, c): list of point indices}.
 
-    Coordinates may be ints or Fractions; each point is cleared to an
-    integer homogeneous triple (X, Y, W) once, so the pair loop is pure
-    integer arithmetic (the line through two points is their homogeneous
-    cross product).  Keys follow the LineKey normalization (content 1,
-    a > 0 or a = 0 < b).
+    Takes the homogeneous triples of ``homogenise``, so the pair loop is
+    pure integer arithmetic (the line through two points is their
+    homogeneous cross product).  Keys follow the LineKey normalization
+    (content 1, a > 0 or a = 0 < b).
 
     A line is created as [i, j] at its first pair and collects its other
     members in that row i: every later member is a column of row i, in
@@ -84,8 +79,7 @@ def group_collinear(xs: list, ys: list, max_pairs: int | None = None) -> dict | 
     With max_pairs given, returns None, before any row that would take
     the number of pairs evaluated past max_pairs.
     """
-    n = len(xs)
-    hx, hy, hw = homogenise(xs, ys)
+    n = len(hx)
     groups: dict = {}
     # covered[v]: bit j set when the pair (v, j) lies on a finished line
     covered = [0] * n
@@ -145,29 +139,23 @@ def int64_statistics(hx: list, hy: list, hw: list) -> tuple[dict, list] | None:
     Takes the homogeneous triples of ``homogenise``.  Returns
     ({size: number of lines}, [lines through point v for each v]) with
     sizes ascending, or None, before numpy is imported, when
-    2 * max(|X|, |Y|) * max(W) >= 2^31.
+    2 * max(|X|, |Y|) * max(W) >= 2^26.
 
     For a row i and every column j the direction from point i to point j
     is (dx, dy) = (X_j W_i - X_i W_j, Y_j W_i - Y_i W_j), a positive
     multiple of the affine difference; |dx|, |dy| <= 2 * max(|X|, |Y|) *
-    max(W).  Two columns lie on one line through i iff their directions
-    are proportional, and the direction is keyed in one of two exact ways:
-
-    - Below 2^26, by the float64 slope dy / dx.  Every product and
-      difference is an integer below 2^26, so exact in float64.  A slope
-      does not change when the direction flips sign, and -0.0 == +0.0, so
-      it names the line.  Vertical directions (dx = 0, so dy / dx is +inf
-      or -inf) are set to +inf, and the diagonal (0 / 0) to the sentinel
-      -inf.  Distinct slopes give distinct doubles: for p/q != r/s with
-      every |.| < 2^26, |p/q - r/s| >= 1/|qs|, while rounding to nearest
-      moves the two quotients together by at most 2^-53 (|p/q| + |r/s|) =
-      2^-53 (|ps| + |rq|) / |qs| < 1/|qs|.  Equal slopes are one real
-      number, so they round to one double.
-    - From 2^26 on, by an int64 key.  The direction reduced by its gcd
-      packs into P = dx * 2^32 + dy, and the key is |P|.  As |dx|, |dy| <
-      2^31, P names the reduced direction and -P its negation, so |P|
-      names the line and fits in int64; the diagonal's key 0 is the
-      sentinel, below every other key.
+    max(W) < 2^26.  Two columns lie on one line through i iff their
+    directions are proportional, and the direction is keyed by its
+    float64 slope dy / dx.  Every product and difference is an integer
+    below 2^26, so exact in float64.  A slope does not change when the
+    direction flips sign, and -0.0 == +0.0, so it names the line.
+    Vertical directions (dx = 0, so dy / dx is +inf or -inf) are set to
+    +inf, and the diagonal (0 / 0) to the sentinel -inf.  Distinct slopes
+    give distinct doubles: for p/q != r/s with every |.| < 2^26,
+    |p/q - r/s| >= 1/|qs|, while rounding to nearest moves the two
+    quotients together by at most 2^-53 (|p/q| + |r/s|) =
+    2^-53 (|ps| + |rq|) / |qs| < 1/|qs|.  Equal slopes are one real
+    number, so they round to one double.
 
     After sorting each row its sentinel comes first, and every run of
     equal keys among the n - 1 after it is one (point, line) incidence: a
@@ -184,22 +172,19 @@ def int64_statistics(hx: list, hy: list, hw: list) -> tuple[dict, list] | None:
     """
     m = max(max(map(abs, hx)), max(map(abs, hy)))
     w_max = max(hw)
-    bound = 2 * m * w_max
-    if bound >= _INT64_BOUND:
+    if 2 * m * w_max >= _SLOPE_BOUND:
         return None
     import numpy as np
 
-    slope = bound < _SLOPE_BOUND
-    dtype = np.float64 if slope else np.int64
     n = len(hx)
-    X = np.array(hx, dtype=dtype)
-    Y = np.array(hy, dtype=dtype)
-    W = np.array(hw, dtype=dtype)
+    X = np.array(hx, dtype=np.float64)
+    Y = np.array(hy, dtype=np.float64)
+    W = np.array(hw, dtype=np.float64)
     seen = np.zeros(n + 1, dtype=np.int64)  # seen[k]: incidences on k-point lines
     per_point = np.empty(n, dtype=np.int64)
     rows = max(1, _BLOCK_ELEMENTS // n)
     # the block buffers; a short last block uses their leading rows
-    bufs = [np.empty((rows, n), dtype=dtype) for _ in range(3)]
+    bufs = [np.empty((rows, n), dtype=np.float64) for _ in range(3)]
     bufs.append(np.empty((rows, n), dtype=bool))
     # eq[:, c] for 0 < c < n - 1: sorted keys c and c + 1 of the row are
     # equal (the sentinel is key 0); columns 0 and n - 1 stay False
@@ -216,21 +201,10 @@ def int64_statistics(hx: list, hy: list, hw: list) -> tuple[dict, list] | None:
             dx -= np.multiply(X[lo:hi, None], W, out=tmp)
             np.multiply(Y, wi, out=dy)
             dy -= np.multiply(Y[lo:hi, None], W, out=tmp)
-        diag = (np.arange(hi - lo), np.arange(lo, hi))
-        if slope:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                key = np.divide(dy, dx, out=dy)
-            np.putmask(key, np.equal(dx, 0, out=vertical), np.inf)
-            key[diag] = -np.inf
-        else:
-            g = np.gcd(dx, dy, out=tmp)
-            g[diag] = 1  # (0, 0); distinct points give g > 0 elsewhere
-            dx //= g
-            dy //= g
-            key = dx
-            key *= 1 << 32
-            key += dy
-            np.abs(key, out=key)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            key = np.divide(dy, dx, out=dy)
+        np.putmask(key, np.equal(dx, 0, out=vertical), np.inf)
+        key[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf
         key.sort(axis=1)
         np.equal(key[:, 2:], key[:, 1:-1], out=eq[:, 1:-1])
         # a row's runs are its n - 1 keys less its equal neighbours

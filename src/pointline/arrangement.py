@@ -6,8 +6,8 @@ maximum collinear count, and per-point line counts, together with the
 lines themselves (every line through at least two of the points).
 
 Large inputs that the exact big-integer kernel cannot finish within 4n
-evaluated pairs, and that fit the int64 guard of _kern.int64_statistics
-(for integer input, |coordinate| < 2^30), get their statistics from the
+evaluated pairs, and that fit the guard of _kern.int64_statistics (for
+integer input, |coordinate| < 2^25), get their statistics from the
 vectorised numpy kernel, and their lines only when asked for.  Every
 other input, near-pencils included, goes through the exact kernel, which
 builds the lines and the statistics from them.
@@ -83,7 +83,7 @@ class Arrangement:
 
     @cached_property
     def lines(self) -> Mapping[tuple[int, int, int], tuple[int, ...]]:
-        return _exact_lines(self.points)
+        return _exact_lines(*_homogenise(self.points))
 
 
 @dataclass(frozen=True)
@@ -111,15 +111,16 @@ class IncidenceBreakdown:
 def build_arrangement(ps: PointSet) -> Arrangement:
     """Enumerate all determined lines of ps and compute its statistics.
 
-    Inputs below INT64_MIN_PAIRS pairs take the exact big-integer kernel,
-    which returns the lines finished (sorted members, in lexicographic
-    member order); the statistics are counted from them and lines is
-    kept.  From INT64_MIN_PAIRS pairs on, the exact kernel is first tried
+    The points are cleared to homogeneous integers once, and every kernel
+    run of the build takes those triples.  Inputs below INT64_MIN_PAIRS
+    pairs take the exact big-integer kernel, which returns the lines
+    finished (sorted members, in lexicographic member order); the
+    statistics are counted from them and lines is kept.  From INT64_MIN_PAIRS pairs on, the exact kernel is first tried
     with a budget of 4n evaluated pairs; a near-pencil needs about 2n, so
     it finishes there and keeps its lines, as on the exact path.  If the
     attempt gives up, the vectorised numpy kernel counts the statistics
     without building any line, when the coordinates fit its guard (for
-    integer input |coordinate| < 2^30; stated in full in
+    integer input |coordinate| < 2^25; stated in full in
     _kern.int64_statistics), and lines is built only if it is read.  Past
     the guard, the full exact kernel runs.
 
@@ -134,13 +135,13 @@ def build_arrangement(ps: PointSet) -> Arrangement:
     # an input that needs about n^2 / 2 gives up after 4n, a few ms next to
     # the vectorised path's n^2 work and its numpy import
     budget = 4 * n if n * (n - 1) // 2 >= INT64_MIN_PAIRS else None
-    lines = _exact_lines(ps.points, budget)
+    hx, hy, hw = _homogenise(ps.points)
+    lines = _exact_lines(hx, hy, hw, budget)
     stats = None
     if lines is None:
-        hx, hy, hw = _kern.homogenise([p.x for p in ps.points], [p.y for p in ps.points])
         stats = _kern.int64_statistics(hx, hy, hw)
         if stats is None:
-            lines = _exact_lines(ps.points)
+            lines = _exact_lines(hx, hy, hw)
     if stats is None:
         stats = _line_statistics(lines.values(), n)
     size_hist, lines_per_point = stats
@@ -165,11 +166,16 @@ def _line_statistics(lines: Collection[tuple[int, ...]], n: int) -> tuple[dict[i
     return size_hist, [per_point[v] for v in range(n)]
 
 
+def _homogenise(points: tuple[Point, ...]) -> tuple[list, list, list]:
+    """The points cleared to homogeneous integer triples (X, Y, W) by _kern.homogenise."""
+    return _kern.homogenise([p.x for p in points], [p.y for p in points])
+
+
 def _exact_lines(
-    points: tuple[Point, ...], max_pairs: int | None = None
+    hx: list, hy: list, hw: list, max_pairs: int | None = None
 ) -> Mapping[tuple[int, int, int], tuple[int, ...]] | None:
     """The exact kernel's lines as a read-only map, or None past max_pairs evaluated pairs."""
-    groups = _kern.group_collinear([p.x for p in points], [p.y for p in points], max_pairs=max_pairs)
+    groups = _kern.group_collinear(hx, hy, hw, max_pairs=max_pairs)
     if groups is None:
         return None
     return MappingProxyType({key: tuple(members) for key, members in groups.items()})

@@ -239,9 +239,16 @@ def cmd_verify(args) -> int:
 
 def cmd_generate(args) -> int:
     gen = generators._GENERATORS[args.kind.replace("-", "_")]
+    takes = inspect.signature(gen).parameters
+    # the generator flags are the parameters of all generators; one that
+    # this generator does not take is refused, not ignored
+    for other in generators._GENERATORS.values():
+        for name in inspect.signature(other).parameters:
+            if name not in takes and getattr(args, name, None) is not None:
+                raise _UsageError(f"generator {args.kind!r} does not take --{name}")
     params = {}
     # each generator's parameters, in order, are the flags it requires
-    for name in inspect.signature(gen).parameters:
+    for name in takes:
         params[name] = getattr(args, name)
         if params[name] is None:
             raise _UsageError(f"generator {args.kind!r} requires --{name}")

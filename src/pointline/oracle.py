@@ -10,9 +10,10 @@ iff they lie on one line through i.  Grouping the r by reduced direction
 gives every line through i; a line is emitted only in the row of its
 smallest member.
 
-What it shares with the kernels: the idea of a reduced direction, which
-the vectorised statistics path keys by for integer input with |coordinate|
->= 2^25 (see _kern.int64_statistics).
+What it shares with the kernels: grouping the other points by their
+direction from each point, as the vectorised statistics path does too
+(that path keys a direction by its float64 slope, not by the reduced
+integer direction; see _kern.int64_statistics).
 What it does not share: the clearing (its own formula, no lcm), the
 integer type (Python ints, no int64, no floats and no numpy), the
 (a, b, c) line key (none is built) and any function of _kern.  O(n^2)

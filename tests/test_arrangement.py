@@ -178,8 +178,8 @@ def test_kernels_agree_on_lattice_input():
     xs = [p.x for p in ps.points]
     ys = [p.y for p in ps.points]
     assert all(isinstance(v, Fraction) for v in xs + ys)
-    as_ints = _kern.group_collinear([int(x) for x in xs], [int(y) for y in ys])
-    assert _kern.group_collinear(xs, ys) == as_ints
+    as_ints = _kern.group_collinear(*_kern.homogenise([int(x) for x in xs], [int(y) for y in ys]))
+    assert _kern.group_collinear(*_kern.homogenise(xs, ys)) == as_ints
     assert sum(len(m) * (len(m) - 1) // 2 for m in as_ints.values()) == 35 * 34 // 2
 
 
@@ -248,16 +248,21 @@ def test_oracle_equivalence_mixed_denominators(coords):
 # ---------------------------------------------------------------------------
 
 
+def _triples(ps):
+    """The homogeneous integer triples (hx, hy, hw) the kernels take."""
+    return _kern.homogenise([p.x for p in ps.points], [p.y for p in ps.points])
+
+
 def _exact_statistics(ps):
     """(size_hist, lines_per_point) counted from the exact kernel's lines."""
-    groups = _kern.group_collinear([p.x for p in ps.points], [p.y for p in ps.points])
+    groups = _kern.group_collinear(*_triples(ps))
     hist = dict(sorted(Counter(map(len, groups.values())).items()))
     per_point = Counter(chain.from_iterable(groups.values()))
     return hist, [per_point[v] for v in range(ps.n)]
 
 
 def _int64_statistics(ps):
-    return _kern.int64_statistics(*_kern.homogenise([p.x for p in ps.points], [p.y for p in ps.points]))
+    return _kern.int64_statistics(*_triples(ps))
 
 
 def _assert_int64_exact(ps):
@@ -316,36 +321,49 @@ def test_int64_statistics_in_blocks_of_short_rows(coords, block_elements):
 def test_int64_statistics_above_the_pair_threshold(build, w, hist):
     ps = build()
     assert ps.n * (ps.n - 1) // 2 >= INT64_MIN_PAIRS
-    assert max(_kern.homogenise([p.x for p in ps.points], [p.y for p in ps.points])[2]) == w
+    assert max(_triples(ps)[2]) == w
     got = _assert_int64_exact(ps)
     assert hist is None or got == hist
 
 
-# the largest integer coordinate the guard 2 * M * max(W) < 2^31 admits
-EDGE = (1 << 30) - 1
+# the largest integer coordinate the guard 2 * M * max(W) < 2^26 admits
+EDGE = (1 << 25) - 1
+# X = 1 - 2^24 at W = 2: 2 * |X| * W = 2^26 - 4, inside the guard
+HALF_EDGE = Fraction(1 - (1 << 24), 2)
+
+_inside_coordinates = [-EDGE, 1 - EDGE, -1, 0, 1, EDGE - 1, EDGE]
 
 
-edge_coordinates = st.sampled_from([-EDGE, 1 - EDGE, -1, 0, 1, EDGE - 1, EDGE])
+def _coordinate_sets(values):
+    coordinate = st.sampled_from(values)
+    return st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=12, unique=True)
 
 
-@given(st.lists(st.tuples(edge_coordinates, edge_coordinates), min_size=2, max_size=12, unique=True))
-@settings(max_examples=60)
+@given(st.one_of(_coordinate_sets(_inside_coordinates),
+                 _coordinate_sets(_inside_coordinates + [-EDGE - 1, EDGE + 1])))
+@settings(max_examples=100)
 def test_int64_statistics_exact_at_the_guard(coords):
-    # directions such as (2M, 1 - 2M) are 2^31 - 2 wide and coprime
-    _assert_int64_exact(pset(*coords))
+    # directions such as (2M, 1 - 2M) are 2^26 - 2 wide and coprime; a
+    # coordinate +-2^25 is past the guard
+    if all(abs(v) <= EDGE for v in chain.from_iterable(coords)):
+        _assert_int64_exact(pset(*coords))
+    else:
+        assert _int64_statistics(pset(*coords)) is None
 
 
 @pytest.mark.parametrize(
     "inside, past",
     [
-        # integers: 2 * M < 2^31
-        ([(EDGE, 0), (-EDGE, EDGE), (0, -EDGE), (0, 0)],
-         [(EDGE + 1, 0), (-EDGE, EDGE), (0, -EDGE), (0, 0)]),
-        # W = 2: X = 2^29 - 1 gives 2^31 - 4; X = 2^29 gives exactly 2^31
-        ([(Fraction((1 << 29) - 1, 2), "1/2"), (0, 0), (1, "-1/2"), (-3, 5)],
-         [(1 << 28, "1/2"), (0, 0), (1, "-1/2"), (-3, 5)]),
+        # integers: 2 * M < 2^26
+        ([(EDGE, 0), (-EDGE, EDGE), (0, -EDGE), (0, 0), (EDGE, -EDGE)],
+         [(EDGE + 1, 0), (-EDGE, EDGE), (0, -EDGE), (0, 0), (EDGE, -EDGE)]),
+        ([(-EDGE, -EDGE), (EDGE, EDGE), (0, 0), (1, 0), (EDGE, 1 - EDGE)],
+         [(-EDGE - 1, -EDGE), (EDGE, EDGE), (0, 0), (1, 0), (EDGE, 1 - EDGE)]),
+        # W = 2: X = 2^24 - 1 gives 2^26 - 4; X = 2^24 gives exactly 2^26
+        ([(Fraction((1 << 24) - 1, 2), "1/2"), (0, 0), (1, "-1/2"), (-3, 5), (HALF_EDGE, "-1/2")],
+         [(1 << 23, "1/2"), (0, 0), (1, "-1/2"), (-3, 5), (HALF_EDGE, "-1/2")]),
     ],
-    ids=["integers", "halves"],
+    ids=["integers", "negative-integers", "halves"],
 )
 def test_int64_guard_boundary(inside, past):
     _assert_int64_exact(pset(*inside))
@@ -353,7 +371,7 @@ def test_int64_guard_boundary(inside, past):
 
 
 # ---------------------------------------------------------------------------
-# The float64 slope key below 2 * M * max(W) < 2^26 and the switch to gcd keys
+# The float64 slope key: distinct fractions, signed zeros and infinities
 # ---------------------------------------------------------------------------
 
 N = 1 << 26
@@ -389,62 +407,6 @@ def test_float_slopes_separate_distinct_fractions(fractions):
     assert (a == b) == (p * s == r * q)
 
 
-# the largest integer coordinate the slope key admits: 2 * M < 2^26
-SWITCH = (1 << 25) - 1
-
-
-switch_coordinates = st.sampled_from(
-    [-SWITCH - 1, -SWITCH, 1 - SWITCH, -1, 0, 1, SWITCH - 1, SWITCH, SWITCH + 1]
-)
-
-
-@given(st.lists(st.tuples(switch_coordinates, switch_coordinates), min_size=2, max_size=12, unique=True))
-@settings(max_examples=80)
-def test_int64_statistics_exact_at_the_switch(coords):
-    # at +-SWITCH the float key runs, a coordinate +-2^25 takes the gcd key
-    _assert_int64_exact(pset(*coords))
-
-
-# X = 1 - 2^24 at W = 2: 2 * |X| * W = 2^26 - 4, inside the slope key
-HALF_EDGE = Fraction(1 - (1 << 24), 2)
-
-
-class GcdCalled(Exception):
-    pass
-
-
-def _forbid_gcd(monkeypatch):
-    """Make numpy.gcd raise: of the two keys, only the gcd key calls it."""
-
-    def gcd(*args, **kwargs):
-        raise GcdCalled
-
-    monkeypatch.setattr(np, "gcd", gcd)
-
-
-@pytest.mark.parametrize(
-    "inside, past",
-    [
-        # integers: 2 * M < 2^26
-        ([(SWITCH, 0), (-SWITCH, SWITCH), (0, -SWITCH), (0, 0), (SWITCH, -SWITCH)],
-         [(SWITCH + 1, 0), (-SWITCH, SWITCH), (0, -SWITCH), (0, 0), (SWITCH, -SWITCH)]),
-        ([(-SWITCH, -SWITCH), (SWITCH, SWITCH), (0, 0), (1, 0), (SWITCH, 1 - SWITCH)],
-         [(-SWITCH - 1, -SWITCH), (SWITCH, SWITCH), (0, 0), (1, 0), (SWITCH, 1 - SWITCH)]),
-        # W = 2: X = 2^24 - 1 gives 2^26 - 4; X = 2^24 gives exactly 2^26
-        ([(Fraction((1 << 24) - 1, 2), "1/2"), (0, 0), (1, "-1/2"), (-3, 5), (HALF_EDGE, "-1/2")],
-         [(1 << 23, "1/2"), (0, 0), (1, "-1/2"), (-3, 5), (HALF_EDGE, "-1/2")]),
-    ],
-    ids=["integers", "negative-integers", "halves"],
-)
-def test_slope_key_switch(inside, past, monkeypatch):
-    _assert_int64_exact(pset(*inside))
-    _assert_int64_exact(pset(*past))
-    _forbid_gcd(monkeypatch)
-    _assert_int64_exact(pset(*inside))
-    with pytest.raises(GcdCalled):
-        _int64_statistics(pset(*past))
-
-
 @pytest.mark.parametrize(
     "coords",
     [
@@ -459,8 +421,7 @@ def test_slope_key_switch(inside, past, monkeypatch):
     ],
     ids=["horizontal", "vertical", "both", "both-halves"],
 )
-def test_slope_key_signed_zero_and_infinity(coords, monkeypatch):
-    _forbid_gcd(monkeypatch)
+def test_slope_key_signed_zero_and_infinity(coords):
     _assert_int64_exact(pset(*coords))
 
 
@@ -498,8 +459,8 @@ def test_large_input_builds_lines_only_when_read(grid23, monkeypatch):
     assert list(lines.values()) == sorted(lines.values())
 
 
-def test_large_input_past_the_guard_keeps_exact_statistics(grid23, monkeypatch):
-    scale = 1 << 30
+@pytest.mark.parametrize("scale", [1 << 21, 1 << 30], ids=["scale-2^21", "scale-2^30"])
+def test_large_input_past_the_guard_keeps_exact_statistics(scale, grid23, monkeypatch):
     big = pset(*[(p.x * scale, p.y * scale) for p in grid23.points])
     int64_calls = _spy(monkeypatch, "int64_statistics")
     exact_calls = _spy(monkeypatch, "group_collinear")
@@ -655,7 +616,7 @@ def _count_gcd(monkeypatch):
 
 def _gcd_calls(monkeypatch, ps):
     calls = _count_gcd(monkeypatch)
-    _kern.group_collinear([p.x for p in ps.points], [p.y for p in ps.points])
+    _kern.group_collinear(*_triples(ps))
     return calls[0]
 
 
@@ -692,5 +653,5 @@ def test_large_near_pencil_takes_the_exact_path(scale, monkeypatch):
 )
 def test_budgeted_attempt_gives_up_within_4n_pairs(ps, monkeypatch):
     gcd_calls = _count_gcd(monkeypatch)
-    assert _kern.group_collinear([p.x for p in ps.points], [p.y for p in ps.points], max_pairs=4 * ps.n) is None
+    assert _kern.group_collinear(*_triples(ps), max_pairs=4 * ps.n) is None
     assert 0 < gcd_calls[0] <= 4 * ps.n

@@ -229,6 +229,23 @@ def test_generate_invalid_params(capsys):
     assert capsys.readouterr().err == "error: generator 'random' requires --seed\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["grid", "--w", "2", "--h", "2", "--n", "7"], "generator 'grid' does not take --n"),
+        (["circle", "--n", "3", "--bound", "9"], "generator 'circle' does not take --bound"),
+        (["collinear", "--n", "3", "--seed", "1"], "generator 'collinear' does not take --seed"),
+        (["near-pencil", "--n", "4", "--h", "2"], "generator 'near-pencil' does not take --h"),
+    ],
+    ids=["grid-n", "circle-bound", "collinear-seed", "near-pencil-h"],
+)
+def test_generate_refuses_flags_the_generator_does_not_take(argv, message, capsys):
+    assert cli.main(["generate", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_every_generator_parameter_is_a_generate_flag(capsys):
     with pytest.raises(SystemExit):
         cli.main(["generate", "--help"])

@@ -25,7 +25,7 @@ from pointline import (
     random_points,
     visibility_edge_count,
 )
-from pointline import _kern
+from pointline import _kern, arrangement
 from pointline.arrangement import INT64_MIN_PAIRS, PointSet
 
 from conftest import pset, rational_sets
@@ -368,6 +368,61 @@ def test_int64_statistics_exact_at_the_guard(coords):
 def test_int64_guard_boundary(inside, past):
     _assert_int64_exact(pset(*inside))
     assert _int64_statistics(pset(*past)) is None
+
+
+# ---------------------------------------------------------------------------
+# The switch in build_arrangement: slope key inside the guard, exact kernel past it
+# ---------------------------------------------------------------------------
+
+# a 6 x 6 grid clear of the boundary coordinates: with INT64_MIN_PAIRS at 0
+# it makes the 4n attempt give up, so build_arrangement reaches the switch
+SWITCH_PAD = [(x, y) for x in range(3, 9) for y in range(3, 9)]
+
+
+def _build_at_the_switch(coords, mp):
+    """Build pad + coords on the large-input path; True if the slope key counted it."""
+    ps = pset(*coords, *SWITCH_PAD)
+    want = brute_force_lines(ps)
+    mp.setattr(arrangement, "INT64_MIN_PAIRS", 0)
+    int64_calls = _spy(mp, "int64_statistics")
+    exact_calls = _spy(mp, "group_collinear")
+    arr = build_arrangement(ps)
+    assert exact_calls[0] is None  # the budgeted attempt gave up
+    assert len(int64_calls) == 1
+    assert list(arr.size_hist.items()) == list(Counter(sorted(map(len, want))).items())
+    per_point = Counter(chain.from_iterable(want))
+    assert arr.lines_per_point == tuple(per_point[v] for v in range(ps.n))
+    assert list(arr.lines.values()) == want
+    return int64_calls[0] is not None
+
+
+@given(st.lists(st.tuples(st.sampled_from(_inside_coordinates + [-EDGE - 1, EDGE + 1]),
+                          st.sampled_from(_inside_coordinates + [-EDGE - 1, EDGE + 1])),
+                min_size=2, max_size=12, unique=True))
+@settings(max_examples=60)
+def test_int64_statistics_exact_at_the_switch(coords):
+    # on either side of the guard the build's statistics equal the oracle's
+    with pytest.MonkeyPatch.context() as mp:
+        used = _build_at_the_switch(coords, mp)
+    assert used == all(abs(v) <= EDGE for v in chain.from_iterable(coords))
+
+
+@pytest.mark.parametrize(
+    "inside, past",
+    [
+        ([(EDGE, 0), (-EDGE, EDGE), (0, -EDGE), (0, 0), (EDGE, -EDGE)],
+         [(EDGE + 1, 0), (-EDGE, EDGE), (0, -EDGE), (0, 0), (EDGE, -EDGE)]),
+        ([(-EDGE, -EDGE), (EDGE, EDGE), (0, 0), (1, 0), (EDGE, 1 - EDGE)],
+         [(-EDGE - 1, -EDGE), (EDGE, EDGE), (0, 0), (1, 0), (EDGE, 1 - EDGE)]),
+        ([(Fraction((1 << 24) - 1, 2), "1/2"), (0, 0), (1, "-1/2"), (-3, 5), (HALF_EDGE, "-1/2")],
+         [(1 << 23, "1/2"), (0, 0), (1, "-1/2"), (-3, 5), (HALF_EDGE, "-1/2")]),
+    ],
+    ids=["integers", "negative-integers", "halves"],
+)
+def test_slope_key_switch(inside, past, monkeypatch):
+    assert _build_at_the_switch(inside, monkeypatch)
+    monkeypatch.undo()
+    assert not _build_at_the_switch(past, monkeypatch)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,8 @@ rational enclosures.
 """
 from .arrangement import (
     Arrangement,
-    IncidenceBreakdown,
     PointSet,
     build_arrangement,
-    classify_pairs_incidences,
-    compute_k,
     lines_with_at_most,
     max_lines_through_point,
     visibility_edge_count,
@@ -47,12 +44,10 @@ from .errors import (
     InvalidCutoff,
     PointFormatError,
     PointLineError,
-    PreconditionViolated,
     TooFewPoints,
     Unresolved,
 )
 from .generators import (
-    GeneratorSpec,
     circle,
     collinear,
     dump_points,

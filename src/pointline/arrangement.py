@@ -16,15 +16,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
 from . import _kern
-from .errors import DomainError, DuplicatePoint, PreconditionViolated, TooFewPoints
-from .geometry import Point, Rational
+from .errors import DomainError, DuplicatePoint, TooFewPoints
+from .geometry import Point
 
 INT64_MIN_PAIRS = 1 << 17
 
@@ -84,28 +83,6 @@ class Arrangement:
     @cached_property
     def lines(self) -> Mapping[tuple[int, int, int], tuple[int, ...]]:
         return _exact_lines(*_homogenise(self.points))
-
-
-@dataclass(frozen=True)
-class IncidenceBreakdown:
-    """Pair and incidence counts split into small / medium / large line sizes.
-
-    A size i is large when i >= k, small when i <= c (and below k), and
-    medium in between.  When k <= c the small and large ranges would
-    overlap; large wins and degenerate_k is set.
-    """
-
-    c: int
-    eps: Rational
-    q: int
-    k: int
-    small_pairs: int
-    medium_pairs: int
-    large_pairs: int
-    small_incidences: int
-    medium_incidences: int
-    large_incidences: int
-    degenerate_k: bool = field(default=False)
 
 
 def build_arrangement(ps: PointSet) -> Arrangement:
@@ -206,65 +183,3 @@ def lines_with_at_most(arr: Arrangement, c: int) -> int:
     if c < 2:
         raise DomainError(f"line size cap must be >= 2, got {c}")
     return sum(count for i, count in arr.size_hist.items() if i <= c)
-
-
-def compute_k(arr: Arrangement, alpha: Rational, eps: Rational, q: int) -> int:
-    """Smallest size threshold k whose visibility edge count is <= alpha*n.
-
-    k is searched over {2, ..., floor(eps*n) + q}; if every count in that
-    range exceeds alpha*n the fallback floor(eps*n) + q + 1 is returned.
-    """
-    _check_eps_q(arr.n, eps, q)
-    n = arr.n
-    top = int(eps * n) + q
-    for k in range(2, top + 1):
-        if visibility_edge_count(arr, k) <= alpha * n:
-            return k
-    return top + 1
-
-
-def classify_pairs_incidences(
-    arr: Arrangement, c: int, eps: Rational, q: int, alpha: Rational
-) -> IncidenceBreakdown:
-    """Split all point pairs and incidences into small/medium/large sizes.
-
-    Small: i <= c (below k); medium: c < i < k; large: i >= k, where k
-    comes from compute_k.  Large takes precedence when k <= c, keeping
-    the three groups a true partition; that case sets degenerate_k.
-    The pair counts always sum to C(n, 2) and the incidence counts to the
-    arrangement total.
-    """
-    if c < 8:
-        raise DomainError(f"small-size cap c must be >= 8, got {c}")
-    k = compute_k(arr, alpha, eps, q)
-    pairs = [0, 0, 0]  # small, medium, large
-    incid = [0, 0, 0]
-    for i, count in arr.size_hist.items():
-        if i >= k:
-            bucket = 2
-        elif i <= c:
-            bucket = 0
-        else:
-            bucket = 1
-        pairs[bucket] += i * (i - 1) // 2 * count
-        incid[bucket] += i * count
-    return IncidenceBreakdown(
-        c=c,
-        eps=Fraction(eps),
-        q=q,
-        k=k,
-        small_pairs=pairs[0],
-        medium_pairs=pairs[1],
-        large_pairs=pairs[2],
-        small_incidences=incid[0],
-        medium_incidences=incid[1],
-        large_incidences=incid[2],
-        degenerate_k=k <= c,
-    )
-
-
-def _check_eps_q(n: int, eps: Rational, q: int) -> None:
-    if not 0 <= q <= 3:
-        raise DomainError(f"q must be in [0, 3], got {q}")
-    if eps * n < 2:
-        raise PreconditionViolated(f"eps*n must be >= 2, got {eps} * {n}")

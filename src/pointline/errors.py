@@ -25,10 +25,6 @@ class InvalidCutoff(DomainError):
     """A cutoff below 1, the series start or the scan end, or a cutoff or c_max above MAX_CUTOFF."""
 
 
-class PreconditionViolated(DomainError):
-    """A quantitative precondition (e.g. eps*n >= 2) does not hold."""
-
-
 class Unresolved(PointLineError):
     """Interval enclosures still overlap at the refinement limit."""
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import IO
 
@@ -88,23 +87,6 @@ _GENERATORS = {
 }
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """A named generator plus its parameters; builds deterministically."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def build(self) -> PointSet:
-        try:
-            gen = _GENERATORS[self.kind]
-        except KeyError:
-            raise DomainError(
-                f"unknown generator {self.kind!r}; expected one of {sorted(_GENERATORS)}"
-            ) from None
-        return gen(**self.params)
-
-
 # ---------------------------------------------------------------------------
 # File format
 # ---------------------------------------------------------------------------
@@ -123,7 +105,8 @@ def load_points(fp: IO[str]) -> PointSet:
         data = json.load(fp)
     except json.JSONDecodeError as exc:
         raise PointFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except ValueError as exc:  # a number literal past the int-conversion digit limit
+    # a number literal past the int-conversion digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise PointFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "points" not in data:
         raise PointFormatError('top-level object must have a "points" field')

@@ -17,9 +17,11 @@ integer direction; see _kern.int64_statistics).
 What it does not share: the clearing (its own formula, no lcm), the
 integer type (Python ints, no int64, no floats and no numpy), the
 (a, b, c) line key (none is built) and any function of _kern.  O(n^2)
-gcds, on a 2-core VM with CPython 3.11: 4-7 ms for a rational circle of
-80 points, 9-22 ms for a 12x12 grid or 150 random lattice points,
-0.4-0.55 s for a 30x30 grid or 800 random lattice points.
+gcds; best of 3 calls on a shared 2-core VM with CPython 3.11.7 (load
+0.6-0.9): 5 ms for a rational circle of 80 points, 9-14 ms for a 12x12
+grid or 150 random lattice points (seed 7, bound 2000); over three
+rounds, 0.44-0.65 s for a 30x30 grid and 0.49-0.66 s for 800 random
+lattice points (seed 7, bound 2000).
 """
 from __future__ import annotations
 

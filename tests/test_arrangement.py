@@ -9,14 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from pointline import (
     DomainError,
     DuplicatePoint,
-    PreconditionViolated,
     TooFewPoints,
     brute_force_lines,
     build_arrangement,
     circle,
-    classify_pairs_incidences,
     collinear,
-    compute_k,
     grid,
     line_through,
     lines_with_at_most,
@@ -29,9 +26,6 @@ from pointline import _kern, arrangement
 from pointline.arrangement import INT64_MIN_PAIRS, PointSet
 
 from conftest import pset, rational_sets
-
-ALPHA = Fraction(103, 16)
-
 
 @pytest.fixture(scope="module")
 def grid33():
@@ -108,67 +102,6 @@ def test_lines_with_at_most(grid33, pencil5):
     assert lines_with_at_most(pencil5, 4) == pencil5.num_lines
     with pytest.raises(DomainError):
         lines_with_at_most(grid33, 1)
-
-
-def test_compute_k_grid(grid33):
-    # |E(G_2)| = 28 <= alpha*9 already
-    assert compute_k(grid33, ALPHA, Fraction(1, 4), 2) == 2
-
-
-def test_compute_k_fallback(pencil5):
-    # alpha = 0 keeps every count in range positive; falls back past the range
-    assert compute_k(pencil5, Fraction(0), Fraction(2, 5), 2) == 5
-
-
-def test_compute_k_single_line():
-    arr = build_arrangement(pset((0, 0), (1, 0)))
-    assert compute_k(arr, Fraction(1), Fraction(1), 0) == 2
-
-
-def test_compute_k_preconditions(grid33):
-    with pytest.raises(PreconditionViolated):
-        compute_k(grid33, ALPHA, Fraction(1, 10), 2)  # eps*n < 2
-    with pytest.raises(DomainError):
-        compute_k(grid33, ALPHA, Fraction(1, 4), 4)
-
-
-def test_classify_degenerate_k(grid33):
-    # k = 2 <= c, so every size is large; large takes precedence over small
-    bd = classify_pairs_incidences(grid33, 8, Fraction(1, 4), 2, ALPHA)
-    assert bd.k == 2
-    assert bd.degenerate_k
-    assert (bd.small_pairs, bd.medium_pairs, bd.large_pairs) == (0, 0, 36)
-    assert (bd.small_incidences, bd.medium_incidences, bd.large_incidences) == (0, 0, 48)
-
-
-def test_classify_near_pencil9():
-    arr = build_arrangement(near_pencil(9))
-    bd = classify_pairs_incidences(arr, 8, Fraction(1, 3), 2, ALPHA)
-    assert bd.small_pairs + bd.medium_pairs + bd.large_pairs == 36
-    assert bd.small_incidences + bd.medium_incidences + bd.large_incidences == arr.incidences
-
-
-def test_classify_all_small():
-    # alpha = 0 pushes k past the longest line, so every size is small
-    arr = build_arrangement(circle(6))
-    bd = classify_pairs_incidences(arr, 8, Fraction(1, 2), 0, Fraction(0))
-    assert bd.k == 3
-    assert bd.k > arr.max_collinear
-    assert (bd.small_pairs, bd.medium_pairs, bd.large_pairs) == (15, 0, 0)
-
-
-def test_classify_medium_bucket():
-    # alpha = 0 and eps*n = 12 give k = 12, so the 11-point base line is medium
-    arr = build_arrangement(near_pencil(12))
-    bd = classify_pairs_incidences(arr, 8, Fraction(1), 0, Fraction(0))
-    assert bd.k == 12 and not bd.degenerate_k
-    assert (bd.small_pairs, bd.medium_pairs, bd.large_pairs) == (11, 55, 0)
-    assert (bd.small_incidences, bd.medium_incidences, bd.large_incidences) == (22, 11, 0)
-
-
-def test_classify_requires_c_at_least_8(grid33):
-    with pytest.raises(DomainError):
-        classify_pairs_incidences(grid33, 7, Fraction(1, 4), 2, ALPHA)
 
 
 def test_kernels_agree_on_lattice_input():
@@ -550,24 +483,6 @@ def test_visibility_counts_non_increasing(coords):
     counts = [visibility_edge_count(arr, i) for i in range(2, arr.max_collinear + 2)]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
     assert counts[-1] == 0
-
-
-@given(
-    lattice_sets,
-    st.integers(8, 20),
-    st.integers(0, 3),
-    st.fractions(min_value=0, max_value=7, max_denominator=4),
-)
-@settings(max_examples=80)
-def test_breakdown_sum_identities(coords, c, q, alpha):
-    ps = pset(*coords)
-    arr = build_arrangement(ps)
-    eps = Fraction(2, arr.n) + Fraction(1, 8)  # guarantees eps*n >= 2
-    bd = classify_pairs_incidences(arr, c, eps, q, alpha)
-    n = arr.n
-    assert bd.small_pairs + bd.medium_pairs + bd.large_pairs == n * (n - 1) // 2
-    assert bd.small_incidences + bd.medium_incidences + bd.large_incidences == arr.incidences
-    assert bd.degenerate_k == (bd.k <= c)
 
 
 def test_line_records_match_membership():

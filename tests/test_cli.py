@@ -69,6 +69,16 @@ def test_analyze_coordinate_past_digit_limit_is_exit_one(tmp_path, capsys):
     assert captured.err.startswith("error: point 0, field x:")
 
 
+def test_verify_nesting_past_recursion_limit_is_exit_one(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"points": %s}' % ("[" * 100_000 + "]" * 100_000))
+    assert cli.main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid JSON:")
+    assert captured.err.count("\n") == 1
+
+
 def test_analyze_single_point_file(tmp_path, capsys):
     path = tmp_path / "one.json"
     path.write_text('{"points": [["0", "0"]]}')

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from pointline import (
     DomainError,
-    GeneratorSpec,
     PointFormatError,
     build_arrangement,
     circle,
@@ -126,14 +125,6 @@ def test_closed_forms_exhaustive():
         assert hist == {2: n * (n - 1) // 2}, f"circle({n})"
 
 
-def test_generator_spec_dispatch():
-    ps = GeneratorSpec("grid", {"w": 2, "h": 3}).build()
-    assert ps.n == 6
-    assert GeneratorSpec("circle", {"n": 4}).build() == circle(4)
-    with pytest.raises(DomainError):
-        GeneratorSpec("hexagon", {}).build()
-
-
 # ---------------------------------------------------------------------------
 # File format
 # ---------------------------------------------------------------------------
@@ -208,6 +199,12 @@ def test_load_rejects_coordinates_past_digit_limit():
 def test_load_rejects_number_literal_past_digit_limit():
     with pytest.raises(PointFormatError, match="invalid JSON"):
         _load('{"points": [[%s, "0"]]}' % ("1" * 5000))
+
+
+def test_load_rejects_nesting_past_recursion_limit():
+    deep = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(PointFormatError, match="invalid JSON: "):
+        _load('{"points": %s}' % deep)
 
 
 def test_load_rejects_duplicates():

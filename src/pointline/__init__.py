@@ -59,6 +59,6 @@ from .generators import (
     save_points_file,
 )
 from .geometry import LineKey, Point, Rational, line_through, normalize_key, orient, point
-from .oracle import brute_force_lines
+from .oracle import brute_force_lines, certify_lines
 
 __version__ = "0.1.0"

@@ -17,7 +17,6 @@ from pointline import (
     cli,
     collinear,
     eps_few,
-    f_wd,
     few_params,
     grid,
     near_pencil,

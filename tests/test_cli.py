@@ -5,12 +5,15 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from types import MappingProxyType
 
 import pytest
 
 import pointline
 from pointline import Unresolved, _kern, arrangement, bounds, cli, generators, load_points_file
 from pointline.bounds import TheoremCheck
+
+from conftest import CERTIFIED_GRID, LINE_CORRUPTIONS, corrupted_grid_lines
 
 
 @pytest.fixture()
@@ -112,24 +115,60 @@ def test_cross_check_catches_wrong_printed_statistics(tmp_path, monkeypatch, cap
     assert "cross_check: mismatch" in out
 
 
+def _refuse(*args):
+    raise AssertionError("a refused cross-check ran")
+
+
 def test_cross_check_on_the_int64_statistics_path(tmp_path, monkeypatch, capsys):
     # 529 points give 139,656 pairs >= INT64_MIN_PAIRS, so the printed
-    # statistics come from int64_statistics and the oracle vouches for them
+    # statistics come from int64_statistics and the oracle vouches for them;
+    # the build kept no lines, and the cross-check must not build them
     path = tmp_path / "g2323.json"
     assert cli.main(["generate", "grid", "--w", "23", "--h", "23", "--out", str(path)]) == 0
     real, calls = _kern.int64_statistics, []
+    real_group, unbudgeted = _kern.group_collinear, []
 
     def spy(hx, hy, hw):
         result = real(hx, hy, hw)
         calls.append(result is not None)
         return result
 
+    def group_spy(hx, hy, hw, max_pairs=None):
+        if max_pairs is None:
+            unbudgeted.append(len(hx))
+        return real_group(hx, hy, hw, max_pairs=max_pairs)
+
     monkeypatch.setattr(_kern, "int64_statistics", spy)
+    monkeypatch.setattr(_kern, "group_collinear", group_spy)
+    monkeypatch.setattr(cli, "certify_lines", _refuse)
     assert cli.main(["verify", str(path), "--cross-check"]) == 0
     assert calls == [True]
+    assert unbudgeted == []
     out = capsys.readouterr().out
     assert "n: 529" in out
     assert "cross_check: ok" in out
+
+
+@pytest.mark.parametrize("corruption", LINE_CORRUPTIONS)
+def test_cross_check_certifies_the_built_lines(tmp_path, monkeypatch, capsys, corruption):
+    # grid(4, 4) takes the exact path, so the build keeps its lines and the
+    # cross-check certifies them; the printed statistics stay the true ones
+    path = tmp_path / "g44.json"
+    generators.save_points_file(CERTIFIED_GRID, str(path))
+
+    def corrupted_build(ps):
+        arr = arrangement.build_arrangement(ps)
+        arr.__dict__["lines"] = MappingProxyType(corrupted_grid_lines(corruption))
+        return arr
+
+    monkeypatch.setattr(cli, "brute_force_lines", _refuse)
+    assert cli.main(["verify", str(path), "--cross-check"]) == 0
+    assert "cross_check: ok" in capsys.readouterr().out
+    monkeypatch.setattr(cli, "build_arrangement", corrupted_build)
+    assert cli.main(["verify", str(path), "--cross-check"]) == 2
+    out = capsys.readouterr().out
+    assert "lines: 62" in out
+    assert "cross_check: mismatch" in out
 
 
 def test_parser_is_built_once_per_process(grid_file, capsys):
@@ -183,11 +222,12 @@ def test_verify_unknown_suite_name(grid_file, capsys):
 @pytest.mark.parametrize("extra", [(), ("--cross-check",)], ids=["plain", "cross-check"])
 def test_verify_unknown_suite_name_fails_before_the_build(grid_file, monkeypatch, capsys, extra):
     # a typo must not wait for the arrangement, nor turn into a cross-check verdict
-    def no_build(ps):
-        raise AssertionError("build_arrangement called")
+    def no_build(*args):
+        raise AssertionError("the build or a cross-check ran")
 
     monkeypatch.setattr(cli, "build_arrangement", no_build)
     monkeypatch.setattr(cli, "brute_force_lines", no_build)
+    monkeypatch.setattr(cli, "certify_lines", no_build)
     assert cli.main(["verify", grid_file, "--suite", "hirzebruch,bogus", *extra]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,7 +1,7 @@
-"""Every module-level import in the package's modules is used.
+"""Every module-level import in the package's modules and the test files is used.
 
-A deletion that leaves an import behind fails here.  __init__.py is
-skipped: its imports are the package's re-exports.  `from __future__`
+A deletion that leaves an import behind fails here.  The package's
+__init__.py is skipped: its imports are the package's re-exports.  `from __future__`
 imports are compiler directives and bind no name.
 """
 import ast
@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pointline"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "pointline"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted(TESTS.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -36,6 +38,11 @@ def test_module_imports_are_used(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+@pytest.mark.parametrize("path", TEST_FILES, ids=lambda p: p.name)
+def test_test_file_imports_are_used(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
 def test_unused_import_is_reported():
     source = "from __future__ import annotations\nimport json\nimport os.path\nfrom re import compile as rc\nos.sep\n"
     assert _unused_imports(source) == ["line 2: json", "line 4: rc"]
@@ -43,3 +50,4 @@ def test_unused_import_is_reported():
 
 def test_modules_found():
     assert {"arrangement.py", "generators.py", "errors.py"} <= {p.name for p in MODULES}
+    assert {"conftest.py", "test_imports.py"} <= {p.name for p in TEST_FILES}

@@ -4,9 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointline import TooFewPoints, _kern, brute_force_lines, build_arrangement, circle, grid, orient
+from pointline import (
+    TooFewPoints,
+    _kern,
+    brute_force_lines,
+    build_arrangement,
+    certify_lines,
+    circle,
+    grid,
+    near_pencil,
+    orient,
+    random_points,
+)
+from pointline.arrangement import _line_statistics
 
-from conftest import pset, rational_sets
+from conftest import CERTIFIED_GRID, LINE_CORRUPTIONS, corrupted_grid_lines, pset, rational_sets
 
 
 def test_two_points_single_line():
@@ -22,6 +34,8 @@ def test_four_points_general_position():
 def test_requires_two_points():
     with pytest.raises(TooFewPoints):
         brute_force_lines(pset((5, 5)))
+    with pytest.raises(TooFewPoints):
+        certify_lines(pset((5, 5)), {})
 
 
 def test_matches_arrangement_on_grid():
@@ -49,7 +63,8 @@ def test_does_not_use_the_line_kernels(monkeypatch):
     # (1/2, 1/3), (1, 2/3), (3/2, 1) lie on y = 2x/3; their clearing
     # must not borrow the kernel's homogenise
     ps = pset(("1/2", "1/3"), (1, "2/3"), ("3/2", 1), (0, "1/5"), ("1/3", 0), ("-1/4", "3/2"))
-    expected = list(build_arrangement(ps).lines.values())
+    arr = build_arrangement(ps)
+    expected = list(arr.lines.values())
     assert (0, 1, 2) in expected
 
     def refuse(*args):
@@ -59,6 +74,7 @@ def test_does_not_use_the_line_kernels(monkeypatch):
     monkeypatch.setattr(_kern, "group_collinear", refuse)
     monkeypatch.setattr(_kern, "int64_statistics", refuse)
     assert brute_force_lines(ps) == expected
+    assert certify_lines(ps, arr.lines) == (dict(arr.size_hist), list(arr.lines_per_point))
 
 
 def _naive_lines(ps):
@@ -110,3 +126,68 @@ def test_coordinates_past_int64():
     assert (3, 4, 5) in lines     # x + y = big
     assert (0, 3, 6) in lines     # y = 0
     assert len(lines) == 3 + 9  # 21 pairs, 12 of them on the three lines above
+
+
+# ---------------------------------------------------------------------------
+# the certificate
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", LINE_CORRUPTIONS)
+def test_certificate_rejects_corrupted_lines(name):
+    lines = build_arrangement(CERTIFIED_GRID).lines
+    assert certify_lines(CERTIFIED_GRID, lines) is not None
+    corrupted = corrupted_grid_lines(name)
+    assert corrupted != dict(lines)
+    assert certify_lines(CERTIFIED_GRID, corrupted) is None
+
+
+# each edit keeps every other check passing; the line x = 3 of grid(4, 4)
+# is (12, 13, 14, 15), and x + y = 0 holds point 0 alone
+@pytest.mark.parametrize("key, members", [
+    ((1, 1, 1), ()),                  # a line through no point
+    ((1, 1, 0), (0,)),                # a line through one point
+    ((1, 0, -3), (-1, 12, 13, 14)),   # -1 standing in for n - 1
+    ((1, 0, -3), (12, 13, 14, 16)),   # past the last index
+    ((1, 0, -3), (15, 14, 13, 12)),   # descending
+], ids=["empty", "one member", "negative index", "index n", "descending"])
+def test_certificate_rejects_member_lists_out_of_shape(key, members):
+    lines = dict(build_arrangement(CERTIFIED_GRID).lines)
+    assert lines[(1, 0, -3)] == (12, 13, 14, 15)
+    lines[key] = members
+    assert certify_lines(CERTIFIED_GRID, lines) is None
+
+
+@given(rational_sets)
+@settings(max_examples=80)
+def test_certificate_counts_what_the_oracle_counts(coords):
+    ps = pset(*coords)
+    assert certify_lines(ps, build_arrangement(ps).lines) == _line_statistics(brute_force_lines(ps), ps.n)
+
+
+_BIG = 2**63 + 1
+# the inputs of the cross-check tests here, in test_cli and in test_acceptance,
+# the shapes of the benchmark's crosscheck workload, and a near-pencil
+CROSS_CHECK_INPUTS = {
+    "grid 3x3": lambda: grid(3, 3),
+    "grid 5x5": lambda: grid(5, 5),
+    "grid 12x12": lambda: grid(12, 12),
+    "grid 23x23": lambda: grid(23, 23),
+    "circle 8": lambda: circle(8),
+    "circle 80": lambda: circle(80),
+    "circle 120": lambda: circle(120),
+    "random 150": lambda: random_points(150, 7, 100),
+    "near-pencil 100": lambda: near_pencil(100),
+    "rationals": lambda: pset(("1/2", "1/3"), (1, "2/3"), ("3/2", 1), (0, "1/5"), ("1/3", 0), ("-1/4", "3/2")),
+    "past int64": lambda: pset((0, 0), (_BIG, _BIG), (2 * _BIG, 2 * _BIG), (_BIG, 0), (0, _BIG),
+                               (Fraction(_BIG, 2), Fraction(_BIG, 2)), (Fraction(_BIG, 2**62 + 3), 0)),
+}
+
+
+@pytest.mark.parametrize("name", CROSS_CHECK_INPUTS)
+def test_certificate_accepts_every_cross_check_input(name):
+    ps = CROSS_CHECK_INPUTS[name]()
+    arr = build_arrangement(ps)
+    oracle = _line_statistics(brute_force_lines(ps), ps.n)
+    assert oracle == (dict(arr.size_hist), list(arr.lines_per_point))
+    assert certify_lines(ps, arr.lines) == oracle

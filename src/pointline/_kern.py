@@ -11,8 +11,7 @@ row already finished is skipped, not evaluated: each point keeps one int
 bitmask of its covered columns, and a row lists its other columns by a
 C-level scan, so its cost is about the number of pairs not covered by
 such a line: n(n - 1)/2 with no three points collinear, about 2n on a
-near-pencil.  Given max_pairs, it gives up (returns None) before it
-would evaluate more pairs than that.
+near-pencil.
 
 ``int64_statistics`` builds no line at all: it sorts, for every point,
 the directions to the other points in blocks of numpy rows, and reads the
@@ -50,7 +49,7 @@ def homogenise(xs: list, ys: list) -> tuple[list, list, list]:
     return hx, hy, hw
 
 
-def group_collinear(hx: list, hy: list, hw: list, max_pairs: int | None = None) -> dict | None:
+def group_collinear(hx: list, hy: list, hw: list) -> dict:
     """Group all point pairs by line: {(a, b, c): list of point indices}.
 
     Takes the homogeneous triples of ``homogenise``, so the pair loop is
@@ -75,15 +74,11 @@ def group_collinear(hx: list, hy: list, hw: list, max_pairs: int | None = None) 
     evaluated are those not covered by a longer line through an earlier
     point, about 2n on a near-pencil instead of n^2 / 2, and all of them
     on input with no three points collinear.
-
-    With max_pairs given, returns None, before any row that would take
-    the number of pairs evaluated past max_pairs.
     """
     n = len(hx)
     groups: dict = {}
     # covered[v]: bit j set when the pair (v, j) lies on a finished line
     covered = [0] * n
-    pairs = 0
     for i in range(n):
         x1 = hx[i]
         y1 = hy[i]
@@ -99,9 +94,6 @@ def group_collinear(hx: list, hy: list, hw: list, max_pairs: int | None = None) 
                 k = bits.find("1", k + 1)
         else:
             columns = range(i + 1, n)
-        pairs += len(columns)
-        if max_pairs is not None and pairs > max_pairs:
-            return None
         long_lines = []  # lines of row i that reached 3 points
         for j in columns:
             w2 = hw[j]

@@ -5,11 +5,11 @@ histogram of line sizes, the total point-line incidence count, the
 maximum collinear count, and per-point line counts, together with the
 lines themselves (every line through at least two of the points).
 
-Large inputs that the exact big-integer kernel cannot finish within 4n
-evaluated pairs, and that fit the guard of _kern.int64_statistics (for
-integer input, |coordinate| < 2^25), get their statistics from the
-vectorised numpy kernel, and their lines only when asked for.  Every
-other input, near-pencils included, goes through the exact kernel, which
+Large inputs on which no line holds all but at most 3 of the points, and
+that fit the guard of _kern.int64_statistics (for integer input,
+|coordinate| < 2^25), get their statistics from the vectorised numpy
+kernel, and their lines only when asked for.  Every other input,
+near-pencils included, goes through the exact big-integer kernel, which
 builds the lines and the statistics from them.
 """
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations, islice
 from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
@@ -88,18 +88,16 @@ class Arrangement:
 def build_arrangement(ps: PointSet) -> Arrangement:
     """Enumerate all determined lines of ps and compute its statistics.
 
-    The points are cleared to homogeneous integers once, and every kernel
-    run of the build takes those triples.  Inputs below INT64_MIN_PAIRS
-    pairs take the exact big-integer kernel, which returns the lines
-    finished (sorted members, in lexicographic member order); the
-    statistics are counted from them and lines is kept.  From INT64_MIN_PAIRS pairs on, the exact kernel is first tried
-    with a budget of 4n evaluated pairs; a near-pencil needs about 2n, so
-    it finishes there and keeps its lines, as on the exact path.  If the
-    attempt gives up, the vectorised numpy kernel counts the statistics
-    without building any line, when the coordinates fit its guard (for
-    integer input |coordinate| < 2^25; stated in full in
-    _kern.int64_statistics), and lines is built only if it is read.  Past
-    the guard, the full exact kernel runs.
+    The points are cleared to homogeneous integers once, and each kernel
+    runs at most once, on those triples.  Inputs below INT64_MIN_PAIRS
+    pairs, and those with a line missing at most 3 points, take the exact
+    big-integer kernel, which returns the lines finished (sorted members,
+    in lexicographic member order); the statistics are counted from them
+    and lines is kept.  Every other input has its statistics counted by
+    the vectorised numpy kernel, without building any line, when the
+    coordinates fit its guard (for integer input |coordinate| < 2^25;
+    stated in full in _kern.int64_statistics), and lines is built only if
+    it is read.  Past the guard, the exact kernel runs.
 
     The threshold keeps numpy out of small runs: importing it costs
     0.15-0.19 s and 14 MB of RSS, about what the exact loop spends on
@@ -108,18 +106,12 @@ def build_arrangement(ps: PointSet) -> Arrangement:
     n = ps.n
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
-    # a near-pencil's exact run evaluates about 2n pairs, so 4n lets it finish;
-    # an input that needs about n^2 / 2 gives up after 4n, a few ms next to
-    # the vectorised path's n^2 work and its numpy import
-    budget = 4 * n if n * (n - 1) // 2 >= INT64_MIN_PAIRS else None
     hx, hy, hw = _homogenise(ps.points)
-    lines = _exact_lines(hx, hy, hw, budget)
-    stats = None
-    if lines is None:
+    stats = lines = None
+    if n * (n - 1) // 2 >= INT64_MIN_PAIRS and not _line_misses_at_most_three(hx, hy, hw):
         stats = _kern.int64_statistics(hx, hy, hw)
-        if stats is None:
-            lines = _exact_lines(hx, hy, hw)
     if stats is None:
+        lines = _exact_lines(hx, hy, hw)
         stats = _line_statistics(lines.values(), n)
     size_hist, lines_per_point = stats
     arr = Arrangement(
@@ -148,14 +140,28 @@ def _homogenise(points: tuple[Point, ...]) -> tuple[list, list, list]:
     return _kern.homogenise([p.x for p in points], [p.y for p in points])
 
 
-def _exact_lines(
-    hx: list, hy: list, hw: list, max_pairs: int | None = None
-) -> Mapping[tuple[int, int, int], tuple[int, ...]] | None:
-    """The exact kernel's lines as a read-only map, or None past max_pairs evaluated pairs."""
-    groups = _kern.group_collinear(hx, hy, hw, max_pairs=max_pairs)
-    if groups is None:
-        return None
+def _exact_lines(hx: list, hy: list, hw: list) -> Mapping[tuple[int, int, int], tuple[int, ...]]:
+    """The exact kernel's lines as a read-only map."""
+    groups = _kern.group_collinear(hx, hy, hw)
     return MappingProxyType({key: tuple(members) for key, members in groups.items()})
+
+
+def _line_misses_at_most_three(hx: list, hy: list, hw: list) -> bool:
+    """True if one line holds all but at most 3 of the homogeneous points.
+
+    Such a line holds 2 of the first 5 points; each line through two of
+    them is walked with exact cross products until its 4th miss.  For
+    n > 21 this is exactly when the exact kernel evaluates at most 4n
+    pairs, a near-pencil's cost (the proof is in the README).
+    """
+    for i, j in combinations(range(min(len(hx), 5)), 2):
+        a = hy[i] * hw[j] - hy[j] * hw[i]
+        b = hx[j] * hw[i] - hx[i] * hw[j]
+        c = hx[i] * hy[j] - hy[i] * hx[j]
+        misses = (1 for x, y, w in zip(hx, hy, hw) if a * x + b * y + c * w)
+        if sum(islice(misses, 4)) < 4:
+            return True
+    return False
 
 
 def visibility_edge_count(arr: Arrangement, i: int) -> int:

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
+from random import Random
 
 import numpy as np
 import pytest
@@ -307,8 +308,8 @@ def test_int64_guard_boundary(inside, past):
 # The switch in build_arrangement: slope key inside the guard, exact kernel past it
 # ---------------------------------------------------------------------------
 
-# a 6 x 6 grid clear of the boundary coordinates: with INT64_MIN_PAIRS at 0
-# it makes the 4n attempt give up, so build_arrangement reaches the switch
+# a 6 x 6 grid clear of the boundary coordinates: no line holds all but 3 of
+# its points, so with INT64_MIN_PAIRS at 0 build_arrangement reaches the switch
 SWITCH_PAD = [(x, y) for x in range(3, 9) for y in range(3, 9)]
 
 
@@ -317,11 +318,12 @@ def _build_at_the_switch(coords, mp):
     ps = pset(*coords, *SWITCH_PAD)
     want = brute_force_lines(ps)
     mp.setattr(arrangement, "INT64_MIN_PAIRS", 0)
-    int64_calls = _spy(mp, "int64_statistics")
-    exact_calls = _spy(mp, "group_collinear")
+    order = []
+    int64_calls = _spy(mp, "int64_statistics", order)
+    exact_calls = _spy(mp, "group_collinear", order)
     arr = build_arrangement(ps)
-    assert exact_calls[0] is None  # the budgeted attempt gave up
-    assert len(int64_calls) == 1
+    assert order[0] == "int64_statistics"  # before any exact run
+    assert len(int64_calls) == 1 and len(exact_calls) == (int64_calls[0] is None)
     assert list(arr.size_hist.items()) == list(Counter(sorted(map(len, want))).items())
     per_point = Counter(chain.from_iterable(want))
     assert arr.lines_per_point == tuple(per_point[v] for v in range(ps.n))
@@ -420,11 +422,14 @@ def grid23():
     return ps
 
 
-def _spy(monkeypatch, name):
+def _spy(monkeypatch, name, order=None):
+    """Record the results of _kern.<name>, and the name in order if given."""
     calls = []
     real = getattr(_kern, name)
 
     def spy(*args, **kwargs):
+        if order is not None:
+            order.append(name)
         calls.append(real(*args, **kwargs))
         return calls[-1]
 
@@ -437,9 +442,9 @@ def test_large_input_builds_lines_only_when_read(grid23, monkeypatch):
     exact_calls = _spy(monkeypatch, "group_collinear")
     arr = build_arrangement(grid23)
     assert len(int64_calls) == 1 and int64_calls[0] is not None
-    assert exact_calls == [None]  # the budgeted attempt gave up
+    assert exact_calls == []
     lines = arr.lines
-    assert arr.lines is lines and len(exact_calls) == 2 and exact_calls[1] is not None
+    assert arr.lines is lines and len(exact_calls) == 1
     assert arr.num_lines == len(lines)
     assert dict(arr.size_hist) == dict(sorted(Counter(map(len, lines.values())).items()))
     per_point = Counter(chain.from_iterable(lines.values()))
@@ -454,10 +459,10 @@ def test_large_input_past_the_guard_keeps_exact_statistics(scale, grid23, monkey
     exact_calls = _spy(monkeypatch, "group_collinear")
     arr = build_arrangement(big)
     assert int64_calls == [None]
-    assert len(exact_calls) == 2 and exact_calls[0] is None and exact_calls[1] is not None
-    # kept from the full run, not built again
-    assert list(arr.lines.values()) == [tuple(m) for m in exact_calls[1].values()]
-    assert len(exact_calls) == 2
+    assert len(exact_calls) == 1
+    # kept from the build's one run, not built again
+    assert list(arr.lines.values()) == [tuple(m) for m in exact_calls[0].values()]
+    assert len(exact_calls) == 1
     hist, per_point = _exact_statistics(grid23)
     assert list(arr.size_hist.items()) == list(hist.items())
     assert arr.lines_per_point == tuple(per_point)
@@ -600,7 +605,7 @@ def test_kernel_evaluates_every_pair_without_three_collinear(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Large inputs first try the exact kernel with a budget of 4n pairs
+# Large inputs with a line that misses at most 3 points take the exact path
 # ---------------------------------------------------------------------------
 
 
@@ -618,10 +623,56 @@ def test_large_near_pencil_takes_the_exact_path(scale, monkeypatch):
     assert arr.lines_per_point == (2,) * 599 + (599,)
 
 
-@pytest.mark.parametrize(
-    "ps", [grid(30, 30), random_points(800, 1, 2000)], ids=["grid-30x30", "random-800"]
-)
-def test_budgeted_attempt_gives_up_within_4n_pairs(ps, monkeypatch):
+def _line_plus_off_points(n, k):
+    """n - k points on y = 0 and k off it, shuffled; the odd-numbered off
+    points lie on y = x, with the line point (0, 0), the even ones on a
+    line of their own."""
+    off = [(t, t) if t % 2 else (3 * t, 7 * t + 1) for t in range(1, k + 1)]
+    coords = [(x, 0) for x in range(n - k)] + off
+    Random(1000 * n + k).shuffle(coords)
+    return pset(*coords)
+
+
+@pytest.mark.parametrize("n", [22, 600])
+@pytest.mark.parametrize("k", range(7))
+def test_line_missing_at_most_three_points_iff_within_4n_pairs(n, k, monkeypatch):
+    ps = _line_plus_off_points(n, k)
     gcd_calls = _count_gcd(monkeypatch)
-    assert _kern.group_collinear(*_triples(ps), max_pairs=4 * ps.n) is None
-    assert 0 < gcd_calls[0] <= 4 * ps.n
+    _kern.group_collinear(*_triples(ps))
+    near = arrangement._line_misses_at_most_three(*_triples(ps))
+    assert near == (k <= 3) == (gcd_calls[0] <= 4 * n)
+
+
+@pytest.mark.parametrize(
+    "ps",
+    [
+        grid(30, 30),
+        random_points(800, 1, 2000),
+        # the first 5 points on one row: each of the 10 lines walks the row
+        pset(*[(x, 0) for x in range(1000)], *[(x, 1) for x in range(1000)]),
+    ],
+    ids=["grid-30x30", "random-800", "two-rows-1000"],
+)
+def test_no_line_misses_at_most_three_points(ps):
+    assert not arrangement._line_misses_at_most_three(*_triples(ps))
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        [(0, 0), (1, 2)],
+        [(0, 0), (1, 0), (0, 1)],
+        [(0, 0), (1, 0), (0, 1), (1, 1)],
+        [(x, 3 * x - 1) for x in range(5)],
+    ],
+    ids=["2-points", "3-points", "4-points", "5-collinear"],
+)
+def test_tiny_inputs_past_the_pair_threshold(coords, monkeypatch):
+    ps = pset(*coords)
+    want = brute_force_lines(ps)
+    monkeypatch.setattr(arrangement, "INT64_MIN_PAIRS", 0)
+    arr = build_arrangement(ps)
+    assert list(arr.lines.values()) == want
+    assert list(arr.size_hist.items()) == list(Counter(sorted(map(len, want))).items())
+    per_point = Counter(chain.from_iterable(want))
+    assert arr.lines_per_point == tuple(per_point[v] for v in range(ps.n))

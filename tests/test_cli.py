@@ -116,7 +116,7 @@ def test_cross_check_catches_wrong_printed_statistics(tmp_path, monkeypatch, cap
 
 
 def _refuse(*args):
-    raise AssertionError("a refused cross-check ran")
+    raise AssertionError("a refused call ran")
 
 
 def test_cross_check_on_the_int64_statistics_path(tmp_path, monkeypatch, capsys):
@@ -126,24 +126,17 @@ def test_cross_check_on_the_int64_statistics_path(tmp_path, monkeypatch, capsys)
     path = tmp_path / "g2323.json"
     assert cli.main(["generate", "grid", "--w", "23", "--h", "23", "--out", str(path)]) == 0
     real, calls = _kern.int64_statistics, []
-    real_group, unbudgeted = _kern.group_collinear, []
 
     def spy(hx, hy, hw):
         result = real(hx, hy, hw)
         calls.append(result is not None)
         return result
 
-    def group_spy(hx, hy, hw, max_pairs=None):
-        if max_pairs is None:
-            unbudgeted.append(len(hx))
-        return real_group(hx, hy, hw, max_pairs=max_pairs)
-
     monkeypatch.setattr(_kern, "int64_statistics", spy)
-    monkeypatch.setattr(_kern, "group_collinear", group_spy)
+    monkeypatch.setattr(_kern, "group_collinear", _refuse)
     monkeypatch.setattr(cli, "certify_lines", _refuse)
     assert cli.main(["verify", str(path), "--cross-check"]) == 0
     assert calls == [True]
-    assert unbudgeted == []
     out = capsys.readouterr().out
     assert "n: 529" in out
     assert "cross_check: ok" in out
@@ -529,6 +522,6 @@ def test_small_verify_does_not_import_numpy(tmp_path):
 
 
 def test_large_near_pencil_verify_does_not_import_numpy(tmp_path):
-    # 2000 points are far above the pair threshold, but the exact kernel
-    # finishes a near-pencil within its 4n-pair budget
+    # 2000 points are far above the pair threshold, but one line holds all
+    # but one of them, so the build takes the exact kernel
     assert not _verify_imports_numpy(tmp_path, 2000)

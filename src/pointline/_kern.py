@@ -6,12 +6,22 @@ integer homogeneous triple (X, Y, W), so ints and Fractions take one path.
 ``group_collinear`` maps point pairs to the canonical integer key of
 their line and collects line memberships.  It is exact big-integer
 arithmetic, whatever the size of the coordinates, and the only kernel
-that builds lines.  A pair on a line of 3 or more points that an earlier
-row already finished is skipped, not evaluated: each point keeps one int
-bitmask of its covered columns, and a row lists its other columns by a
-C-level scan, so its cost is about the number of pairs not covered by
-such a line: n(n - 1)/2 with no three points collinear, about 2n on a
-near-pencil.
+that builds lines.  It builds each line once, as the tuple of its sorted
+members that Arrangement.lines returns: a 2-point line is born a tuple
+and stays one, and a line of 3 or more points grows in a list only
+within the row that finds it.  In CPython a tuple of ints leaves the
+cyclic garbage collector's care at the first collection that sees it,
+so no line stays tracked for the collector to rescan, as a list per line
+would for each of the 10^5 or more lines of a large input.  A pair on a
+line of 3 or more points that an earlier row already finished is
+skipped, not evaluated: each point keeps one int bitmask of its covered
+columns, and a row lists its other columns by a C-level scan, so its
+cost is about the number of pairs not covered by such a line:
+n(n - 1)/2 with no three points collinear, about 2n on a near-pencil.
+build_arrangement reads the statistics off the lines of 3 or more points
+alone, as ``int64_statistics`` does off its runs: a point's other n - 1
+points are split among the lines through it, and all C(n, 2) pairs among
+all lines, so the 2-point lines are the remainder.
 
 ``int64_statistics`` builds no line at all: it sorts, for every point,
 the directions to the other points in blocks of numpy rows, and reads the
@@ -50,17 +60,20 @@ def homogenise(xs: list, ys: list) -> tuple[list, list, list]:
 
 
 def group_collinear(hx: list, hy: list, hw: list) -> dict:
-    """Group all point pairs by line: {(a, b, c): list of point indices}.
+    """Group all point pairs by line: {(a, b, c): tuple of point indices}.
 
     Takes the homogeneous triples of ``homogenise``, so the pair loop is
     pure integer arithmetic (the line through two points is their
     homogeneous cross product).  Keys follow the LineKey normalization
     (content 1, a > 0 or a = 0 < b).
 
-    A line is created as [i, j] at its first pair and collects its other
-    members in that row i: every later member is a column of row i, in
-    ascending order.  So each member list is sorted and the dict is in
-    lexicographic member order, the order of oracle.brute_force_lines.
+    A line is created as the tuple (i, j) at its first pair and collects
+    its other members in that row i: every later member is a column of
+    row i, in ascending order.  At its third member it becomes the list
+    [i, j, k], and its key goes on the row's list of long lines; when the
+    row ends, that line is finished and its list is replaced, under its
+    key, by its tuple.  So every value is a sorted tuple and the dict is
+    in lexicographic member order, the order of oracle.brute_force_lines.
 
     A later row never meets a finished line again.  Each point v keeps
     one int bitmask of the columns it skips: when row r ends, every
@@ -70,10 +83,11 @@ def group_collinear(hx: list, hy: list, hw: list) -> dict:
     string, so a skipped pair costs no Python step.  A pair (i, j) that
     is still evaluated can only lie on a line created in row i: had that
     line a member before i, it would have at least 3 points and j would
-    be skipped.  So a found key is appended to without a test.  The pairs
-    evaluated are those not covered by a longer line through an earlier
-    point, about 2n on a near-pencil instead of n^2 / 2, and all of them
-    on input with no three points collinear.
+    be skipped.  So a found line is extended without a test of its first
+    member: a tuple (i, j) becomes [i, j, k], a list is appended to.  The
+    pairs evaluated are those not covered by a longer line through an
+    earlier point, about 2n on a near-pencil instead of n^2 / 2, and all
+    of them on input with no three points collinear.
     """
     n = len(hx)
     groups: dict = {}
@@ -94,7 +108,7 @@ def group_collinear(hx: list, hy: list, hw: list) -> dict:
                 k = bits.find("1", k + 1)
         else:
             columns = range(i + 1, n)
-        long_lines = []  # lines of row i that reached 3 points
+        long_keys = []  # the lines of row i that reached 3 points
         for j in columns:
             w2 = hw[j]
             a = y1 * w2 - hy[j] * w1
@@ -110,12 +124,15 @@ def group_collinear(hx: list, hy: list, hw: list) -> dict:
             key = (a, b, c)
             members = groups.get(key)
             if members is None:
-                groups[key] = [i, j]
+                groups[key] = (i, j)
+            elif len(members) == 2:  # a 2-point line is a tuple
+                groups[key] = [i, members[1], j]
+                long_keys.append(key)
             else:
                 members.append(j)
-                if len(members) == 3:
-                    long_lines.append(members)
-        for members in long_lines:
+        for key in long_keys:
+            # finished: no later row meets it again
+            members = groups[key] = tuple(groups[key])
             after = 1 << members[-1]  # the members after members[t]
             for t in range(len(members) - 2, 0, -1):
                 v = members[t]

@@ -10,7 +10,8 @@ that fit the guard of _kern.int64_statistics (for integer input,
 |coordinate| < 2^25), get their statistics from the vectorised numpy
 kernel, and their lines only when asked for.  Every other input,
 near-pencils included, goes through the exact big-integer kernel, which
-builds the lines and the statistics from them.
+builds the lines; the statistics are then read off the lines of 3 or
+more points alone.
 """
 from __future__ import annotations
 
@@ -38,11 +39,11 @@ class PointSet:
         if len(self.points) < 1:
             raise DomainError("a point set needs at least one point")
         if len(set(self.points)) != len(self.points):
-            seen = set()
+            first: dict[Point, int] = {}
             for idx, p in enumerate(self.points):
-                if p in seen:
-                    raise DuplicatePoint(f"point {idx} duplicates an earlier point: {p}")
-                seen.add(p)
+                earlier = first.setdefault(p, idx)
+                if earlier != idx:
+                    raise DuplicatePoint(f"point {idx} duplicates point {earlier}: ({p.x}, {p.y})")
 
     @property
     def n(self) -> int:
@@ -62,14 +63,16 @@ class Arrangement:
     incidences is the total number of (point, line) incidences;
     max_collinear is the size of the largest collinear subset; num_lines
     counts the determined lines and lines_per_point[v] those through
-    point v.
+    point v.  On the exact path both are read off the lines of 3 or more
+    points alone (see build_arrangement).
 
     lines maps each determined line's canonical key (a, b, c), a plain
     int tuple that compares and hashes equal to its LineKey, to the
-    sorted indices of its points; lines come in lexicographic member
-    order, the order of oracle.brute_force_lines.  It is built from
-    points by the exact kernel on first access, unless build_arrangement
-    already built it.  Both maps are read-only views.
+    sorted indices of its points, as one tuple per line; lines come in
+    lexicographic member order, the order of oracle.brute_force_lines.
+    It is the exact kernel's own dict behind a read-only view, built from
+    points on first access unless build_arrangement already built it.
+    Both maps are read-only views.
     """
 
     n: int
@@ -91,9 +94,13 @@ def build_arrangement(ps: PointSet) -> Arrangement:
     The points are cleared to homogeneous integers once, and each kernel
     runs at most once, on those triples.  Inputs below INT64_MIN_PAIRS
     pairs, and those with a line missing at most 3 points, take the exact
-    big-integer kernel, which returns the lines finished (sorted members,
-    in lexicographic member order); the statistics are counted from them
-    and lines is kept.  Every other input has its statistics counted by
+    big-integer kernel, which returns the lines finished (one tuple of
+    sorted members per line, in lexicographic member order), and lines is
+    kept.  The statistics are counted from the lines of 3 or more points
+    only: size_hist[2] = C(n, 2) - sum C(k, 2) over them (the key left out
+    when 0), and lines_per_point[v] = n - 1 - sum (k - 2) over those
+    through v, since the lines through v split the other n - 1 points
+    among them.  Every other input has its statistics counted by
     the vectorised numpy kernel, without building any line, when the
     coordinates fit its guard (for integer input |coordinate| < 2^25;
     stated in full in _kern.int64_statistics), and lines is built only if
@@ -112,7 +119,7 @@ def build_arrangement(ps: PointSet) -> Arrangement:
         stats = _kern.int64_statistics(hx, hy, hw)
     if stats is None:
         lines = _exact_lines(hx, hy, hw)
-        stats = _line_statistics(lines.values(), n)
+        stats = _statistics_from_long_lines(lines.values(), n)
     size_hist, lines_per_point = stats
     arr = Arrangement(
         n=n,
@@ -135,15 +142,34 @@ def _line_statistics(lines: Collection[tuple[int, ...]], n: int) -> tuple[dict[i
     return size_hist, [per_point[v] for v in range(n)]
 
 
+def _statistics_from_long_lines(lines: Iterable[tuple[int, ...]], n: int) -> tuple[dict[int, int], list[int]]:
+    """size_hist (ascending sizes) and lines_per_point, read off the lines of 3 or more points.
+
+    lines must hold every determined line of the n points; the 2-point
+    ones are skipped, and counted by the identities stated in
+    build_arrangement.
+    """
+    long_lines = [members for members in lines if len(members) > 2]
+    size_hist = Counter(map(len, long_lines))
+    per_point = [n - 1] * n
+    for members in long_lines:
+        extra = len(members) - 2
+        for v in members:
+            per_point[v] -= extra
+    two_point = n * (n - 1) // 2 - sum(k * (k - 1) // 2 * count for k, count in size_hist.items())
+    if two_point:
+        size_hist[2] = two_point
+    return dict(sorted(size_hist.items())), per_point
+
+
 def _homogenise(points: tuple[Point, ...]) -> tuple[list, list, list]:
     """The points cleared to homogeneous integer triples (X, Y, W) by _kern.homogenise."""
     return _kern.homogenise([p.x for p in points], [p.y for p in points])
 
 
 def _exact_lines(hx: list, hy: list, hw: list) -> Mapping[tuple[int, int, int], tuple[int, ...]]:
-    """The exact kernel's lines as a read-only map."""
-    groups = _kern.group_collinear(hx, hy, hw)
-    return MappingProxyType({key: tuple(members) for key, members in groups.items()})
+    """The exact kernel's lines as a read-only view of its dict, not a copy."""
+    return MappingProxyType(_kern.group_collinear(hx, hy, hw))
 
 
 def _line_misses_at_most_three(hx: list, hy: list, hw: list) -> bool:

@@ -24,7 +24,7 @@ from pointline import (
     visibility_edge_count,
 )
 from pointline import _kern, arrangement
-from pointline.arrangement import INT64_MIN_PAIRS, PointSet
+from pointline.arrangement import INT64_MIN_PAIRS, PointSet, _line_statistics
 
 from conftest import pset, rational_sets
 
@@ -66,16 +66,24 @@ def test_build_requires_two_points():
 
 
 def test_duplicate_points_rejected():
-    with pytest.raises(DuplicatePoint):
+    with pytest.raises(DuplicatePoint, match=r"^point 2 duplicates point 0: \(0, 0\)$"):
         pset((0, 0), (1, 1), (0, 0))
+
+
+def test_duplicate_point_named_by_its_reduced_coordinates():
+    with pytest.raises(DuplicatePoint, match=r"^point 2 duplicates point 1: \(1/2, 1\)$"):
+        pset((0, 0), ("1/2", 1), ("2/4", "3/3"))
 
 
 def test_build_is_deterministic(grid33):
     again = build_arrangement(grid(3, 3))
     assert again == grid33
     assert list(again.lines.items()) == list(grid33.lines.items())
-    # lines come in lexicographic member order
+    # lines come in lexicographic member order, each one tuple
     assert list(grid33.lines.values()) == sorted(grid33.lines.values())
+    assert all(type(members) is tuple for members in grid33.lines.values())
+    groups = _kern.group_collinear(*_triples(grid(3, 3)))
+    assert all(type(members) is tuple for members in groups.values())
 
 
 def test_visibility_edge_count(grid33):
@@ -164,17 +172,43 @@ def test_incidence_double_counting(coords):
 @given(lattice_sets)
 @settings(max_examples=80)
 def test_oracle_equivalence_small_sets(coords):
-    ps = pset(*coords)
-    arr = build_arrangement(ps)
-    assert list(arr.lines.values()) == brute_force_lines(ps)
+    _assert_statistics_match_oracle(pset(*coords))
 
 
 @given(rational_sets)
 @settings(max_examples=80)
 def test_oracle_equivalence_mixed_denominators(coords):
-    ps = pset(*coords)
+    _assert_statistics_match_oracle(pset(*coords))
+
+
+def _assert_statistics_match_oracle(ps):
+    """The lines and, counted from the long lines alone, the statistics are the oracle's."""
     arr = build_arrangement(ps)
-    assert list(arr.lines.values()) == brute_force_lines(ps)
+    oracle = brute_force_lines(ps)
+    assert list(arr.lines.values()) == oracle
+    assert (dict(arr.size_hist), list(arr.lines_per_point)) == _line_statistics(oracle, ps.n)
+    return arr
+
+
+@pytest.mark.parametrize(
+    "ps, hist",
+    [
+        # one line of n points: C(n, 2) - C(n, 2) 2-point lines, no key 2 past n = 2
+        *[(collinear(n), {n: 1}) for n in range(2, 7)],
+        (pset(("1/2", 0), (2, "1/3"), (-1, 1)), {2: 3}),
+        # at n = 3 the base is itself a 2-point line
+        (near_pencil(3), {2: 3}),
+        (near_pencil(4), {2: 3, 3: 1}),
+        (near_pencil(5), {2: 4, 4: 1}),
+        (pset(*[(p.x * (1 << 40), p.y * (1 << 40)) for p in grid(12, 12).points]), None),
+    ],
+    ids=[*(f"collinear-{n}" for n in range(2, 7)), "triangle", "near-pencil-3", "near-pencil-4",
+         "near-pencil-5", "grid-12x12-scaled-2^40"],
+)
+def test_statistics_from_long_lines_edge_cases(ps, hist):
+    arr = _assert_statistics_match_oracle(ps)
+    if hist is not None:
+        assert dict(arr.size_hist) == hist
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +479,8 @@ def test_large_input_builds_lines_only_when_read(grid23, monkeypatch):
     assert exact_calls == []
     lines = arr.lines
     assert arr.lines is lines and len(exact_calls) == 1
+    assert all(type(members) is tuple for members in lines.values())
+    assert all(type(members) is tuple for members in exact_calls[0].values())
     assert arr.num_lines == len(lines)
     assert dict(arr.size_hist) == dict(sorted(Counter(map(len, lines.values())).items()))
     per_point = Counter(chain.from_iterable(lines.values()))
@@ -461,7 +497,7 @@ def test_large_input_past_the_guard_keeps_exact_statistics(scale, grid23, monkey
     assert int64_calls == [None]
     assert len(exact_calls) == 1
     # kept from the build's one run, not built again
-    assert list(arr.lines.values()) == [tuple(m) for m in exact_calls[0].values()]
+    assert list(arr.lines.values()) == list(exact_calls[0].values())
     assert len(exact_calls) == 1
     hist, per_point = _exact_statistics(grid23)
     assert list(arr.size_hist.items()) == list(hist.items())

@@ -60,7 +60,7 @@ def test_analyze_duplicate_point_file(tmp_path, capsys):
     path = tmp_path / "dup.json"
     path.write_text('{"points": [["0", "0"], ["0", "0"]]}')
     assert cli.main(["analyze", str(path)]) == 1
-    assert "duplicates" in capsys.readouterr().err
+    assert "point 1 duplicates point 0: (0, 0)" in capsys.readouterr().err
 
 
 def test_analyze_coordinate_past_digit_limit_is_exit_one(tmp_path, capsys):

@@ -208,8 +208,10 @@ def test_load_rejects_nesting_past_recursion_limit():
 
 
 def test_load_rejects_duplicates():
-    with pytest.raises(PointFormatError, match="duplicates"):
+    with pytest.raises(PointFormatError, match=r"^point 1 duplicates point 0: \(1, 2\)$"):
         _load('{"points": [["1", "2"], ["2/2", "4/2"]]}')
+    with pytest.raises(PointFormatError, match=r"^point 2 duplicates point 1: \(1/2, 1\)$"):
+        _load('{"points": [["0", "0"], ["1/2", "1"], ["2/4", "1"]]}')
 
 
 def test_load_accepts_unreduced_and_negative():

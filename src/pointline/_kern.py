@@ -15,9 +15,10 @@ so no line stays tracked for the collector to rescan, as a list per line
 would for each of the 10^5 or more lines of a large input.  A pair on a
 line of 3 or more points that an earlier row already finished is
 skipped, not evaluated: each point keeps one int bitmask of its covered
-columns, and a row lists its other columns by a C-level scan, so its
-cost is about the number of pairs not covered by such a line:
-n(n - 1)/2 with no three points collinear, about 2n on a near-pencil.
+columns, and a row lists its other columns by walking the set bits of
+one n-bit int, so its cost is about the number of pairs not covered by
+such a line, n(n - 1)/2 with no three points collinear and about 2n on a
+near-pencil, plus a few n-bit int operations per row.
 build_arrangement reads the statistics off the lines of 3 or more points
 alone, as ``int64_statistics`` does off its runs: a point's other n - 1
 points are split among the lines through it, and all C(n, 2) pairs among
@@ -79,8 +80,10 @@ def group_collinear(hx: list, hy: list, hw: list) -> dict:
     one int bitmask of the columns it skips: when row r ends, every
     member v of a line of at least 3 points created in it, but the first
     and the last, gets the bits of the members after v OR-ed in.  Row i
-    lists the columns left clear by a C-level scan of the mask's binary
-    string, so a skipped pair costs no Python step.  A pair (i, j) that
+    lists the columns left clear by walking the set bits of
+    ((1 << n) - (2 << i)) & ~mask, lowest bit first (take free & -free,
+    then clear it), so an evaluated column costs three int operations and
+    a skipped pair costs no Python step.  A pair (i, j) that
     is still evaluated can only lie on a line created in row i: had that
     line a member before i, it would have at least 3 points and j would
     be skipped.  So a found line is extended without a test of its first
@@ -99,13 +102,13 @@ def group_collinear(hx: list, hy: list, hw: list) -> dict:
         w1 = hw[i]
         mask = covered[i]
         if mask:
-            # bits[k] == "1": column i + k is evaluated
-            bits = bin((((1 << n) - (2 << i)) & ~mask) >> i)[:1:-1]
+            # the set bits of free are the columns after i left to evaluate
+            free = ((1 << n) - (2 << i)) & ~mask
             columns = []
-            k = bits.find("1")
-            while k >= 0:
-                columns.append(i + k)
-                k = bits.find("1", k + 1)
+            while free:
+                low = free & -free
+                columns.append(low.bit_length() - 1)
+                free ^= low
         else:
             columns = range(i + 1, n)
         long_keys = []  # the lines of row i that reached 3 points

@@ -15,7 +15,7 @@ from typing import IO
 
 from .arrangement import PointSet
 from .errors import DomainError, PointFormatError
-from .geometry import Point, point
+from .geometry import Point, coordinate, point
 
 _COORD_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
@@ -47,7 +47,7 @@ def circle(n: int) -> PointSet:
     pts = []
     for t in range(n):
         den = 1 + t * t
-        pts.append(Point(Fraction(1 - t * t, den), Fraction(2 * t, den)))
+        pts.append(point(Fraction(1 - t * t, den), Fraction(2 * t, den)))
     return PointSet.of(pts)
 
 
@@ -100,7 +100,11 @@ def dump_points(ps: PointSet, fp: IO[str]) -> None:
 
 
 def load_points(fp: IO[str]) -> PointSet:
-    """Parse the JSON file format; raises PointFormatError naming the offender."""
+    """Parse the JSON file format; raises PointFormatError naming the offender.
+
+    A coordinate loads as an int when it is integral ("4/2" as 2) and as a
+    reduced Fraction otherwise, the rule of geometry.coordinate.
+    """
     try:
         data = json.load(fp)
     except json.JSONDecodeError as exc:
@@ -125,7 +129,7 @@ def load_points(fp: IO[str]) -> PointSet:
                 )
             num, _, den = value.partition("/")
             try:
-                coords.append(Fraction(int(num), int(den)) if den else Fraction(int(num)))
+                coords.append(coordinate(Fraction(int(num), int(den))) if den else int(num))
             except ValueError as exc:  # more digits than the int-conversion limit
                 raise PointFormatError(f"point {idx}, field {axis}: {exc}") from exc
         pts.append(Point(*coords))

@@ -1,10 +1,15 @@
 """Exact planar geometry kernel: rational points, orientation, canonical lines.
 
-Every value is an exact rational (``fractions.Fraction``); no floating
-point enters any predicate.  A line is identified by the integer triple
-(a, b, c) of its cleared-denominator equation a*x + b*y + c = 0,
-normalized so that gcd(|a|, |b|, |c|) = 1 and a > 0 (or a = 0, b > 0).
-Coincident lines therefore always hash to the same key.
+Every value is an exact rational; no floating point enters any predicate.
+A point coordinate is an ``int`` when it is integral and a reduced
+``fractions.Fraction`` otherwise.  The two types agree in ``==``, ``hash``
+and ``str``, so the form of a value changes no comparison, duplicate
+check or printed result, only the cost of the arithmetic.
+
+A line is identified by the integer triple (a, b, c) of its
+cleared-denominator equation a*x + b*y + c = 0, normalized so that
+gcd(|a|, |b|, |c|) = 1 and a > 0 (or a = 0, b > 0).  Coincident lines
+therefore always hash to the same key.
 """
 from __future__ import annotations
 
@@ -21,13 +26,19 @@ RationalLike = Union[Rational, int, str]
 
 
 class Point(NamedTuple):
-    x: Rational
-    y: Rational
+    x: Union[int, Rational]
+    y: Union[int, Rational]
+
+
+def coordinate(value: RationalLike) -> Union[int, Rational]:
+    """value as an int when it is integral, else as a reduced Fraction."""
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
 
 
 def point(x: RationalLike, y: RationalLike) -> Point:
-    """Build a Point, coercing both coordinates to Fractions."""
-    return Point(Fraction(x), Fraction(y))
+    """Build a Point; each coordinate is an int when it is integral, else a reduced Fraction."""
+    return Point(coordinate(x), coordinate(y))
 
 
 class LineKey(NamedTuple):

@@ -119,9 +119,10 @@ def test_kernels_agree_on_lattice_input():
     ps = grid(5, 7)
     xs = [p.x for p in ps.points]
     ys = [p.y for p in ps.points]
-    assert all(isinstance(v, Fraction) for v in xs + ys)
-    as_ints = _kern.group_collinear(*_kern.homogenise([int(x) for x in xs], [int(y) for y in ys]))
-    assert _kern.group_collinear(*_kern.homogenise(xs, ys)) == as_ints
+    assert all(type(v) is int for v in xs + ys)
+    as_fractions = _kern.homogenise([Fraction(x) for x in xs], [Fraction(y) for y in ys])
+    as_ints = _kern.group_collinear(*_kern.homogenise(xs, ys))
+    assert _kern.group_collinear(*as_fractions) == as_ints
     assert sum(len(m) * (len(m) - 1) // 2 for m in as_ints.values()) == 35 * 34 // 2
 
 
@@ -634,6 +635,21 @@ def _gcd_calls(monkeypatch, ps):
 def test_kernel_skips_pairs_of_finished_lines(monkeypatch):
     # C(199, 2) of the 19,900 pairs lie on the long line, found in its first row
     assert _gcd_calls(monkeypatch, near_pencil(200)) <= 2 * 200
+
+
+@pytest.mark.parametrize("n", [29, 30, 31, 32, 59, 60, 61, 62, 64, 65, 91])
+@pytest.mark.parametrize("apex", ["first", "middle", "last"])
+def test_row_listing_across_int_digit_boundaries(n, apex, monkeypatch):
+    # a row lists its columns from the set bits of an n-bit int, and CPython
+    # stores an int in 30-bit digits: these n put the top column, and the
+    # columns around the apex, on either side of a digit boundary
+    coords = [(x, 0) for x in range(n - 1)]
+    coords.insert({"first": 0, "middle": n // 2, "last": n - 1}[apex], (0, 1))
+    ps = pset(*coords)
+    calls = _count_gcd(monkeypatch)
+    groups = _kern.group_collinear(*_triples(ps))
+    assert calls[0] <= 2 * n
+    assert list(groups.values()) == brute_force_lines(ps)
 
 
 def test_kernel_evaluates_every_pair_without_three_collinear(monkeypatch):

@@ -214,6 +214,12 @@ def test_load_rejects_duplicates():
         _load('{"points": [["0", "0"], ["1/2", "1"], ["2/4", "1"]]}')
 
 
+def test_load_names_an_unreduced_duplicate_by_its_integer_value():
+    with pytest.raises(PointFormatError) as info:
+        _load('{"points": [["2", "0"], ["4/2", "0"]]}')
+    assert str(info.value) == "point 1 duplicates point 0: (2, 0)"
+
+
 def test_load_accepts_unreduced_and_negative():
     ps = _load('{"points": [["-4/2", "0"], ["3", "9/3"]]}')
     assert ps.points[0] == point(-2, 0)
@@ -241,10 +247,13 @@ coordinate_strings = st.builds(
 @example("-0")
 @example("4/6")
 @example("-12/8")
+@example("4/2")
+@example("0/7")
 @example("-" + "9" * 4300)
 @example("0" * 4299 + "1/1" + "0" * 4300)
 @settings(max_examples=150)
 def test_load_parses_coordinates_as_fraction_does(value):
+    # the value Fraction parses, as an int exactly when it is integral
     assert _COORD_RE.fullmatch(value)
     try:
         want = F(value)
@@ -254,4 +263,4 @@ def test_load_parses_coordinates_as_fraction_does(value):
         assert str(info.value) == f"point 0, field x: {exc}"
     else:
         (got, _), = _load(json.dumps({"points": [[value, "0"]]})).points
-        assert type(got) is F and got == want
+        assert type(got) is (int if want.denominator == 1 else F) and got == want

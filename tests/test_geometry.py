@@ -31,6 +31,15 @@ def test_line_through_rational_intercepts():
     assert line_through(point(Fraction(1, 2), 0), point(0, Fraction(1, 3))) == LineKey(2, 3, -1)
 
 
+def test_point_coordinates_are_int_exactly_when_integral():
+    p = point(Fraction(4, 2), "3/6")
+    assert type(p.x) is int and p.x == 2
+    assert type(p.y) is Fraction and p.y == Fraction(1, 2)
+    # == and hash agree with the all-Fraction form of the same values
+    q = (Fraction(2), Fraction(1, 2))
+    assert p == q and hash(p) == hash(q) and str(p.x) == str(q[0])
+
+
 def test_line_through_identical_points_raises():
     with pytest.raises(IdenticalPoints):
         line_through(point(2, 3), point(2, 3))

@@ -1,9 +1,9 @@
-"""The README's Library examples, run as a doctest, and the guard it states."""
+"""The README's Library examples, run as a doctest, and the facts it states."""
 import doctest
 import re
 from pathlib import Path
 
-from pointline import _kern, arrangement
+from pointline import _kern, arrangement, generators
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +20,8 @@ def test_docs_state_the_guard_of_the_vectorised_kernel():
     for text in (README.read_text(), arrangement.__doc__, arrangement.build_arrangement.__doc__):
         figures = re.findall(r"\|coordinate\| < 2\^(\d+)", " ".join(text.split()))
         assert figures and set(figures) == {str(k)}, figures
+
+
+def test_readme_states_the_coordinate_pattern_the_loader_uses():
+    patterns = re.findall(r"rational string matching `([^`]+)`", README.read_text())
+    assert patterns == [generators._COORD_RE.pattern]

@@ -18,9 +18,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from . import _kern
 from .errors import DomainError, DuplicatePoint, TooFewPoints
@@ -133,13 +133,6 @@ def build_arrangement(ps: PointSet) -> Arrangement:
     if lines is not None:
         arr.__dict__["lines"] = lines  # fills the cached_property
     return arr
-
-
-def _line_statistics(lines: Collection[tuple[int, ...]], n: int) -> tuple[dict[int, int], list[int]]:
-    """size_hist (ascending sizes) and lines_per_point of the lines given as member tuples."""
-    size_hist = dict(sorted(Counter(map(len, lines)).items()))
-    per_point = Counter(chain.from_iterable(lines))
-    return size_hist, [per_point[v] for v in range(n)]
 
 
 def _statistics_from_long_lines(lines: Iterable[tuple[int, ...]], n: int) -> tuple[dict[int, int], list[int]]:

@@ -25,9 +25,9 @@ import sys
 from fractions import Fraction
 
 from . import bounds, generators
-from .arrangement import Arrangement, PointSet, _line_statistics, build_arrangement, max_lines_through_point
+from .arrangement import Arrangement, PointSet, build_arrangement, max_lines_through_point
 from .errors import PointLineError, Unresolved
-from .oracle import brute_force_lines, certify_lines
+from .oracle import certify_lines
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -66,8 +66,8 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="run the inequality checks on a point-set file")
     p_verify.add_argument("input", help="point-set JSON file")
     p_verify.add_argument("--cross-check", action="store_true",
-                          help="first check the lines and the printed statistics: certify the "
-                               "built lines, or recount them with the brute-force oracle")
+                          help="first certify the determined lines and check the printed "
+                               "statistics against a recount from them")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--suite", default=None,
                           help="comma-separated check names to run (default: all)")
@@ -175,11 +175,10 @@ def run_verify(
     An unknown suite name is an error before any work.
 
     The cross-check compares the printed size_hist and lines_per_point
-    with a recount from lines that it has checked itself.  Lines that
-    the build kept are certified by oracle.certify_lines, which recounts
-    from them.  A build on the int64 path kept none, and building them
-    would cost more than the O(n^2) oracle, so the recount is taken from
-    oracle.brute_force_lines there.
+    with the recount of oracle.certify_lines from arr.lines, which it
+    first certifies to be exactly the determined lines.  Where the build
+    kept no lines (the int64 path), reading arr.lines builds them with
+    the exact kernel.
     """
     if suite:
         unknown = set(suite).difference(bounds.CHECK_NAMES)
@@ -192,12 +191,7 @@ def run_verify(
     report["l"] = arr.max_collinear
 
     if cross_check:
-        printed = (dict(arr.size_hist), list(arr.lines_per_point))
-        kept = vars(arr).get("lines")  # build_arrangement fills the cached_property there
-        if kept is not None:
-            agree = certify_lines(ps, kept) == printed
-        else:
-            agree = _line_statistics(brute_force_lines(ps), arr.n) == printed
+        agree = certify_lines(ps, arr.lines) == (dict(arr.size_hist), list(arr.lines_per_point))
         report["cross_check"] = "ok" if agree else "mismatch"
         if not agree:
             return EXIT_CHECK_FAILED, report
@@ -233,7 +227,7 @@ def _print_verify_text(report: dict) -> None:
 
 def cmd_verify(args) -> int:
     ps = generators.load_points_file(args.input)
-    suite = [s.strip() for s in args.suite.split(",")] if args.suite else None
+    suite = None if args.suite is None else [s.strip() for s in args.suite.split(",")]
     code, report = run_verify(ps, args.input, cross_check=args.cross_check, suite=suite)
     if args.format == "json":
         print(json.dumps(report, indent=1))

@@ -100,7 +100,7 @@ def certify_lines(
     the module docstring's (i)-(iii); otherwise lines are exactly the
     determined lines of ps, and the result is ({size: number of lines},
     [lines through point v for each v]) with sizes ascending, counted
-    here rather than by arrangement._line_statistics.
+    here from the certified lines, not by any counter of the kernels.
     """
     pts = _cleared(ps)
     n = len(pts)

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 from hypothesis import strategies as st
 
@@ -8,6 +10,17 @@ from pointline import PointSet, build_arrangement, grid, orient, point
 def pset(*coords) -> PointSet:
     """Build a PointSet from (x, y) tuples of ints/Fractions/strings."""
     return PointSet.of(point(Fraction(x), Fraction(y)) for x, y in coords)
+
+
+def line_statistics(lines, n: int) -> tuple[dict[int, int], list[int]]:
+    """size_hist (ascending sizes) and lines_per_point of the lines given as member tuples.
+
+    The plain count over every line, 2-point ones included: the reference
+    that the kernels' statistics and oracle.certify_lines are compared with.
+    """
+    size_hist = dict(sorted(Counter(map(len, lines)).items()))
+    per_point = Counter(chain.from_iterable(lines))
+    return size_hist, [per_point[v] for v in range(n)]
 
 
 # p/q with mixed denominators 1..4: lines of 3+ points occur, unlike the

@@ -24,9 +24,9 @@ from pointline import (
     visibility_edge_count,
 )
 from pointline import _kern, arrangement
-from pointline.arrangement import INT64_MIN_PAIRS, PointSet, _line_statistics
+from pointline.arrangement import INT64_MIN_PAIRS, PointSet
 
-from conftest import pset, rational_sets
+from conftest import line_statistics, pset, rational_sets
 
 @pytest.fixture(scope="module")
 def grid33():
@@ -187,7 +187,7 @@ def _assert_statistics_match_oracle(ps):
     arr = build_arrangement(ps)
     oracle = brute_force_lines(ps)
     assert list(arr.lines.values()) == oracle
-    assert (dict(arr.size_hist), list(arr.lines_per_point)) == _line_statistics(oracle, ps.n)
+    assert (dict(arr.size_hist), list(arr.lines_per_point)) == line_statistics(oracle, ps.n)
     return arr
 
 

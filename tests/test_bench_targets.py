@@ -18,7 +18,16 @@ def _targets():
     return [(module_name, attr) for module_name, attr, *_ in module.TARGETS]
 
 
+# Targets whose span is absent on purpose; the tracer skips a missing
+# attribute.  The CLI certifies its lines and runs no oracle, so the
+# oracle span on cli.brute_force_lines never fires.
+RETIRED = {("cli", "brute_force_lines")}
+
+
 @pytest.mark.parametrize("module_name, attr", _targets())
 def test_span_target_resolves(module_name, attr):
     module = importlib.import_module(f"pointline.{module_name}")
-    assert callable(getattr(module, attr, None)), f"pointline.{module_name}.{attr} is gone"
+    if (module_name, attr) in RETIRED:
+        assert getattr(module, attr, None) is None, f"pointline.{module_name}.{attr} is back"
+    else:
+        assert callable(getattr(module, attr, None)), f"pointline.{module_name}.{attr} is gone"

@@ -115,49 +115,69 @@ def test_cross_check_catches_wrong_printed_statistics(tmp_path, monkeypatch, cap
     assert "cross_check: mismatch" in out
 
 
-def _refuse(*args):
-    raise AssertionError("a refused call ran")
+def _counting(monkeypatch, module, name):
+    """Wrap module.name so that each call appends its result to the returned list."""
+    real, results = getattr(module, name), []
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, spy)
+    return results
 
 
 def test_cross_check_on_the_int64_statistics_path(tmp_path, monkeypatch, capsys):
     # 529 points give 139,656 pairs >= INT64_MIN_PAIRS, so the printed
-    # statistics come from int64_statistics and the oracle vouches for them;
-    # the build kept no lines, and the cross-check must not build them
+    # statistics come from int64_statistics and the build keeps no lines;
+    # only the cross-check builds them, once, and certifies them
     path = tmp_path / "g2323.json"
     assert cli.main(["generate", "grid", "--w", "23", "--h", "23", "--out", str(path)]) == 0
-    real, calls = _kern.int64_statistics, []
+    stats = _counting(monkeypatch, _kern, "int64_statistics")
+    kernel = _counting(monkeypatch, _kern, "group_collinear")
+    certified = _counting(monkeypatch, cli, "certify_lines")
+    assert cli.main(["verify", str(path)]) == 0
+    assert "cross_check:" not in capsys.readouterr().out
+    assert (len(stats), len(kernel), len(certified)) == (1, 0, 0)
+    assert stats[0] is not None
 
-    def spy(hx, hy, hw):
-        result = real(hx, hy, hw)
-        calls.append(result is not None)
-        return result
-
-    monkeypatch.setattr(_kern, "int64_statistics", spy)
-    monkeypatch.setattr(_kern, "group_collinear", _refuse)
-    monkeypatch.setattr(cli, "certify_lines", _refuse)
+    stats.clear()
     assert cli.main(["verify", str(path), "--cross-check"]) == 0
-    assert calls == [True]
+    assert (len(stats), len(kernel), len(certified)) == (1, 1, 1)
+    assert stats[0] is not None
     out = capsys.readouterr().out
     assert "n: 529" in out
     assert "cross_check: ok" in out
 
 
-@pytest.mark.parametrize("corruption", LINE_CORRUPTIONS)
-def test_cross_check_certifies_the_built_lines(tmp_path, monkeypatch, capsys, corruption):
-    # grid(4, 4) takes the exact path, so the build keeps its lines and the
-    # cross-check certifies them; the printed statistics stay the true ones
+@pytest.mark.parametrize(
+    "corruption, kernel_path",
+    [pytest.param(name, "exact", id=name) for name in LINE_CORRUPTIONS]
+    + [pytest.param(name, "int64", id=f"{name}-int64") for name in LINE_CORRUPTIONS],
+)
+def test_cross_check_certifies_the_built_lines(tmp_path, monkeypatch, capsys, corruption, kernel_path):
+    # grid(4, 4) takes the exact path, so the build keeps its lines; with
+    # INT64_MIN_PAIRS at 1 it takes the int64 path, and reading arr.lines
+    # builds them.  Either way the cross-check certifies them, and the
+    # printed statistics stay the true ones
     path = tmp_path / "g44.json"
     generators.save_points_file(CERTIFIED_GRID, str(path))
-
-    def corrupted_build(ps):
-        arr = arrangement.build_arrangement(ps)
-        arr.__dict__["lines"] = MappingProxyType(corrupted_grid_lines(corruption))
-        return arr
-
-    monkeypatch.setattr(cli, "brute_force_lines", _refuse)
+    corrupted = MappingProxyType(corrupted_grid_lines(corruption))
+    if kernel_path == "int64":
+        monkeypatch.setattr(arrangement, "INT64_MIN_PAIRS", 1)
+        assert "lines" not in vars(arrangement.build_arrangement(CERTIFIED_GRID))
     assert cli.main(["verify", str(path), "--cross-check"]) == 0
     assert "cross_check: ok" in capsys.readouterr().out
-    monkeypatch.setattr(cli, "build_arrangement", corrupted_build)
+
+    if kernel_path == "int64":
+        monkeypatch.setattr(arrangement, "_exact_lines", lambda hx, hy, hw: corrupted)
+    else:
+        def corrupted_build(ps):
+            arr = arrangement.build_arrangement(ps)
+            arr.__dict__["lines"] = corrupted
+            return arr
+
+        monkeypatch.setattr(cli, "build_arrangement", corrupted_build)
     assert cli.main(["verify", str(path), "--cross-check"]) == 2
     out = capsys.readouterr().out
     assert "lines: 62" in out
@@ -212,20 +232,29 @@ def test_verify_unknown_suite_name(grid_file, capsys):
     assert "unknown check" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra", [(), ("--cross-check",)], ids=["plain", "cross-check"])
-def test_verify_unknown_suite_name_fails_before_the_build(grid_file, monkeypatch, capsys, extra):
-    # a typo must not wait for the arrangement, nor turn into a cross-check verdict
+@pytest.mark.parametrize(
+    "suite, unknown, extra",
+    [
+        ("hirzebruch,bogus", ["bogus"], ()),
+        ("hirzebruch,bogus", ["bogus"], ("--cross-check",)),
+        ("", [""], ()),
+        ("", [""], ("--cross-check",)),
+    ],
+    ids=["plain", "cross-check", "empty-suite-plain", "empty-suite-cross-check"],
+)
+def test_verify_unknown_suite_name_fails_before_the_build(grid_file, monkeypatch, capsys, suite, unknown, extra):
+    # a typo, or an empty --suite, must not wait for the arrangement, nor
+    # turn into a cross-check verdict
     def no_build(*args):
         raise AssertionError("the build or a cross-check ran")
 
     monkeypatch.setattr(cli, "build_arrangement", no_build)
-    monkeypatch.setattr(cli, "brute_force_lines", no_build)
     monkeypatch.setattr(cli, "certify_lines", no_build)
-    assert cli.main(["verify", grid_file, "--suite", "hirzebruch,bogus", *extra]) == 1
+    assert cli.main(["verify", grid_file, "--suite", suite, *extra]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: unknown check name(s) ['bogus']; available: "
+        f"error: unknown check name(s) {unknown}; available: "
         f"{sorted(bounds.CHECK_NAMES)}\n"
     )
 

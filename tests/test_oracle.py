@@ -16,9 +16,8 @@ from pointline import (
     orient,
     random_points,
 )
-from pointline.arrangement import _line_statistics
 
-from conftest import CERTIFIED_GRID, LINE_CORRUPTIONS, corrupted_grid_lines, pset, rational_sets
+from conftest import CERTIFIED_GRID, LINE_CORRUPTIONS, corrupted_grid_lines, line_statistics, pset, rational_sets
 
 
 def test_two_points_single_line():
@@ -162,7 +161,7 @@ def test_certificate_rejects_member_lists_out_of_shape(key, members):
 @settings(max_examples=80)
 def test_certificate_counts_what_the_oracle_counts(coords):
     ps = pset(*coords)
-    assert certify_lines(ps, build_arrangement(ps).lines) == _line_statistics(brute_force_lines(ps), ps.n)
+    assert certify_lines(ps, build_arrangement(ps).lines) == line_statistics(brute_force_lines(ps), ps.n)
 
 
 _BIG = 2**63 + 1
@@ -188,6 +187,6 @@ CROSS_CHECK_INPUTS = {
 def test_certificate_accepts_every_cross_check_input(name):
     ps = CROSS_CHECK_INPUTS[name]()
     arr = build_arrangement(ps)
-    oracle = _line_statistics(brute_force_lines(ps), ps.n)
+    oracle = line_statistics(brute_force_lines(ps), ps.n)
     assert oracle == (dict(arr.size_hist), list(arr.lines_per_point))
     assert certify_lines(ps, arr.lines) == oracle

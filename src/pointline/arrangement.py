@@ -15,8 +15,7 @@ more points alone.
 """
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import combinations, islice
 from types import MappingProxyType
@@ -29,21 +28,21 @@ from .geometry import Point
 INT64_MIN_PAIRS = 1 << 17
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """Ordered, duplicate-free collection of exact rational points."""
+class PointSet(namedtuple("PointSet", "points")):
+    """Ordered, duplicate-free collection of exact rational points, as a named tuple."""
 
-    points: tuple[Point, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.points) < 1:
+    def __new__(cls, points: tuple[Point, ...]):
+        if len(points) < 1:
             raise DomainError("a point set needs at least one point")
-        if len(set(self.points)) != len(self.points):
+        if len(set(points)) != len(points):
             first: dict[Point, int] = {}
-            for idx, p in enumerate(self.points):
+            for idx, p in enumerate(points):
                 earlier = first.setdefault(p, idx)
                 if earlier != idx:
                     raise DuplicatePoint(f"point {idx} duplicates point {earlier}: ({p.x}, {p.y})")
+        return super().__new__(cls, points)
 
     @property
     def n(self) -> int:
@@ -54,9 +53,9 @@ class PointSet:
         return cls(tuple(points))
 
 
-@dataclass(frozen=True)
-class Arrangement:
-    """Full line/incidence structure of a point set.
+class Arrangement(namedtuple("Arrangement", "n size_hist max_collinear incidences "
+                                             "lines_per_point num_lines points")):
+    """Full line/incidence structure of a point set, as an immutable named tuple.
 
     size_hist maps line size i (>= 2) to the number of lines with exactly
     i points, in ascending size; only sizes that occur are stored.
@@ -72,16 +71,23 @@ class Arrangement:
     lexicographic member order, the order of oracle.brute_force_lines.
     It is the exact kernel's own dict behind a read-only view, built from
     points on first access unless build_arrangement already built it.
-    Both maps are read-only views.
+    Both maps are read-only views.  The class has no __slots__: the
+    cached lines lives in the instance dict, and __setattr__ and
+    __delattr__ refuse every other write to it.
     """
 
-    n: int
-    size_hist: Mapping[int, int] = field(hash=False)  # a mappingproxy has no hash
-    max_collinear: int
-    incidences: int
-    lines_per_point: tuple[int, ...]
-    num_lines: int
-    points: tuple[Point, ...] = field(repr=False)
+    def __hash__(self):
+        return hash(self[:1] + self[2:])  # without size_hist: a mappingproxy has no hash
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
+        return f"Arrangement({fields})"  # points left out
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def lines(self) -> Mapping[tuple[int, int, int], tuple[int, ...]]:

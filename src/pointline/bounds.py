@@ -23,10 +23,10 @@ them, so callers such as the CLI format fields and never re-derive one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .arrangement import Arrangement, lines_with_at_most, max_lines_through_point
 from .errors import DomainError, InvalidCutoff, Unresolved
@@ -36,21 +36,21 @@ DEFAULT_CUTOFF = 256
 MAX_CUTOFF = 1 << 12
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed rational interval [lo, hi] enclosing a real value.
+class Interval(namedtuple("Interval", "lo hi")):
+    """Closed rational interval [lo, hi] enclosing a real value, as a named tuple.
 
     Supports the affine arithmetic the bound formulas need: addition and
     subtraction with scalars or intervals, sign-aware scalar multiplication,
-    and division by a nonzero scalar.
+    and division by a nonzero scalar.  Each operator is defined here, so
+    none falls back to tuple concatenation or repetition.
     """
 
-    lo: Rational
-    hi: Rational
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise DomainError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+    def __new__(cls, lo: Rational, hi: Rational):
+        if lo > hi:
+            raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
+        return super().__new__(cls, lo, hi)
 
     @classmethod
     def of(cls, lo, hi) -> "Interval":
@@ -112,9 +112,8 @@ class Interval:
         return f"[{self.lo}, {self.hi}]"
 
 
-@dataclass(frozen=True)
-class CrossingConstants:
-    """Constants (alpha, beta) of the crossing-number lower bound.
+class CrossingConstants(namedtuple("CrossingConstants", "alpha beta")):
+    """Constants (alpha, beta) of the crossing-number lower bound, as a named tuple.
 
     Every graph with n vertices and m >= alpha*n edges has crossing
     number at least m^3 / (beta * n^2).  Defaults are the pair of Pach,
@@ -124,30 +123,29 @@ class CrossingConstants:
     overridable for sensitivity scans.
     """
 
-    alpha: Rational = Fraction(103, 16)
-    beta: Rational = Fraction(31827, 1024)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
+    def __new__(cls, alpha: Rational = Fraction(103, 16), beta: Rational = Fraction(31827, 1024)):
+        if alpha <= 0 or beta <= 0:
             raise DomainError("crossing constants must be positive")
+        return super().__new__(cls, alpha, beta)
 
 
 DEFAULT_CONSTANTS = CrossingConstants()
 
 
-@dataclass(frozen=True)
-class GraphSize:
-    """Vertex and edge counts of an abstract graph."""
+class GraphSize(namedtuple("GraphSize", "n_vertices m_edges")):
+    """Vertex and edge counts of an abstract graph, as a named tuple."""
 
-    n_vertices: int
-    m_edges: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_vertices < 1:
+    def __new__(cls, n_vertices: int, m_edges: int):
+        if n_vertices < 1:
             raise DomainError("graph needs at least one vertex")
-        max_edges = self.n_vertices * (self.n_vertices - 1) // 2
-        if not 0 <= self.m_edges <= max_edges:
-            raise DomainError(f"edge count {self.m_edges} outside [0, {max_edges}]")
+        max_edges = n_vertices * (n_vertices - 1) // 2
+        if not 0 <= m_edges <= max_edges:
+            raise DomainError(f"edge count {m_edges} outside [0, {max_edges}]")
+        return super().__new__(cls, n_vertices, m_edges)
 
 
 def crossing_lower_bound(g: GraphSize, k: CrossingConstants = DEFAULT_CONSTANTS) -> Rational:
@@ -278,9 +276,8 @@ def check_eps(eps: Rational) -> Fraction:
     return eps
 
 
-@dataclass(frozen=True)
-class BoundParamsWD:
-    """Constant bundle of the incidence lower bound I >= delta*n^2 + r*n.
+class BoundParamsWD(NamedTuple):
+    """Constant bundle of the incidence lower bound I >= delta*n^2 + r*n, as a named tuple.
 
     h = c(c-2)/(5c-18); x = (h+1)/2 dominates the per-size pair/incidence
     ratios; y = c - 5h - 2 + 18h/(c+1) is the negative correction that
@@ -306,14 +303,13 @@ class BoundParamsWD:
         return self.num / (self.h + 1 + self.k.alpha)
 
     def with_eps(self, eps: Rational) -> "BoundParamsWD":
-        """This record with delta filled in for eps in (0, 1/2)."""
+        """A copy of this record with delta filled in for eps in (0, 1/2)."""
         eps = check_eps(eps)
-        return replace(self, eps=eps, delta=(self.num - eps * self.k.alpha) / (self.h + 1))
+        return self._replace(eps=eps, delta=(self.num - eps * self.k.alpha) / (self.h + 1))
 
 
-@dataclass(frozen=True)
-class BoundParamsFew:
-    """Constant bundle of the few-point-line count bound A*n^2 - B*l*n.
+class BoundParamsFew(NamedTuple):
+    """Constant bundle of the few-point-line count bound A*n^2 - B*l*n, as a named tuple.
 
     h = (c^2-c-2)/(4c-16); x = h+1 dominates the per-size ratios; A is an
     enclosure (series term), B = alpha/(2x) is exact, and eps = 2A/(1+2B)
@@ -353,10 +349,10 @@ def _few_record(c: int, series: Interval, k: CrossingConstants) -> BoundParamsFe
     return BoundParamsFew(c=c, h=h, x=x, a=a, b=b, eps=2 * a / (1 + 2 * b))
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    """Outcome of a scan over c: the argmax, the (c, objective) table and
-    the full per-c records of the final refinement round."""
+class ScanResult(NamedTuple):
+    """Outcome of a scan over c, as a named tuple: the argmax, the
+    (c, objective) table and the full per-c records of the final
+    refinement round."""
 
     argmax_c: int
     table: tuple[tuple[int, Interval], ...]
@@ -493,9 +489,8 @@ def scan_constants_few(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
-    """Outcome of one inequality check on one arrangement.
+class TheoremCheck(NamedTuple):
+    """Outcome of one inequality check on one arrangement, as a named tuple.
 
     holds is None when the check's premise fails (inapplicable); the
     sides are still reported.  relation is the asserted comparison of

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import math
 import sys
@@ -53,6 +52,11 @@ def _rational(text: str) -> Fraction:
         raise _UsageError(f"not a rational: {text!r}") from exc
 
 
+def _parameters(gen) -> tuple[str, ...]:
+    """The names of a generator's parameters, in order (all positional-or-keyword)."""
+    return gen.__code__.co_varnames[:gen.__code__.co_argcount]
+
+
 @functools.cache  # built on the first main call; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="pointline", description=__doc__.splitlines()[0])
@@ -76,7 +80,7 @@ def _build_parser() -> _Parser:
     p_gen = sub.add_parser("generate", help="write a generated point configuration")
     kinds = {kind.replace("_", "-"): gen for kind, gen in generators._GENERATORS.items()}
     p_gen.add_argument("kind", choices=tuple(kinds))
-    takes_n = ", ".join(kind for kind, gen in kinds.items() if "n" in inspect.signature(gen).parameters)
+    takes_n = ", ".join(kind for kind, gen in kinds.items() if "n" in _parameters(gen))
     p_gen.add_argument("--n", type=int, help=f"point count ({takes_n})")
     p_gen.add_argument("--w", type=int, help="grid width")
     p_gen.add_argument("--h", type=int, help="grid height")
@@ -243,11 +247,11 @@ def cmd_verify(args) -> int:
 
 def cmd_generate(args) -> int:
     gen = generators._GENERATORS[args.kind.replace("-", "_")]
-    takes = inspect.signature(gen).parameters
+    takes = _parameters(gen)
     # the generator flags are the parameters of all generators; one that
     # this generator does not take is refused, not ignored
     for other in generators._GENERATORS.values():
-        for name in inspect.signature(other).parameters:
+        for name in _parameters(other):
             if name not in takes and getattr(args, name, None) is not None:
                 raise _UsageError(f"generator {args.kind!r} does not take --{name}")
     params = {}

@@ -516,6 +516,21 @@ def test_arrangement_maps_are_read_only(grid33, grid23):
         with pytest.raises(TypeError):
             del arr.lines[key]
         assert hash(arr) == hash(build_arrangement(PointSet(arr.points)))
+        # the record itself: no field, new attribute or cached lines can be
+        # set, and no attribute deleted
+        for name, value in [("n", 1), ("size_hist", {}), ("extra", 1), ("lines", {})]:
+            with pytest.raises(AttributeError):
+                setattr(arr, name, value)
+        for name in ("n", "lines", "extra"):
+            with pytest.raises(AttributeError):
+                delattr(arr, name)
+        assert arr.lines is arr.lines  # still cached
+        assert "points=" not in repr(arr) and repr(arr).startswith(f"Arrangement(n={arr.n}, size_hist=")
+    ps = PointSet(grid33.points)
+    with pytest.raises(AttributeError):
+        ps.points = ()
+    with pytest.raises(AttributeError):
+        ps.extra = 1
 
 
 @given(lattice_sets)

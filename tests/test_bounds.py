@@ -57,6 +57,11 @@ def test_interval_basic_arithmetic():
     assert iv.width == 1
     assert iv.contains(F(3, 2)) and not iv.contains(3)
     assert Interval.of(0, 3).encloses(iv)
+    # a tuple base would turn a dropped reflected operator into tuple
+    # repetition or concatenation, so each result must be an Interval
+    for value, expected in [(2 * iv, (2, 4)), (iv * 2, (2, 4)), (F(1, 2) * iv, (F(1, 2), 1)),
+                            (sum([iv, iv]), (2, 4)), (1 - iv, (-1, 0))]:
+        assert type(value) is Interval and value == Interval.of(*expected)
 
 
 def test_interval_rejects_reversed_endpoints():
@@ -477,6 +482,7 @@ def test_scan_records_match_single_c_entry_points():
     p = wd_params(46, F(1, 26), cutoff=wd.cutoff)
     assert p46.with_eps(F(1, 26)).delta == p.delta
     assert p46.with_eps(F(1, 26)) == p
+    assert p46.eps is None and p46.delta is None  # with_eps returned a new record
 
     few = scan_constants_few(40, 48, cutoff=64)
     assert all(p.eps == iv for p, (_, iv) in zip(few.records, few.table))
@@ -491,6 +497,28 @@ def test_with_eps_validation():
         with pytest.raises(DomainError):
             p.with_eps(eps)
     assert p.with_eps(F(1, 30)).delta.lo > p.delta.lo
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        Interval.of(1, 2),
+        CrossingConstants(),
+        GraphSize(3, 2),
+        wd_params(46, F(1, 26), cutoff=64),
+        few_params(44, cutoff=64),
+        scan_constants_wd(44, 48, cutoff=64),
+        hirzebruch_check(build_arrangement(grid(3, 3))),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_records_are_immutable_named_tuples(record):
+    name = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert record == tuple(record)
 
 
 @pytest.mark.parametrize("eps", [3, 0])

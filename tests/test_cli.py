@@ -527,30 +527,46 @@ def test_constants_rows_are_rounded_api_records(capsys):
     assert (row["h"], row["x"], row["b"]) == (str(p.h), str(p.x), str(p.b))
 
 
-def _verify_imports_numpy(tmp_path, n):
-    """Whether verify on near-pencil n, in a fresh interpreter, imports numpy."""
-    path = tmp_path / f"pencil{n}.json"
-    assert cli.main(["generate", "near-pencil", "--n", str(n), "--out", str(path)]) == 0
-    code = (
+def _modules_loaded(code, names):
+    """Which of names a fresh interpreter loads while it runs code.
+
+    Modules that the interpreter loaded before code ran, at start-up, are
+    not counted.
+    """
+    probe = (
         "import sys\n"
-        "import pointline.cli as cli\n"
-        f"assert cli.main(['verify', {str(path)!r}]) == 0\n"
-        "print('numpy' in sys.modules)\n"
+        "before = set(sys.modules)\n"
+        f"{code}\n"
+        f"print(' '.join(m for m in {tuple(names)!r} if m in sys.modules and m not in before))\n"
     )
     src = os.path.dirname(os.path.dirname(pointline.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1] == "True"
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def _verify_near_pencil(tmp_path, n):
+    """Code that runs verify on near-pencil n, written to tmp_path."""
+    path = tmp_path / f"pencil{n}.json"
+    assert cli.main(["generate", "near-pencil", "--n", str(n), "--out", str(path)]) == 0
+    return f"import pointline.cli as cli\nassert cli.main(['verify', {str(path)!r}]) == 0"
 
 
 def test_small_verify_does_not_import_numpy(tmp_path):
     # numpy costs ~0.15 s and ~14 MB to import; inputs below the int64
     # path's pair threshold must not pay for it
-    assert not _verify_imports_numpy(tmp_path, 200)
+    assert _modules_loaded(_verify_near_pencil(tmp_path, 200), ["numpy"]) == set()
 
 
 def test_large_near_pencil_verify_does_not_import_numpy(tmp_path):
     # 2000 points are far above the pair threshold, but one line holds all
     # but one of them, so the build takes the exact kernel
-    assert not _verify_imports_numpy(tmp_path, 2000)
+    assert _modules_loaded(_verify_near_pencil(tmp_path, 2000), ["numpy"]) == set()
+
+
+def test_cli_import_loads_neither_dataclasses_inspect_nor_numpy():
+    # each of them costs milliseconds of every fresh process's start-up;
+    # numpy (which imports inspect itself) loads only on the int64 path
+    assert _modules_loaded("import pointline.cli", ["dataclasses", "inspect", "numpy"]) == set()
+    assert _modules_loaded("import pointline.cli\nimport dataclasses", ["dataclasses"]) == {"dataclasses"}

@@ -24,18 +24,12 @@ from .bounds import (
     ScanResult,
     TheoremCheck,
     crossing_lower_bound,
-    eps_few,
-    f_wd,
     few_lines_lower_bound,
-    few_params,
     hirzebruch_check,
     scan_constants_few,
     scan_constants_wd,
-    st_bound_edges,
-    st_bound_lines,
     tail_sum,
     verify_theorems,
-    wd_params,
 )
 from .errors import (
     DomainError,

@@ -17,9 +17,11 @@ n/26 + 2 are never rounded.
 The constant formulas of the two bound families live in one record
 builder each (_wd_record, _few_record; BoundParamsWD.f and
 BoundParamsWD.with_eps give f and the eps-dependent delta from the
-record's numerator).  wd_params, f_wd, few_params, eps_few and the scans
-over c all read their values from those records, and the scans return
-them, so callers such as the CLI format fields and never re-derive one.
+record's numerator).  The scans over c (scan_constants_wd,
+scan_constants_few) are the only callers of those builders and return
+their records, so callers such as the CLI format fields and never
+re-derive one.  The record at a single c is the one record of the scan
+from c to c.
 """
 from __future__ import annotations
 
@@ -42,7 +44,9 @@ class Interval(namedtuple("Interval", "lo hi")):
     Supports the affine arithmetic the bound formulas need: addition and
     subtraction with scalars or intervals, sign-aware scalar multiplication,
     and division by a nonzero scalar.  Each operator is defined here, so
-    none falls back to tuple concatenation or repetition.
+    none falls back to tuple concatenation or repetition.  Intervals are
+    not ordered: <, <=, > and >= raise TypeError rather than compare the
+    endpoints as a tuple, so max and sorted refuse them too.
     """
 
     __slots__ = ()
@@ -111,6 +115,11 @@ class Interval(namedtuple("Interval", "lo hi")):
     def __str__(self):
         return f"[{self.lo}, {self.hi}]"
 
+    def _unordered(self, other):
+        raise TypeError("intervals are not ordered; compare their lo or hi endpoints")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
 
 class CrossingConstants(namedtuple("CrossingConstants", "alpha beta")):
     """Constants (alpha, beta) of the crossing-number lower bound, as a named tuple.
@@ -120,7 +129,10 @@ class CrossingConstants(namedtuple("CrossingConstants", "alpha beta")):
     Radoicic, Tardos and Toth (Discrete Comput. Geom. 36, 2006) behind
     n/26 + 2 and n(n - l)/61; Ackerman's (7, 29) (Comput. Geom. 85, 2019)
     has a larger alpha and a smaller beta, so neither dominates.  Both are
-    overridable for sensitivity scans.
+    overridable for sensitivity scans: the constant scans derive their
+    records from the pair given, but verify_theorems reads it only in its
+    two Szemeredi-Trotter checks, and its thresholds n/26 + 2,
+    n^2/26 + 2n, n(n - l)/61 and n(n - l)/122 belong to the default pair.
     """
 
     __slots__ = ()
@@ -155,22 +167,13 @@ def crossing_lower_bound(g: GraphSize, k: CrossingConstants = DEFAULT_CONSTANTS)
     return Fraction(g.m_edges**3) / (k.beta * g.n_vertices**2)
 
 
-def st_bound_edges(n: int, i: int, k: CrossingConstants = DEFAULT_CONSTANTS) -> Rational:
-    """Upper bound max{alpha*n, beta*n^2 / (2(i-1)^2)} on sum_{j>=i} (j-1)*s_j."""
-    return Fraction(*_st_bound(n, 2, k)[0](i))
-
-
-def st_bound_lines(n: int, i: int, k: CrossingConstants = DEFAULT_CONSTANTS) -> Rational:
-    """Upper bound max{alpha*n / (i-1), beta*n^2 / (2(i-1)^3)} on sum_{j>=i} s_j."""
-    return Fraction(*_st_bound(n, 3, k)[0](i))
-
-
 def _st_bound(n: int, e: int, k: CrossingConstants) -> tuple[Callable[[int], tuple[int, int]], int]:
     """The Szemeredi-Trotter bound on n points as bound(i) -> (num, den), den > 0.
 
     num/den = max{alpha*n / (i-1)^(e-2), beta*n^2 / (2(i-1)^e)} for i >= 2
-    (e = 2: st_bound_edges, e = 3: st_bound_lines).  alpha*n and beta*n^2/2
-    are split into integers once, so each bound(i) is integer arithmetic.
+    bounds sum_{j>=i} (j-1)^(3-e) s_j (e = 2: the st_edges check, e = 3:
+    the st_lines check).  alpha*n and beta*n^2/2 are split into integers
+    once, so each bound(i) is integer arithmetic.
     Returned with bound is alpha_from, the least i >= 2 from which the alpha
     term is the max; bound(i) never increases with i, and for e = 2 it is
     the constant alpha*n from alpha_from on.
@@ -241,10 +244,8 @@ def _suffix_tail_table(kind: str, c_min: int, c_max: int, cutoff: int) -> dict[i
         raise DomainError(f"unknown series kind {kind!r}; expected one of {TAIL_KINDS}")
     if c_min < 2:
         raise DomainError(f"series start must be >= 2, got {c_min}")
-    if cutoff < c_min:
-        raise InvalidCutoff(f"cutoff {cutoff} below series start {c_min}")
-    if c_max > cutoff:
-        raise InvalidCutoff(f"cutoff {cutoff} below scan end {c_max}")
+    if cutoff < c_max:
+        raise InvalidCutoff(f"cutoff {cutoff} below series start {c_max}")
     t_lo, t_hi = _tail_bounds(kind, cutoff)
     acc = sum(_term(kind, i) for i in range(c_max, cutoff + 1))
     partials = {c_max: acc}
@@ -261,7 +262,7 @@ def _suffix_tail_table(kind: str, c_min: int, c_max: int, cutoff: int) -> dict[i
 # the only place the family's constant formulas are written, apart from f
 # and the eps-dependent delta of the wd family, which BoundParamsWD derives
 # from the numerator its builder stores.
-# The single-c entry points and the scans over c are thin calls into them.
+# The scan over c is the builders' only caller.
 # ---------------------------------------------------------------------------
 
 WD_C_MIN = 8
@@ -367,11 +368,6 @@ class _Family:
     def __init__(self, series: str, c_min: int, build: Callable, objective: str):
         self.series, self.c_min, self.build, self.objective = series, c_min, build, objective
 
-    def record(self, c: int, k: CrossingConstants, cutoff: int):
-        if c < self.c_min:
-            raise DomainError(f"c must be >= {self.c_min}, got {c}")
-        return self.build(c, tail_sum(self.series, c, cutoff), k)
-
     def scan(self, c_min, c_max, k, cutoff) -> ScanResult:
         """Isolate the c maximizing the objective enclosure by interval dominance.
 
@@ -412,32 +408,6 @@ _WD = _Family("(i+1)/i^3", WD_C_MIN, _wd_record, "f")
 _FEW = _Family("1/i^2", FEW_C_MIN, _few_record, "eps")
 
 
-# ---------------------------------------------------------------------------
-# Incidence lower-bound constants (the n^2/26 + 2n family)
-# ---------------------------------------------------------------------------
-
-
-def wd_params(
-    c: int,
-    eps: Rational,
-    k: CrossingConstants = DEFAULT_CONSTANTS,
-    cutoff: int = DEFAULT_CUTOFF,
-) -> BoundParamsWD:
-    """Exact constants of the incidence bound for a given (c, eps).
-
-    eps is checked before the series is summed.
-    """
-    eps = check_eps(eps)
-    return _WD.record(c, k, cutoff).with_eps(eps)
-
-
-def f_wd(
-    c: int, k: CrossingConstants = DEFAULT_CONSTANTS, cutoff: int = DEFAULT_CUTOFF
-) -> Interval:
-    """Largest eps the incidence bound supports at this c (enclosure)."""
-    return _WD.record(c, k, cutoff).f
-
-
 def scan_constants_wd(
     c_min: int,
     c_max: int,
@@ -448,32 +418,6 @@ def scan_constants_wd(
     return _WD.scan(c_min, c_max, k, cutoff)
 
 
-# ---------------------------------------------------------------------------
-# Few-point-line count constants (the A*n^2 - B*l*n family)
-# ---------------------------------------------------------------------------
-
-
-def few_params(
-    c: int, k: CrossingConstants = DEFAULT_CONSTANTS, cutoff: int = DEFAULT_CUTOFF
-) -> BoundParamsFew:
-    """Exact constants of the lines-with-at-most-c-points lower bound."""
-    return _FEW.record(c, k, cutoff)
-
-
-def few_lines_lower_bound(n: int, l: int, p: BoundParamsFew) -> Interval:
-    """Enclosure of A*n^2 - B*l*n, the guaranteed count of lines with <= c points."""
-    if not 2 <= l <= n:
-        raise DomainError(f"need 2 <= l <= n, got l={l}, n={n}")
-    return p.a * n**2 - p.b * l * n
-
-
-def eps_few(
-    c: int, k: CrossingConstants = DEFAULT_CONSTANTS, cutoff: int = DEFAULT_CUTOFF
-) -> Interval:
-    """Enclosure of 2A/(1 + 2B), the largest eps with A*n^2 - B*l*n >= eps*n(n-l)/2."""
-    return few_params(c, k, cutoff).eps
-
-
 def scan_constants_few(
     c_min: int,
     c_max: int,
@@ -482,6 +426,13 @@ def scan_constants_few(
 ) -> ScanResult:
     """Isolate the c in [c_min, c_max] maximizing 2A(c)/(1 + 2B(c)); records are BoundParamsFew."""
     return _FEW.scan(c_min, c_max, k, cutoff)
+
+
+def few_lines_lower_bound(n: int, l: int, p: BoundParamsFew) -> Interval:
+    """Enclosure of A*n^2 - B*l*n, the guaranteed count of lines with <= c points."""
+    if not 2 <= l <= n:
+        raise DomainError(f"need 2 <= l <= n, got l={l}, n={n}")
+    return p.a * n**2 - p.b * l * n
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +495,10 @@ def verify_theorems(arr: Arrangement, k: CrossingConstants = DEFAULT_CONSTANTS) 
     at least 5 points (the n=3 triangle violates both literal bounds);
     the incidence check additionally needs max_collinear <= n/26 + 2,
     and the half-lines check a non-collinear set.
+
+    k reaches only the two Szemeredi-Trotter checks (st_edges, st_lines).
+    The thresholds n/26 + 2, n^2/26 + 2n, n(n - l)/61 and n(n - l)/122
+    are the ones the default pair DEFAULT_CONSTANTS proves, whatever k is.
     """
     n = arr.n
     l = arr.max_collinear

@@ -22,7 +22,7 @@ class DuplicatePoint(DomainError):
 
 
 class InvalidCutoff(DomainError):
-    """A cutoff below 1, the series start or the scan end, or a cutoff or c_max above MAX_CUTOFF."""
+    """A cutoff below 1 or below the series start, or a cutoff or c_max above MAX_CUTOFF."""
 
 
 class Unresolved(PointLineError):

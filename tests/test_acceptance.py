@@ -16,14 +16,12 @@ from pointline import (
     circle,
     cli,
     collinear,
-    eps_few,
-    few_params,
     grid,
     near_pencil,
     random_points,
+    scan_constants_few,
     scan_constants_wd,
     tail_sum,
-    wd_params,
 )
 
 GRID_RANGE = range(2, 13)
@@ -67,7 +65,7 @@ def test_criterion_1_constant_scan_argmax():
 
 
 def test_criterion_2_incidence_bound_constants():
-    p = wd_params(46, F(1, 26), cutoff=4096)
+    p = scan_constants_wd(46, 46, cutoff=4096).records[0].with_eps(F(1, 26))
     ok = (
         p.delta.lo >= F(1, 26)
         and p.r == F(20803, 8944)
@@ -81,8 +79,8 @@ def test_criterion_2_incidence_bound_constants():
 
 
 def test_criterion_3_few_lines_constants():
-    e44 = eps_few(44, cutoff=4096)
-    p36 = few_params(36, cutoff=4096)
+    e44 = scan_constants_few(44, 44, cutoff=4096).records[0].eps
+    p36 = scan_constants_few(36, 36, cutoff=4096).records[0]
     ok = e44.lo >= F(2, 61) and p36.a.lo >= F(1, 39) and p36.b == F(206, 693) <= F(1, 3)
     _report(
         "3 few-lines constants",
@@ -101,7 +99,7 @@ def test_criterion_3_few_lines_constants():
     "no sound enclosure can satisfy this reference upper bound",
 )
 def test_criterion_3_eps44_reference_upper_bound():
-    e44 = eps_few(44, cutoff=4096)
+    e44 = scan_constants_few(44, 44, cutoff=4096).records[0].eps
     _report(
         "3b eps44 <= 1/30.2 reference",
         e44.hi <= F(10, 302),

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -17,22 +18,16 @@ from pointline import (
     circle,
     collinear,
     crossing_lower_bound,
-    eps_few,
-    f_wd,
     few_lines_lower_bound,
-    few_params,
     grid,
     hirzebruch_check,
     near_pencil,
     random_points,
     scan_constants_few,
     scan_constants_wd,
-    st_bound_edges,
-    st_bound_lines,
     tail_sum,
     verify_theorems,
     visibility_edge_count,
-    wd_params,
 )
 
 ALPHA = F(103, 16)
@@ -62,6 +57,22 @@ def test_interval_basic_arithmetic():
     for value, expected in [(2 * iv, (2, 4)), (iv * 2, (2, 4)), (F(1, 2) * iv, (F(1, 2), 1)),
                             (sum([iv, iv]), (2, 4)), (1 - iv, (-1, 0))]:
         assert type(value) is Interval and value == Interval.of(*expected)
+
+
+def test_interval_refuses_ordering():
+    wide, narrow = Interval.of(0, 10), Interval.of(1, 2)
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError, match="not ordered"):
+            compare(wide, narrow)
+        with pytest.raises(TypeError, match="not ordered"):
+            compare((0, 10), narrow)  # a plain tuple does not order them either
+    with pytest.raises(TypeError, match="not ordered"):
+        max(wide, narrow)
+    with pytest.raises(TypeError, match="not ordered"):
+        sorted([wide, narrow])
+    # equality with a plain tuple and hashing stay
+    assert wide == (0, 10) and (1, 2) == narrow and wide != narrow
+    assert {wide, Interval.of(0, 10)} == {wide}
 
 
 def test_interval_rejects_reversed_endpoints():
@@ -104,33 +115,38 @@ def test_crossing_lower_bound_below_threshold():
     assert crossing_lower_bound(GraphSize(10, 45)) == 0
 
 
+def _st_bound_at(n, i, e):
+    """bounds._st_bound at threshold i for the default constants, as a Fraction."""
+    return F(*bounds_mod._st_bound(n, e, bounds_mod.DEFAULT_CONSTANTS)[0](i))
+
+
 def test_st_bound_edges_small_i():
-    assert st_bound_edges(9, 2) == max(F(927, 16), F(2577987, 2048)) == F(2577987, 2048)
+    assert _st_bound_at(9, 2, 2) == max(F(927, 16), F(2577987, 2048)) == F(2577987, 2048)
 
 
 def test_st_bound_edges_branch_switch():
     # i large enough that the quadratic branch drops below alpha*n
-    assert st_bound_edges(9, 100) == F(927, 16)
+    assert _st_bound_at(9, 100, 2) == F(927, 16)
 
 
 def test_st_bound_lines():
-    assert st_bound_lines(9, 3) == max(F(927, 32), F(2577987, 16384)) == F(2577987, 16384)
-    assert st_bound_lines(9, 2) == max(ALPHA * 9, BETA * 81 / 2)
+    assert _st_bound_at(9, 3, 3) == max(F(927, 32), F(2577987, 16384)) == F(2577987, 16384)
+    assert _st_bound_at(9, 2, 3) == max(ALPHA * 9, BETA * 81 / 2)
 
 
 def test_st_bounds_monotone_in_n():
     for i in (2, 3, 7):
-        assert st_bound_edges(50, i) >= st_bound_edges(10, i)
-        assert st_bound_lines(50, i) >= st_bound_lines(10, i)
+        assert _st_bound_at(50, i, 2) >= _st_bound_at(10, i, 2)
+        assert _st_bound_at(50, i, 3) >= _st_bound_at(10, i, 3)
 
 
 def test_st_bound_domain():
     with pytest.raises(DomainError, match=r"^line size threshold must be >= 2, got 1$"):
-        st_bound_edges(9, 1)
+        _st_bound_at(9, 1, 2)
     with pytest.raises(DomainError, match=r"^point count must be >= 1, got 0$"):
-        st_bound_lines(0, 2)
+        _st_bound_at(0, 2, 3)
     with pytest.raises(DomainError, match="point count"):
-        st_bound_lines(0, 1)  # n is checked first
+        _st_bound_at(0, 1, 3)  # n is checked first
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +265,11 @@ def test_tail_sum_validation():
 
 
 def test_wd_params_h_minimum():
-    assert wd_params(8, F(1, 26), cutoff=64).h == F(24, 11)
+    assert scan_constants_wd(8, 8, cutoff=64).records[0].h == F(24, 11)
 
 
 def test_wd_params_published_point():
-    p = wd_params(46, F(1, 26))
+    p = scan_constants_wd(46, 46).records[0].with_eps(F(1, 26))
     assert p.h == F(506, 53)
     assert p.r == F(20803, 8944)
     assert p.r >= 2
@@ -264,9 +280,9 @@ def test_wd_params_published_point():
 
 def test_wd_params_validation():
     with pytest.raises(DomainError):
-        wd_params(7, F(1, 26))
+        scan_constants_wd(7, 7)
     with pytest.raises(DomainError):
-        wd_params(46, F(1, 2))
+        scan_constants_wd(46, 46, cutoff=64).records[0].with_eps(F(1, 2))
 
 
 def test_wd_identities_sampled():
@@ -284,15 +300,15 @@ def test_wd_identities_sampled():
 
 
 def test_f_wd_published_point():
-    assert f_wd(46).lo > F(1, 26)
+    assert scan_constants_wd(46, 46).records[0].f.lo > F(1, 26)
 
 
 def test_f_wd_comparisons():
-    f8 = f_wd(8, cutoff=4096)
-    f46 = f_wd(46, cutoff=4096)
+    f8 = scan_constants_wd(8, 8, cutoff=4096).records[0].f
+    f46 = scan_constants_wd(46, 46, cutoff=4096).records[0].f
     assert f8.hi < f46.lo
-    coarse = f_wd(46, cutoff=512)
-    fine = f_wd(46, cutoff=1024)
+    coarse = scan_constants_wd(46, 46, cutoff=512).records[0].f
+    fine = scan_constants_wd(46, 46, cutoff=1024).records[0].f
     assert coarse.encloses(fine)
     assert fine.width < coarse.width
 
@@ -311,7 +327,7 @@ def test_scan_small_range():
 def test_scan_low_range_below_peak():
     scan = scan_constants_wd(8, 20, cutoff=1024)
     best = dict(scan.table)[scan.argmax_c]
-    assert best.hi < f_wd(46, cutoff=1024).lo
+    assert best.hi < scan_constants_wd(46, 46, cutoff=1024).records[0].f.lo
 
 
 # beta close to the f(45) = f(46) tie: f(46) - f(45) is about 2.5e-17, so
@@ -374,7 +390,7 @@ def test_scan_lifts_positive_cutoff_to_c_max():
 
 
 def test_few_params_published_point():
-    p = few_params(36)
+    p = scan_constants_few(36, 36).records[0]
     assert p.b == F(206, 693)
     assert p.b <= F(1, 3)
     assert p.a.lo >= F(1, 39)
@@ -382,12 +398,12 @@ def test_few_params_published_point():
 
 def test_few_params_h_at_29():
     # (29^2 - 29 - 2) / (4*29 - 16) = 810/100
-    assert few_params(29, cutoff=64).h == F(81, 10)
+    assert scan_constants_few(29, 29, cutoff=64).records[0].h == F(81, 10)
 
 
 def test_few_params_validation():
     with pytest.raises(DomainError):
-        few_params(28)
+        scan_constants_few(28, 28)
 
 
 def test_few_identities_sampled():
@@ -403,24 +419,24 @@ def test_few_identities_sampled():
 
 
 def test_few_lines_lower_bound_substitution():
-    p = few_params(36)
+    p = scan_constants_few(36, 36).records[0]
     lb = few_lines_lower_bound(100, 10, p)
     assert lb == p.a * 10**4 - F(206, 693) * 1000
 
 
 def test_few_lines_lower_bound_degenerate_all_collinear():
-    p = few_params(36)
+    p = scan_constants_few(36, 36).records[0]
     lb = few_lines_lower_bound(10, 10, p)
     assert lb.hi <= 0  # vacuous bound
 
 
 def test_few_lines_lower_bound_grows_with_n():
-    p = few_params(36)
+    p = scan_constants_few(36, 36).records[0]
     assert few_lines_lower_bound(200, 10, p).lo > 4 * few_lines_lower_bound(100, 10, p).lo
 
 
 def test_few_lines_lower_bound_domain():
-    p = few_params(36, cutoff=64)
+    p = scan_constants_few(36, 36, cutoff=64).records[0]
     with pytest.raises(DomainError):
         few_lines_lower_bound(10, 1, p)
     with pytest.raises(DomainError):
@@ -428,7 +444,7 @@ def test_few_lines_lower_bound_domain():
 
 
 def test_eps_few_published_point():
-    iv = eps_few(44)
+    iv = scan_constants_few(44, 44).records[0].eps
     assert iv.lo >= F(2, 61)
     assert iv.width < F(1, 10**6)
     # exact value is just above 1/30.15
@@ -436,7 +452,7 @@ def test_eps_few_published_point():
 
 
 def test_eps_few_increases_to_44():
-    assert eps_few(29).hi < eps_few(44).lo
+    assert scan_constants_few(29, 29).records[0].eps.hi < scan_constants_few(44, 44).records[0].eps.lo
 
 
 def test_enclosures_contain_independent_zeta_reference():
@@ -458,13 +474,14 @@ def test_enclosures_contain_independent_zeta_reference():
         off = mp.mpf(-18 * (c - 2)) / (c**3 * (5 * c - 18))
         series = mp.zeta(2, c) + mp.zeta(3, c)
         ref = (1 - beta / 2 * (off + series)) / (h + 1 + alpha)
-        assert f_wd(c).contains(as_fraction(ref)), c
+        assert scan_constants_wd(c, c).records[0].f.contains(as_fraction(ref)), c
     for c in (29, 36, 44):
         off = mp.mpf(c * c - 3 * c - 14) / (2 * c**3 * (c - 4))
         ref = (1 - beta / 2 * (off + mp.zeta(2, c))) * mp.mpf(2 * c - 8) / (c * c + 3 * c - 18)
-        assert few_params(c).a.contains(as_fraction(ref)), c
+        (p,) = scan_constants_few(c, c).records
+        assert p.a.contains(as_fraction(ref)), c
         b = mp.mpf(2 * c - 8) * alpha / (c * c + 3 * c - 18)
-        assert eps_few(c).contains(as_fraction(2 * ref / (1 + 2 * b))), c
+        assert p.eps.contains(as_fraction(2 * ref / (1 + 2 * b))), c
 
 
 def test_scan_few_small_range():
@@ -472,27 +489,46 @@ def test_scan_few_small_range():
     assert scan.argmax_c == 44
 
 
-def test_scan_records_match_single_c_entry_points():
-    wd = scan_constants_wd(44, 48, cutoff=64)
-    assert [p.c for p in wd.records] == [c for c, _ in wd.table]
-    assert all(p.f == iv for p, (_, iv) in zip(wd.records, wd.table))
-    p46 = dict(zip([p.c for p in wd.records], wd.records))[46]
-    assert p46.eps is None and p46.delta is None
-    assert p46.f == f_wd(46, cutoff=wd.cutoff)
-    p = wd_params(46, F(1, 26), cutoff=wd.cutoff)
-    assert p46.with_eps(F(1, 26)).delta == p.delta
-    assert p46.with_eps(F(1, 26)) == p
-    assert p46.eps is None and p46.delta is None  # with_eps returned a new record
+def test_one_c_scan_records_match_the_range_scan():
+    # each range scan's record is the one-c scan's at the range's final cutoff
+    for scan, c_min, c_max in ((scan_constants_wd, 44, 48), (scan_constants_few, 40, 48)):
+        full = scan(c_min, c_max, cutoff=64)
+        assert [p.c for p in full.records] == [c for c, _ in full.table] == list(range(c_min, c_max + 1))
+        objective = "f" if scan is scan_constants_wd else "eps"
+        assert all(getattr(p, objective) == iv for p, (_, iv) in zip(full.records, full.table))
+        for p in full.records:
+            one = scan(p.c, p.c, cutoff=full.cutoff)
+            assert (one.argmax_c, one.cutoff, one.records) == (p.c, full.cutoff, (p,))
+            if scan is scan_constants_wd:
+                assert one.records[0].with_eps(F(1, 26)) == p.with_eps(F(1, 26))
+                assert p.eps is None and p.delta is None  # with_eps returned a new record
+    # the family minimum is its own one-c scan, and the c below it is refused
+    for scan, c_min in ((scan_constants_wd, 8), (scan_constants_few, 29)):
+        full = scan(c_min, c_min + 4, cutoff=64)
+        assert scan(c_min, c_min, cutoff=full.cutoff).records[0] == full.records[0]
+        with pytest.raises(DomainError):
+            scan(c_min - 1, c_min - 1)
 
-    few = scan_constants_few(40, 48, cutoff=64)
-    assert all(p.eps == iv for p, (_, iv) in zip(few.records, few.table))
-    p44 = next(p for p in few.records if p.c == 44)
-    assert p44 == few_params(44, cutoff=few.cutoff)
-    assert p44.eps == eps_few(44, cutoff=few.cutoff)
+
+def test_one_c_scan_checks_cutoff_and_eps_as_any_scan(monkeypatch):
+    # a cutoff below c is lifted to c, as it is to any scan's end
+    assert scan_constants_wd(46, 46, cutoff=10) == scan_constants_wd(46, 46, cutoff=46)
+    assert scan_constants_few(44, 44, cutoff=1).cutoff == 44
+    # a cutoff above MAX_CUTOFF is refused
+    with pytest.raises(InvalidCutoff, match="4097"):
+        scan_constants_wd(46, 46, cutoff=4097)
+    # with_eps checks eps after the tail sum (the CLI checks it before the scan)
+    tables = []
+    table = bounds_mod._suffix_tail_table
+    monkeypatch.setattr(bounds_mod, "_suffix_tail_table", lambda *args: tables.append(args) or table(*args))
+    (p,) = scan_constants_wd(46, 46, cutoff=64).records
+    assert tables == [("(i+1)/i^3", 46, 46, 64)]
+    with pytest.raises(DomainError):
+        p.with_eps(3)
 
 
 def test_with_eps_validation():
-    p = wd_params(46, F(1, 26), cutoff=64)
+    p = scan_constants_wd(46, 46, cutoff=64).records[0].with_eps(F(1, 26))
     for eps in (0, F(1, 2), 3, F(-1, 26)):
         with pytest.raises(DomainError):
             p.with_eps(eps)
@@ -505,8 +541,8 @@ def test_with_eps_validation():
         Interval.of(1, 2),
         CrossingConstants(),
         GraphSize(3, 2),
-        wd_params(46, F(1, 26), cutoff=64),
-        few_params(44, cutoff=64),
+        scan_constants_wd(46, 46, cutoff=64).records[0].with_eps(F(1, 26)),
+        scan_constants_few(44, 44, cutoff=64).records[0],
         scan_constants_wd(44, 48, cutoff=64),
         hirzebruch_check(build_arrangement(grid(3, 3))),
     ],
@@ -519,16 +555,6 @@ def test_records_are_immutable_named_tuples(record):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert record == tuple(record)
-
-
-@pytest.mark.parametrize("eps", [3, 0])
-def test_wd_params_rejects_eps_before_summing(eps, monkeypatch):
-    def no_tail(*args):
-        raise AssertionError("tail summed before eps was checked")
-
-    monkeypatch.setattr(bounds_mod, "tail_sum", no_tail)
-    with pytest.raises(DomainError):
-        wd_params(46, eps)
 
 
 # ---------------------------------------------------------------------------

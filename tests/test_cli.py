@@ -512,16 +512,16 @@ def test_constants_rows_are_rounded_api_records(capsys):
                      "--eps", "1/26", "--format", "json"]) == 0
     result = json.loads(capsys.readouterr().out)
     row = next(r for r in result["rows"] if r["c"] == 46)
-    p = bounds.wd_params(46, F(1, 26), cutoff=result["cutoff"])
+    p = bounds.scan_constants_wd(46, 46, cutoff=result["cutoff"]).records[0].with_eps(F(1, 26))
     assert (F(row["delta_lo"]), F(row["delta_hi"])) == _outward(p.delta)
-    assert (F(row["f_lo"]), F(row["f_hi"])) == _outward(bounds.f_wd(46, cutoff=result["cutoff"]))
+    assert (F(row["f_lo"]), F(row["f_hi"])) == _outward(p.f)
     assert (row["h"], row["x"], row["y"]) == (str(p.h), str(p.x), str(p.y))
 
     assert cli.main(["constants", "--family", "few", "--c-min", "40", "--c-max", "48",
                      "--format", "json"]) == 0
     result = json.loads(capsys.readouterr().out)
     row = next(r for r in result["rows"] if r["c"] == 44)
-    p = bounds.few_params(44, cutoff=result["cutoff"])
+    p = bounds.scan_constants_few(44, 44, cutoff=result["cutoff"]).records[0]
     assert (F(row["a_lo"]), F(row["a_hi"])) == _outward(p.a)
     assert (F(row["eps_lo"]), F(row["eps_hi"])) == _outward(p.eps)
     assert (row["h"], row["x"], row["b"]) == (str(p.h), str(p.x), str(p.b))

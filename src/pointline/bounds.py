@@ -1,13 +1,18 @@
 """Bound constants, series enclosures, inequality checks, and constant scans.
 
-Everything here is exact: closed-form quantities are Fractions, and the
-two infinite series that appear in the bound coefficients are bracketed
-by an Interval: an exact partial sum up to a cutoff M, plus the
-Euler-Maclaurin bracket of the remainder past M (truncated after the B_2
-and after the B_4 term; Graham, Knuth and Patashnik, Concrete
-Mathematics, 2nd ed., section 9.5; T. M. Apostol, "An elementary view of
-Euler's summation formula", Amer. Math. Monthly 106 (1999) 409-418).
-The bracket is O(1/M^5) wide, so a few hundred exact terms suffice.
+Everything here is exact or a true enclosure: closed-form quantities are
+Fractions, and the two infinite series that appear in the bound
+coefficients are bracketed by an Interval: a partial sum up to a cutoff
+M, plus the Euler-Maclaurin bracket of the remainder past M (truncated
+after the B_2 and after the B_4 term; Graham, Knuth and Patashnik,
+Concrete Mathematics, 2nd ed., section 9.5; T. M. Apostol, "An
+elementary view of Euler's summation formula", Amer. Math. Monthly 106
+(1999) 409-418).
+The bracket is O(1/M^5) wide, so a few hundred terms suffice.  Each
+term and each end of the bracket is rounded outward to a multiple of
+2^-128 (TAIL_BITS) and summed as an int, so every enclosure holds the
+exact rational one, is at most (M + 2) * 2^-128 wider at each end, and
+has a 129-bit denominator instead of one of thousands of bits.
 There is one tail path: _suffix_tail_table encloses the series from
 every start c in a range in one pass over the terms, and tail_sum reads
 its entry for a single c.
@@ -202,8 +207,9 @@ TAIL_KINDS = ("1/i^2", "(i+1)/i^3")
 def tail_sum(kind: str, c: int, cutoff: int) -> Interval:
     """Rigorous enclosure of sum_{i>=c} of 1/i^2 or (i+1)/i^3.
 
-    Exact rational partial sum for i in [c, cutoff] plus the
-    Euler-Maclaurin bracket of the remainder past M = cutoff:
+    The partial sum for i in [c, cutoff], each term rounded outward to a
+    multiple of 2^-TAIL_BITS, plus the Euler-Maclaurin bracket of the
+    remainder past M = cutoff, rounded outward the same way:
     sum_{i>M} 1/i^2 lies in [U2 - 1/(30M^5), U2] with
     U2 = 1/M - 1/(2M^2) + 1/(6M^3), and sum_{i>M} 1/i^3 in
     [U3 - 1/(12M^6), U3] with U3 = 1/(2M^2) - 1/(2M^3) + 1/(4M^4).
@@ -213,14 +219,18 @@ def tail_sum(kind: str, c: int, cutoff: int) -> Interval:
     (Graham, Knuth and Patashnik, Concrete Mathematics, section 9.5;
     Apostol, Amer. Math. Monthly 106 (1999)).  (i+1)/i^3 splits as
     1/i^2 + 1/i^3.  The bracket's width is O(1/M^5), and enclosures
-    nest as the cutoff grows.
+    nest as the cutoff doubles (see _suffix_tail_table).
     """
     return _suffix_tail_table(kind, c, c, cutoff)[c]
 
 
-def _term(kind: str, i: int) -> Fraction:
-    """The i-th series term, 1/i^2 or (i+1)/i^3."""
-    return Fraction(1, i * i) if kind == "1/i^2" else Fraction(i + 1, i**3)
+# the tail table sums in integer multiples of 2^-TAIL_BITS
+TAIL_BITS = 128
+
+
+def _term(kind: str, i: int) -> tuple[int, int]:
+    """The i-th series term, 1/i^2 or (i+1)/i^3, as (num, den)."""
+    return (1, i * i) if kind == "1/i^2" else (i + 1, i**3)
 
 
 def _tail_bounds(kind: str, m: int) -> tuple[Rational, Rational]:
@@ -237,8 +247,22 @@ def _tail_bounds(kind: str, m: int) -> tuple[Rational, Rational]:
 def _suffix_tail_table(kind: str, c_min: int, c_max: int, cutoff: int) -> dict[int, Interval]:
     """tail_sum for every c in [c_min, c_max] from one pass over the terms.
 
-    The partial sum over [c_max, cutoff] is summed forward; the walk back
-    then adds only the terms of [c_min, c_max).
+    The sums are two ints in units of 2^-TAIL_BITS, walked back from the
+    cutoff to c_min: lo adds each term and the bracket's lower end rounded
+    down, hi adds them rounded up.  So each enclosure holds the exact one
+    (exact partial sum plus the exact bracket) and is at most
+    cutoff - c + 2 units wider at each end, under 2^-115 for cutoffs up
+    to MAX_CUTOFF.
+    Nesting survives the rounding.  The exact bracket at M misses the
+    true tail by about 1/(42 M^7) at its lower end (the next
+    Euler-Maclaurin term of the 1/i^2 series; the 1/i^3 series adds
+    about 1/(12 M^8)) and by about 1/(30 M^5) at its upper end.  The
+    misses at 2M are 2^7 and 2^5 times smaller, so the exact enclosure
+    at 2M lies inside the one at M with a margin of about 1/(42 M^7) at
+    the lower end.  At M = 2048, the last cutoff that doubles, that is
+    about 2^-82, far more than the 2 * 2048 + 2 units (under 2^-115)
+    by which rounding can move an end, so the enclosure at 2M still
+    lies inside the one at M.
     """
     if kind not in TAIL_KINDS:
         raise DomainError(f"unknown series kind {kind!r}; expected one of {TAIL_KINDS}")
@@ -247,12 +271,17 @@ def _suffix_tail_table(kind: str, c_min: int, c_max: int, cutoff: int) -> dict[i
     if cutoff < c_max:
         raise InvalidCutoff(f"cutoff {cutoff} below series start {c_max}")
     t_lo, t_hi = _tail_bounds(kind, cutoff)
-    acc = sum(_term(kind, i) for i in range(c_max, cutoff + 1))
-    partials = {c_max: acc}
-    for i in range(c_max - 1, c_min - 1, -1):
-        acc += _term(kind, i)
-        partials[i] = acc
-    return {c: Interval(p + t_lo, p + t_hi) for c, p in partials.items()}
+    lo = (t_lo.numerator << TAIL_BITS) // t_lo.denominator
+    hi = -((-t_hi.numerator << TAIL_BITS) // t_hi.denominator)
+    unit, table = 1 << TAIL_BITS, {}
+    for i in range(cutoff, c_min - 1, -1):
+        num, den = _term(kind, i)
+        q, r = divmod(num << TAIL_BITS, den)
+        lo += q
+        hi += q + (r > 0)
+        if i <= c_max:
+            table[i] = Interval(Fraction(lo, unit), Fraction(hi, unit))
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def _build_parser() -> _Parser:
     p_const.add_argument("--eps", type=_rational, default=None,
                          help="also tabulate the incidence coefficient at this eps in (0, 1/2) (wd only)")
     p_const.add_argument("--cutoff", type=int, default=bounds.DEFAULT_CUTOFF,
-                         help=f"last series term summed exactly, 1..{bounds.MAX_CUTOFF}; the rest "
+                         help=f"last series term summed, 1..{bounds.MAX_CUTOFF}; the rest "
                               "is bracketed, and the cutoff doubles up to "
                               f"{bounds.MAX_CUTOFF} while the argmax is not isolated "
                               f"(default: {bounds.DEFAULT_CUTOFF})")
@@ -273,22 +273,29 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-_ENCLOSURE_DIGITS = 15
+_ENCLOSURE_SCALE = 10**15
+
+
+def _scaled_str(num: int) -> str:
+    """num / _ENCLOSURE_SCALE as the string of the reduced Fraction."""
+    g = math.gcd(num, _ENCLOSURE_SCALE)
+    den = _ENCLOSURE_SCALE // g
+    return str(num // g) if den == 1 else f"{num // g}/{den}"
 
 
 def _enclosure_strs(iv: bounds.Interval) -> tuple[str, str]:
     """Outward-round an enclosure to printable exact rationals.
 
-    Series enclosures carry partial sums whose reduced numerators run to
-    thousands of digits; printing them verbatim is useless (and trips the
-    int-to-str conversion limit).  Rounding lo down and hi up to 15
-    decimal digits keeps the pair a true enclosure, far finer than any
+    Series enclosures carry partial sums in units of 2^-128, and a record
+    built from them a denominator of a few hundred bits; printing them
+    verbatim is useless.  Rounding lo down and hi up to 15 decimal digits
+    (integer floor and ceiling division of numerator * 10^15 by the
+    denominator) keeps the pair a true enclosure, far finer than any
     enclosure width that matters here.
     """
-    scale = 10**_ENCLOSURE_DIGITS
-    lo = Fraction(math.floor(iv.lo * scale), scale)
-    hi = Fraction(math.ceil(iv.hi * scale), scale)
-    return str(lo), str(hi)
+    lo, hi = iv
+    return (_scaled_str(lo.numerator * _ENCLOSURE_SCALE // lo.denominator),
+            _scaled_str(-(-hi.numerator * _ENCLOSURE_SCALE // hi.denominator)))
 
 
 # exact columns, then enclosure columns (printed as <name>_lo, <name>_hi;

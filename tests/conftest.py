@@ -4,7 +4,7 @@ from itertools import chain
 
 from hypothesis import strategies as st
 
-from pointline import PointSet, build_arrangement, grid, orient, point
+from pointline import Interval, PointSet, bounds, build_arrangement, grid, orient, point
 
 
 def pset(*coords) -> PointSet:
@@ -21,6 +21,21 @@ def line_statistics(lines, n: int) -> tuple[dict[int, int], list[int]]:
     size_hist = dict(sorted(Counter(map(len, lines)).items()))
     per_point = Counter(chain.from_iterable(lines))
     return size_hist, [per_point[v] for v in range(n)]
+
+
+def exact_tail_table(kind: str, c_min: int, c_max: int, cutoff: int) -> dict[int, Interval]:
+    """bounds._suffix_tail_table with exact rational sums: no term and no bracket end rounded.
+
+    The reference the fixed-point table is checked against: each of its
+    enclosures must hold this one.  The arguments are taken as valid.
+    """
+    t_lo, t_hi = bounds._tail_bounds(kind, cutoff)
+    acc = sum(Fraction(*bounds._term(kind, i)) for i in range(c_max, cutoff + 1))
+    partials = {c_max: acc}
+    for i in range(c_max - 1, c_min - 1, -1):
+        acc += Fraction(*bounds._term(kind, i))
+        partials[i] = acc
+    return {c: Interval(p + t_lo, p + t_hi) for c, p in partials.items()}
 
 
 # p/q with mixed denominators 1..4: lines of 3+ points occur, unlike the

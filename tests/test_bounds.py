@@ -30,6 +30,8 @@ from pointline import (
     visibility_edge_count,
 )
 
+from conftest import exact_tail_table
+
 ALPHA = F(103, 16)
 BETA = F(31827, 1024)
 
@@ -186,10 +188,43 @@ def test_hirzebruch_near_pencil_not_applicable():
 PI2_6_MINUS_1 = F("0.6449340668482264364724151666460251892189")
 
 
+# one unit of the fixed-point tail sums
+ULP = F(1, 1 << bounds_mod.TAIL_BITS)
+
+
 def test_tail_sum_one_term():
-    # 1/4, plus the bracket at M = 2: U2 = 1/2 - 1/8 + 1/48 = 19/48, less 1/(30 * 2^5)
+    # 1/4, plus the bracket at M = 2: U2 = 1/2 - 1/8 + 1/48 = 19/48, less 1/(30 * 2^5);
+    # one term and the bracket, each rounded outward by less than one unit
+    exact = Interval.of(F(619, 960), F(31, 48))
     iv = tail_sum("1/i^2", 2, 2)
-    assert iv == Interval.of(F(619, 960), F(31, 48))
+    assert iv.encloses(exact)
+    assert exact.lo - iv.lo <= 2 * ULP and iv.hi - exact.hi <= 2 * ULP
+
+
+TAIL_STARTS = (2, 3, 5, 8, 29, 44, 46, 100, 200)
+
+
+@pytest.mark.parametrize("kind", bounds_mod.TAIL_KINDS)
+def test_fixed_point_tails_enclose_the_exact_tails(kind):
+    # c..c+39 tries every cutoff near the start, 256..4096 each cutoff a
+    # default scan can refine to; one table per large cutoff serves every c
+    big = {m: (bounds_mod._suffix_tail_table(kind, 2, 200, m), exact_tail_table(kind, 2, 200, m))
+           for m in (256, 512, 1024, 2048, 4096)}
+    for c in TAIL_STARTS:
+        shipped, exact = {}, {}
+        for m in range(c, c + 40):
+            shipped[m] = bounds_mod._suffix_tail_table(kind, c, c, m)[c]
+            exact[m] = exact_tail_table(kind, c, c, m)[c]
+        for m, (ship_table, exact_table) in big.items():
+            shipped[m], exact[m] = ship_table[c], exact_table[c]
+        for m, iv in shipped.items():
+            assert iv.encloses(exact[m]), (c, m)
+            slack = (m - c + 2) * ULP
+            assert exact[m].lo - iv.lo <= slack and iv.hi - exact[m].hi <= slack, (c, m)
+            assert (1 << bounds_mod.TAIL_BITS) % iv.lo.denominator == 0, (c, m)
+            assert (1 << bounds_mod.TAIL_BITS) % iv.hi.denominator == 0, (c, m)
+            if 2 * m in shipped:
+                assert iv.encloses(shipped[2 * m]), (c, m)
 
 
 def test_tail_sum_contains_reference():

@@ -8,12 +8,13 @@ from fractions import Fraction as F
 from types import MappingProxyType
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import pointline
 from pointline import Unresolved, _kern, arrangement, bounds, cli, generators, load_points_file
 from pointline.bounds import TheoremCheck
 
-from conftest import CERTIFIED_GRID, LINE_CORRUPTIONS, corrupted_grid_lines
+from conftest import CERTIFIED_GRID, LINE_CORRUPTIONS, corrupted_grid_lines, exact_tail_table
 
 
 @pytest.fixture()
@@ -502,6 +503,32 @@ def test_constants_one_tail_pass_per_refinement_round(argv, monkeypatch, capsys)
     assert cutoffs[-1] == final
 
 
+# the benchmark's two constants calls, the README's three and its exit-3
+# near-tie, --alpha 7 --beta 29 for each family, a start cutoff lifted to
+# c_max, and one that refines from 64 to 2048
+GATE_CALLS = [
+    ["--family", "wd", "--c-min", "8", "--c-max", "200", "--eps", "1/26", "--format", "json"],
+    ["--family", "few", "--c-min", "29", "--c-max", "200", "--format", "json"],
+    ["--family", "wd", "--c-min", "8", "--c-max", "200"],
+    ["--family", "few", "--c-min", "29", "--c-max", "200"],
+    ["--family", "wd", "--c-min", "46", "--c-max", "46", "--eps", "1/26"],
+    ["--family", "wd", "--c-min", "45", "--c-max", "46", "--beta", "2038012241309377/66199546784903"],
+    ["--family", "wd", "--alpha", "7", "--beta", "29"],
+    ["--family", "few", "--alpha", "7", "--beta", "29"],
+    ["--family", "wd", "--cutoff", "8", "--c-max", "60"],
+    ["--family", "wd", "--c-min", "45", "--c-max", "46", "--beta", "26356235/856114", "--cutoff", "64"],
+]
+
+
+@pytest.mark.parametrize("argv", GATE_CALLS, ids=" ".join)
+def test_constants_output_matches_the_exact_tail_sums(argv, monkeypatch, capsys):
+    # the fixed-point tails widen each enclosure by under 2^-115, far
+    # below the 15 printed digits and every separation the scans decide
+    shipped = cli.main(["constants", *argv]), capsys.readouterr()
+    monkeypatch.setattr(bounds, "_suffix_tail_table", exact_tail_table)
+    assert (cli.main(["constants", *argv]), capsys.readouterr()) == shipped
+
+
 def _outward(iv, digits=15):
     scale = 10**digits
     return F(math.floor(iv.lo * scale), scale), F(math.ceil(iv.hi * scale), scale)
@@ -525,6 +552,16 @@ def test_constants_rows_are_rounded_api_records(capsys):
     assert (F(row["a_lo"]), F(row["a_hi"])) == _outward(p.a)
     assert (F(row["eps_lo"]), F(row["eps_hi"])) == _outward(p.eps)
     assert (row["h"], row["x"], row["b"]) == (str(p.h), str(p.x), str(p.b))
+
+
+@given(st.lists(st.fractions(), min_size=2, max_size=2).map(sorted))
+@example([F(-7), F(3)])
+@example([F(1, 3), F(1, 3)])
+@example([F(-1, 3), F(1, 2)])
+@example([F(2**200 + 1, 2**128), F(2**200 + 3, 2**128)])
+def test_enclosure_strs_print_the_outward_rounded_fractions(ends):
+    iv = bounds.Interval(*ends)
+    assert cli._enclosure_strs(iv) == tuple(map(str, _outward(iv)))
 
 
 def _modules_loaded(code, names):

@@ -45,13 +45,13 @@ _BLOCK_ELEMENTS = 1 << 16
 _SLOPE_BOUND = 1 << 26
 
 
-def homogenise(xs: list, ys: list) -> tuple[list, list, list]:
+def homogenise(points) -> tuple[list, list, list]:
     """Clear each point (x, y) to integers (X, Y, W) with x = X/W, y = Y/W, W > 0.
 
     W is the lcm of the two denominators; no Fraction arithmetic is done.
     """
     hx, hy, hw = [], [], []
-    for x, y in zip(xs, ys):
+    for x, y in points:
         # ints expose .numerator and .denominator == 1, so mixed input is fine
         w = lcm(x.denominator, y.denominator)
         hx.append(x.numerator * (w // x.denominator))

@@ -91,7 +91,7 @@ class Arrangement(namedtuple("Arrangement", "n size_hist max_collinear incidence
 
     @cached_property
     def lines(self) -> Mapping[tuple[int, int, int], tuple[int, ...]]:
-        return _exact_lines(*_homogenise(self.points))
+        return _exact_lines(*_kern.homogenise(self.points))
 
 
 def build_arrangement(ps: PointSet) -> Arrangement:
@@ -119,7 +119,7 @@ def build_arrangement(ps: PointSet) -> Arrangement:
     n = ps.n
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
-    hx, hy, hw = _homogenise(ps.points)
+    hx, hy, hw = _kern.homogenise(ps.points)
     stats = lines = None
     if n * (n - 1) // 2 >= INT64_MIN_PAIRS and not _line_misses_at_most_three(hx, hy, hw):
         stats = _kern.int64_statistics(hx, hy, hw)
@@ -159,11 +159,6 @@ def _statistics_from_long_lines(lines: Iterable[tuple[int, ...]], n: int) -> tup
     if two_point:
         size_hist[2] = two_point
     return dict(sorted(size_hist.items())), per_point
-
-
-def _homogenise(points: tuple[Point, ...]) -> tuple[list, list, list]:
-    """The points cleared to homogeneous integer triples (X, Y, W) by _kern.homogenise."""
-    return _kern.homogenise([p.x for p in points], [p.y for p in points])
 
 
 def _exact_lines(hx: list, hy: list, hw: list) -> Mapping[tuple[int, int, int], tuple[int, ...]]:

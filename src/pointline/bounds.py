@@ -20,13 +20,12 @@ Inequality verdicts are exact rational comparisons; thresholds such as
 n/26 + 2 are never rounded.
 
 The constant formulas of the two bound families live in one record
-builder each (_wd_record, _few_record; BoundParamsWD.f and
-BoundParamsWD.with_eps give f and the eps-dependent delta from the
-record's numerator).  The scans over c (scan_constants_wd,
-scan_constants_few) are the only callers of those builders and return
-their records, so callers such as the CLI format fields and never
-re-derive one.  The record at a single c is the one record of the scan
-from c to c.
+builder each (_wd_record, _few_record; BoundParamsWD.with_eps gives the
+eps-dependent delta from the record's numerator).  The scans over c
+(scan_constants_wd, scan_constants_few) are the only callers of those
+builders and return their records, so callers such as the CLI format
+fields and never re-derive one.  The record at a single c is the one
+record of the scan from c to c.
 """
 from __future__ import annotations
 
@@ -133,11 +132,9 @@ class CrossingConstants(namedtuple("CrossingConstants", "alpha beta")):
     number at least m^3 / (beta * n^2).  Defaults are the pair of Pach,
     Radoicic, Tardos and Toth (Discrete Comput. Geom. 36, 2006) behind
     n/26 + 2 and n(n - l)/61; Ackerman's (7, 29) (Comput. Geom. 85, 2019)
-    has a larger alpha and a smaller beta, so neither dominates.  Both are
-    overridable for sensitivity scans: the constant scans derive their
-    records from the pair given, but verify_theorems reads it only in its
-    two Szemeredi-Trotter checks, and its thresholds n/26 + 2,
-    n^2/26 + 2n, n(n - l)/61 and n(n - l)/122 belong to the default pair.
+    has a larger alpha and a smaller beta, so neither dominates.  The
+    constant scans take any pair, for sensitivity scans; verify_theorems
+    checks the statements the default pair proves.
     """
 
     __slots__ = ()
@@ -288,8 +285,8 @@ def _suffix_tail_table(kind: str, c_min: int, c_max: int, cutoff: int) -> dict[i
 # Bound-constant families
 #
 # Each family has one record builder taking (c, series enclosure, k); it is
-# the only place the family's constant formulas are written, apart from f
-# and the eps-dependent delta of the wd family, which BoundParamsWD derives
+# the only place the family's constant formulas are written, apart from the
+# eps-dependent delta of the wd family, which BoundParamsWD.with_eps derives
 # from the numerator its builder stores.
 # The scan over c is the builders' only caller.
 # ---------------------------------------------------------------------------
@@ -326,11 +323,8 @@ class BoundParamsWD(NamedTuple):
     delta: Optional[Interval]
     r: Rational
     num: Interval
+    f: Interval
     k: CrossingConstants
-
-    @property
-    def f(self) -> Interval:
-        return self.num / (self.h + 1 + self.k.alpha)
 
     def with_eps(self, eps: Rational) -> "BoundParamsWD":
         """A copy of this record with delta filled in for eps in (0, 1/2)."""
@@ -357,6 +351,7 @@ class BoundParamsFew(NamedTuple):
 def _wd_record(c: int, series: Interval, k: CrossingConstants) -> BoundParamsWD:
     h = Fraction(c * (c - 2), 5 * c - 18)
     offset = Fraction(-18 * (c - 2), c**3 * (5 * c - 18))  # y * (c+1)/c^3 in closed form
+    num = 1 - (k.beta / 2) * (offset + series)
     return BoundParamsWD(
         c=c,
         eps=None,
@@ -365,7 +360,8 @@ def _wd_record(c: int, series: Interval, k: CrossingConstants) -> BoundParamsWD:
         y=c - 5 * h - 2 + 18 * h / (c + 1),
         delta=None,
         r=(2 * h - 1 + k.alpha) / (h + 1),
-        num=1 - (k.beta / 2) * (offset + series),
+        num=num,
+        f=num / (h + 1 + k.alpha),
         k=k,
     )
 
@@ -457,6 +453,13 @@ def scan_constants_few(
     return _FEW.scan(c_min, c_max, k, cutoff)
 
 
+# The paper's constants, certified at the default pair and cutoff by one
+# record each: at WD_C, with_eps(WD_DELTA).delta.lo >= WD_DELTA and r >= WD_R;
+# at FEW_C, eps.lo >= FEW_EPS.  verify_theorems derives its thresholds from them.
+WD_C, WD_DELTA, WD_R = 46, Fraction(1, 26), 2
+FEW_C, FEW_EPS = 44, Fraction(2, 61)
+
+
 def few_lines_lower_bound(n: int, l: int, p: BoundParamsFew) -> Interval:
     """Enclosure of A*n^2 - B*l*n, the guaranteed count of lines with <= c points."""
     if not 2 <= l <= n:
@@ -515,19 +518,18 @@ CHECK_NAMES = ("hirzebruch", "st_edges", "st_lines", "point_degree", "incidences
                "total_lines", "lines_le3", "half_le3")
 
 
-def verify_theorems(arr: Arrangement, k: CrossingConstants = DEFAULT_CONSTANTS) -> list[TheoremCheck]:
+def verify_theorems(arr: Arrangement) -> list[TheoremCheck]:
     """Run every supported inequality against one arrangement, in CHECK_NAMES order.
 
+    The thresholds are delta*n + r, delta*n^2 + r*n, (eps/2) n(n - l) and
+    (eps/4) n(n - l) for (delta, r, eps) = (WD_DELTA, WD_R, FEW_EPS), and
+    the Szemeredi-Trotter bounds of DEFAULT_CONSTANTS.
     Premises are part of the statements: an inapplicable check reports
     its sides with holds=None and counts as success for exit purposes.
     The point-degree and incidence checks require a non-collinear set of
     at least 5 points (the n=3 triangle violates both literal bounds);
-    the incidence check additionally needs max_collinear <= n/26 + 2,
+    the incidence check also needs max_collinear <= WD_DELTA*n + WD_R,
     and the half-lines check a non-collinear set.
-
-    k reaches only the two Szemeredi-Trotter checks (st_edges, st_lines).
-    The thresholds n/26 + 2, n^2/26 + 2n, n(n - l)/61 and n(n - l)/122
-    are the ones the default pair DEFAULT_CONSTANTS proves, whatever k is.
     """
     n = arr.n
     l = arr.max_collinear
@@ -536,36 +538,38 @@ def verify_theorems(arr: Arrangement, k: CrossingConstants = DEFAULT_CONSTANTS) 
 
     checks.append(hirzebruch_check(arr))
     # sum_{j>=i} (j-1) s_j is visibility_edge_count(arr, i)
-    checks.append(_st_check("st_edges", arr, 2, k))
-    checks.append(_st_check("st_lines", arr, 3, k))
+    checks.append(_st_check("st_edges", arr, 2, DEFAULT_CONSTANTS))
+    checks.append(_st_check("st_lines", arr, 3, DEFAULT_CONSTANTS))
 
     idx, degree = max_lines_through_point(arr)
+    degree_rhs = WD_DELTA * n + WD_R
     checks.append(
         _check(
             "point_degree",
             non_collinear and n >= 5,
             ">=",
             degree,
-            Fraction(n, 26) + 2,
+            degree_rhs,
             note=f"witness point {idx}" if non_collinear and n >= 5 else "needs a non-collinear set with n >= 5",
         )
     )
-    incid_applicable = non_collinear and n >= 5 and l <= Fraction(n, 26) + 2
+    incid_applicable = non_collinear and n >= 5 and l <= degree_rhs
     checks.append(
         _check(
             "incidences",
             incid_applicable,
             ">=",
             arr.incidences,
-            Fraction(n * n, 26) + 2 * n,
-            note="" if incid_applicable else "needs non-collinear, n >= 5, and max_collinear <= n/26 + 2",
+            degree_rhs * n,
+            note="" if incid_applicable
+            else f"needs non-collinear, n >= 5, and max_collinear <= n/{1 / WD_DELTA} + {WD_R}",
         )
     )
     checks.append(
-        _check("total_lines", True, ">=", arr.num_lines, Fraction(n * (n - l), 61))
+        _check("total_lines", True, ">=", arr.num_lines, FEW_EPS / 2 * (n * (n - l)))
     )
     le3 = lines_with_at_most(arr, 3)
-    checks.append(_check("lines_le3", True, ">=", le3, Fraction(n * (n - l), 122)))
+    checks.append(_check("lines_le3", True, ">=", le3, FEW_EPS / 4 * (n * (n - l))))
     checks.append(
         _check(
             "half_le3",

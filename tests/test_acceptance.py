@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from pointline import (
+    bounds,
     brute_force_lines,
     build_arrangement,
     circle,
@@ -61,6 +62,7 @@ def test_criterion_1_constant_scan_argmax():
     _report("1 constant scan", ok, f"argmax={scan.argmax_c}, {elapsed:.1f}s")
     assert scan.argmax_c == 46
     assert f46.lo > F(1, 26)
+    assert (bounds.WD_C, bounds.WD_DELTA) == (46, F(1, 26))
     assert elapsed < 60
 
 
@@ -76,6 +78,7 @@ def test_criterion_2_incidence_bound_constants():
     assert p.delta.lo >= F(1, 26)
     assert p.r == F(20803, 8944) and p.r >= 2
     assert p.delta.width < F(1, 10**6)
+    assert (bounds.WD_C, bounds.WD_DELTA, bounds.WD_R) == (46, F(1, 26), 2)
 
 
 def test_criterion_3_few_lines_constants():
@@ -91,6 +94,7 @@ def test_criterion_3_few_lines_constants():
     assert p36.a.lo >= F(1, 39)
     assert p36.b == F(206, 693)
     assert p36.b <= F(1, 3)
+    assert (bounds.FEW_C, bounds.FEW_EPS) == (44, F(2, 61))
 
 
 @pytest.mark.xfail(

@@ -120,8 +120,8 @@ def test_kernels_agree_on_lattice_input():
     xs = [p.x for p in ps.points]
     ys = [p.y for p in ps.points]
     assert all(type(v) is int for v in xs + ys)
-    as_fractions = _kern.homogenise([Fraction(x) for x in xs], [Fraction(y) for y in ys])
-    as_ints = _kern.group_collinear(*_kern.homogenise(xs, ys))
+    as_fractions = _kern.homogenise([(Fraction(x), Fraction(y)) for x, y in ps.points])
+    as_ints = _kern.group_collinear(*_kern.homogenise(ps.points))
     assert _kern.group_collinear(*as_fractions) == as_ints
     assert sum(len(m) * (len(m) - 1) // 2 for m in as_ints.values()) == 35 * 34 // 2
 
@@ -219,7 +219,7 @@ def test_statistics_from_long_lines_edge_cases(ps, hist):
 
 def _triples(ps):
     """The homogeneous integer triples (hx, hy, hw) the kernels take."""
-    return _kern.homogenise([p.x for p in ps.points], [p.y for p in ps.points])
+    return _kern.homogenise(ps.points)
 
 
 def _exact_statistics(ps):

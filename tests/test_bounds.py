@@ -661,8 +661,31 @@ def test_verify_circle_incidence_bound_applicable():
 def test_verify_detects_violations_with_weak_constants():
     # tiny constants cannot support the Szemeredi-Trotter bounds
     weak = CrossingConstants(alpha=F(1, 1000), beta=F(1, 1000))
-    checks = _by_name(verify_theorems(build_arrangement(grid(4, 4)), weak))
-    assert checks["st_edges"].holds is False
+    assert bounds_mod._st_check("st_edges", build_arrangement(grid(4, 4)), 2, weak).holds is False
+
+
+def test_named_constants_are_certified_by_their_scan_records():
+    # at the default pair and cutoff, the one record at WD_C (FEW_C) proves
+    # WD_DELTA and WD_R (FEW_EPS); slightly stronger constants are not proved
+    wd = scan_constants_wd(bounds_mod.WD_C, bounds_mod.WD_C).records[0]
+    few = scan_constants_few(bounds_mod.FEW_C, bounds_mod.FEW_C).records[0]
+    assert wd.with_eps(bounds_mod.WD_DELTA).delta.lo >= bounds_mod.WD_DELTA
+    assert wd.r >= bounds_mod.WD_R
+    assert few.eps.lo >= bounds_mod.FEW_EPS
+    # negative controls: delta.lo ~ 0.0386560 < 1/25, r = 20803/8944 < 5/2,
+    # eps.lo ~ 0.0331782 < 2/60
+    assert wd.with_eps(F(1, 25)).delta.lo < F(1, 25)
+    assert wd.r == F(20803, 8944) < F(5, 2)
+    assert few.eps.lo < F(2, 60)
+
+
+def test_verify_reads_the_named_constants(monkeypatch):
+    monkeypatch.setattr(bounds_mod, "WD_DELTA", F(1, 25))
+    checks = _by_name(verify_theorems(build_arrangement(near_pencil(100))))
+    assert checks["point_degree"].rhs == F(100, 25) + 2
+    incid = _by_name(verify_theorems(build_arrangement(grid(5, 7))))["incidences"]
+    assert not incid.applicable
+    assert incid.note == "needs non-collinear, n >= 5, and max_collinear <= n/25 + 2"
 
 
 def _st_bound_reference(n, i, e, k):
@@ -697,11 +720,14 @@ def _st_check_resum(name, arr, measure, e, k):
 )
 def test_st_checks_match_resum_reference(ps, k):
     arr = build_arrangement(ps)
-    checks = _by_name(verify_theorems(arr, k))
-    edges = _st_check_resum("st_edges", arr, visibility_edge_count, 2, k)
-    lines = _st_check_resum("st_lines", arr, lambda a, i: sum(c for j, c in a.size_hist.items() if j >= i), 3, k)
-    assert checks["st_edges"] == edges
-    assert checks["st_lines"] == lines
+    edges = bounds_mod._st_check("st_edges", arr, 2, k)
+    lines = bounds_mod._st_check("st_lines", arr, 3, k)
+    assert edges == _st_check_resum("st_edges", arr, visibility_edge_count, 2, k)
+    assert lines == _st_check_resum(
+        "st_lines", arr, lambda a, i: sum(c for j, c in a.size_hist.items() if j >= i), 3, k)
+    if k == bounds_mod.DEFAULT_CONSTANTS:
+        checks = _by_name(verify_theorems(arr))
+        assert (checks["st_edges"], checks["st_lines"]) == (edges, lines)
 
 
 def test_st_check_ties_keep_the_smallest_threshold():

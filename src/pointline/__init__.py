@@ -28,13 +28,11 @@ from .bounds import (
     hirzebruch_check,
     scan_constants_few,
     scan_constants_wd,
-    tail_sum,
     verify_theorems,
 )
 from .errors import (
     DomainError,
     DuplicatePoint,
-    IdenticalPoints,
     InvalidCutoff,
     PointFormatError,
     PointLineError,
@@ -52,7 +50,7 @@ from .generators import (
     random_points,
     save_points_file,
 )
-from .geometry import LineKey, Point, Rational, line_through, normalize_key, orient, point
-from .oracle import brute_force_lines, certify_lines
+from .geometry import Point, Rational, point
+from .oracle import certify_lines
 
 __version__ = "0.1.0"

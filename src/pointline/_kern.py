@@ -65,8 +65,8 @@ def group_collinear(hx: list, hy: list, hw: list) -> dict:
 
     Takes the homogeneous triples of ``homogenise``, so the pair loop is
     pure integer arithmetic (the line through two points is their
-    homogeneous cross product).  Keys follow the LineKey normalization
-    (content 1, a > 0 or a = 0 < b).
+    homogeneous cross product).  Each key (a, b, c) is canonical: content
+    gcd(a, b, c) = 1, and a > 0 or a = 0 < b.
 
     A line is created as the tuple (i, j) at its first pair and collects
     its other members in that row i: every later member is a column of
@@ -74,7 +74,7 @@ def group_collinear(hx: list, hy: list, hw: list) -> dict:
     [i, j, k], and its key goes on the row's list of long lines; when the
     row ends, that line is finished and its list is replaced, under its
     key, by its tuple.  So every value is a sorted tuple and the dict is
-    in lexicographic member order, the order of oracle.brute_force_lines.
+    in lexicographic member order: by first member, then by second.
 
     A later row never meets a finished line again.  Each point v keeps
     one int bitmask of the columns it skips: when row r ends, every

@@ -65,10 +65,10 @@ class Arrangement(namedtuple("Arrangement", "n size_hist max_collinear incidence
     point v.  On the exact path both are read off the lines of 3 or more
     points alone (see build_arrangement).
 
-    lines maps each determined line's canonical key (a, b, c), a plain
-    int tuple that compares and hashes equal to its LineKey, to the
-    sorted indices of its points, as one tuple per line; lines come in
-    lexicographic member order, the order of oracle.brute_force_lines.
+    lines maps each determined line's canonical key (a, b, c) of
+    a*x + b*y + c = 0, a plain int tuple with gcd(a, b, c) = 1 and a > 0
+    or a = 0 < b, to the sorted indices of its points, as one tuple per
+    line; lines come in lexicographic member order.
     It is the exact kernel's own dict behind a read-only view, built from
     points on first access unless build_arrangement already built it.
     Both maps are read-only views.  The class has no __slots__: the

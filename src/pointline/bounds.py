@@ -14,8 +14,7 @@ term and each end of the bracket is rounded outward to a multiple of
 exact rational one, is at most (M + 2) * 2^-128 wider at each end, and
 has a 129-bit denominator instead of one of thousands of bits.
 There is one tail path: _suffix_tail_table encloses the series from
-every start c in a range in one pass over the terms, and tail_sum reads
-its entry for a single c.
+every start c in a range in one pass over the terms.
 Inequality verdicts are exact rational comparisons; thresholds such as
 n/26 + 2 are never rounded.
 
@@ -60,20 +59,6 @@ class Interval(namedtuple("Interval", "lo hi")):
             raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
         return super().__new__(cls, lo, hi)
 
-    @classmethod
-    def of(cls, lo, hi) -> "Interval":
-        return cls(Fraction(lo), Fraction(hi))
-
-    @property
-    def width(self) -> Rational:
-        return self.hi - self.lo
-
-    def contains(self, v) -> bool:
-        return self.lo <= v <= self.hi
-
-    def encloses(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def __add__(self, other):
         if isinstance(other, Interval):
             return Interval(self.lo + other.lo, self.hi + other.hi)
@@ -95,9 +80,6 @@ class Interval(namedtuple("Interval", "lo hi")):
             return Interval(other - self.hi, other - self.lo)
         return NotImplemented
 
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if other >= 0:
@@ -115,9 +97,6 @@ class Interval(namedtuple("Interval", "lo hi")):
                 return Interval(self.hi / other, self.lo / other)
             raise ZeroDivisionError("interval divided by zero")
         return NotImplemented
-
-    def __str__(self):
-        return f"[{self.lo}, {self.hi}]"
 
     def _unordered(self, other):
         raise TypeError("intervals are not ordered; compare their lo or hi endpoints")
@@ -200,13 +179,18 @@ def _st_bound(n: int, e: int, k: CrossingConstants) -> tuple[Callable[[int], tup
 
 TAIL_KINDS = ("1/i^2", "(i+1)/i^3")
 
+# the tail table sums in integer multiples of 2^-TAIL_BITS
+TAIL_BITS = 128
 
-def tail_sum(kind: str, c: int, cutoff: int) -> Interval:
-    """Rigorous enclosure of sum_{i>=c} of 1/i^2 or (i+1)/i^3.
 
-    The partial sum for i in [c, cutoff], each term rounded outward to a
-    multiple of 2^-TAIL_BITS, plus the Euler-Maclaurin bracket of the
-    remainder past M = cutoff, rounded outward the same way:
+def _term(kind: str, i: int) -> tuple[int, int]:
+    """The i-th series term, 1/i^2 or (i+1)/i^3, as (num, den)."""
+    return (1, i * i) if kind == "1/i^2" else (i + 1, i**3)
+
+
+def _tail_bounds(kind: str, m: int) -> tuple[Rational, Rational]:
+    """Euler-Maclaurin bracket of the sum of the terms with i > m, as (lo, hi).
+
     sum_{i>M} 1/i^2 lies in [U2 - 1/(30M^5), U2] with
     U2 = 1/M - 1/(2M^2) + 1/(6M^3), and sum_{i>M} 1/i^3 in
     [U3 - 1/(12M^6), U3] with U3 = 1/(2M^2) - 1/(2M^3) + 1/(4M^4).
@@ -218,20 +202,6 @@ def tail_sum(kind: str, c: int, cutoff: int) -> Interval:
     1/i^2 + 1/i^3.  The bracket's width is O(1/M^5), and enclosures
     nest as the cutoff doubles (see _suffix_tail_table).
     """
-    return _suffix_tail_table(kind, c, c, cutoff)[c]
-
-
-# the tail table sums in integer multiples of 2^-TAIL_BITS
-TAIL_BITS = 128
-
-
-def _term(kind: str, i: int) -> tuple[int, int]:
-    """The i-th series term, 1/i^2 or (i+1)/i^3, as (num, den)."""
-    return (1, i * i) if kind == "1/i^2" else (i + 1, i**3)
-
-
-def _tail_bounds(kind: str, m: int) -> tuple[Rational, Rational]:
-    """Euler-Maclaurin bracket of the sum of the terms with i > m (see tail_sum)."""
     sq_hi = Fraction(6 * m * m - 3 * m + 1, 6 * m**3)  # 1/M - 1/(2M^2) + 1/(6M^3)
     sq_lo = sq_hi - Fraction(1, 30 * m**5)
     if kind == "1/i^2":
@@ -242,11 +212,12 @@ def _tail_bounds(kind: str, m: int) -> tuple[Rational, Rational]:
 
 
 def _suffix_tail_table(kind: str, c_min: int, c_max: int, cutoff: int) -> dict[int, Interval]:
-    """tail_sum for every c in [c_min, c_max] from one pass over the terms.
+    """Enclosures of sum_{i>=c} of 1/i^2 or (i+1)/i^3 for each c in [c_min, c_max], in one pass.
 
-    The sums are two ints in units of 2^-TAIL_BITS, walked back from the
-    cutoff to c_min: lo adds each term and the bracket's lower end rounded
-    down, hi adds them rounded up.  So each enclosure holds the exact one
+    Each is the partial sum for i in [c, cutoff] plus the bracket of
+    _tail_bounds past M = cutoff.  The sums are two ints in units of
+    2^-TAIL_BITS, walked back from the cutoff to c_min: lo adds each term
+    and the bracket's lower end rounded down, hi adds them rounded up.  So each enclosure holds the exact one
     (exact partial sum plus the exact bracket) and is at most
     cutoff - c + 2 units wider at each end, under 2^-115 for cutoffs up
     to MAX_CUTOFF.

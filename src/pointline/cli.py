@@ -176,7 +176,7 @@ def run_verify(
     """Build, optionally cross-check, and run the inequality checks.
 
     Returns (exit_code, report_dict); the CLI layer only formats it.
-    An unknown suite name is an error before any work.
+    An empty suite or an unknown suite name is an error before any work.
 
     The cross-check compares the printed size_hist and lines_per_point
     with the recount of oracle.certify_lines from arr.lines, which it
@@ -184,12 +184,13 @@ def run_verify(
     kept no lines (the int64 path), reading arr.lines builds them with
     the exact kernel.
     """
-    if suite:
+    if suite is not None:
+        available = sorted(bounds.CHECK_NAMES)
         unknown = set(suite).difference(bounds.CHECK_NAMES)
         if unknown:
-            raise PointLineError(
-                f"unknown check name(s) {sorted(unknown)}; available: {sorted(bounds.CHECK_NAMES)}"
-            )
+            raise PointLineError(f"unknown check name(s) {sorted(unknown)}; available: {available}")
+        if not suite:
+            raise PointLineError(f"empty check suite; available: {available}")
     arr = build_arrangement(ps)
     report = _stats_dict(descriptor, arr)
     report["l"] = arr.max_collinear
@@ -201,7 +202,7 @@ def run_verify(
             return EXIT_CHECK_FAILED, report
 
     checks = bounds.verify_theorems(arr)
-    if suite:
+    if suite is not None:
         checks = [c for c in checks if c.name in suite]
     report["checks"] = [
         {

@@ -9,10 +9,6 @@ class DomainError(PointLineError, ValueError):
     """An argument lies outside the operation's stated domain."""
 
 
-class IdenticalPoints(DomainError):
-    """Two distinct points were required but equal points were given."""
-
-
 class TooFewPoints(DomainError):
     """The operation needs at least two points."""
 
@@ -22,7 +18,7 @@ class DuplicatePoint(DomainError):
 
 
 class InvalidCutoff(DomainError):
-    """A cutoff below 1 or below the series start, or a cutoff or c_max above MAX_CUTOFF."""
+    """A scan's cutoff outside [1, MAX_CUTOFF], or its c_max above MAX_CUTOFF."""
 
 
 class Unresolved(PointLineError):

@@ -4,7 +4,9 @@ from itertools import chain
 
 from hypothesis import strategies as st
 
-from pointline import Interval, PointSet, bounds, build_arrangement, grid, orient, point
+from pointline import Interval, PointSet, bounds, build_arrangement, grid, point
+
+from reference import orient
 
 
 def pset(*coords) -> PointSet:
@@ -21,6 +23,21 @@ def line_statistics(lines, n: int) -> tuple[dict[int, int], list[int]]:
     size_hist = dict(sorted(Counter(map(len, lines)).items()))
     per_point = Counter(chain.from_iterable(lines))
     return size_hist, [per_point[v] for v in range(n)]
+
+
+def contains(iv: Interval, value) -> bool:
+    """The enclosure iv holds value."""
+    return iv.lo <= value <= iv.hi
+
+
+def encloses(outer: Interval, inner: Interval) -> bool:
+    """The enclosure outer holds every value of inner."""
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+def tail(kind: str, c: int, cutoff: int) -> Interval:
+    """The shipped enclosure of the series tail from c, summed to cutoff."""
+    return bounds._suffix_tail_table(kind, c, c, cutoff)[c]
 
 
 def exact_tail_table(kind: str, c_min: int, c_max: int, cutoff: int) -> dict[int, Interval]:

@@ -1,0 +1,120 @@
+"""Independent references that the tests check the package against.
+
+No command reaches them, so they live beside the tests.  They share no
+code with the line kernels (pointline._kern) or with the certificate
+(pointline.oracle): each point is cleared here on its own, the canonical
+key rule is written out again, and only the package's public records and
+errors are imported.
+
+``orient``, ``line_through`` and ``normalize_key`` work in exact
+rationals.  A line is identified by the integer triple (a, b, c) of its
+cleared-denominator equation a*x + b*y + c = 0, normalized so that
+gcd(|a|, |b|, |c|) = 1 and a > 0 (or a = 0, b > 0), so coincident lines
+always get the same LineKey.
+
+``brute_force_lines`` enumerates the lines.  It clears each point
+(p/q, r/s) on its own to the integer triple (X, Y, W) = (p*s, r*q, q*s),
+not by the kernels' lcm.  For each point i, every other point r gets the
+direction D_r = (X_r*W_i - X_i*W_r, Y_r*W_i - Y_i*W_r), which is W_i*W_r
+times the affine difference r - i.  D_r is reduced by math.gcd on Python
+ints and its sign normalised (dx > 0, or dx = 0 < dy), so two points
+share a reduced direction from i iff they lie on one line through i.
+Grouping the r by reduced direction gives every line through i; a line
+is emitted only in the row of its smallest member.
+
+What it shares with the kernels: grouping the other points by their
+direction from each point, as the vectorised statistics path does too
+(that path keys a direction by its float64 slope, not by the reduced
+integer direction).
+What it does not share: the clearing (its own formula, no lcm), the
+integer type (Python ints, no int64, no floats and no numpy), the
+(a, b, c) line key (none is built) and any function of the package.
+O(n^2) gcds; best of 3 calls on a shared 2-core VM with CPython 3.11.7
+(load 0.6-0.9): 5 ms for a rational circle of 80 points, 9-14 ms for a
+12x12 grid or 150 random lattice points (seed 7, bound 2000); over three
+rounds, 0.44-0.65 s for a 30x30 grid and 0.49-0.66 s for 800 random
+lattice points (seed 7, bound 2000); 3.6 s for a 2000-point near-pencil,
+which oracle.certify_lines checks in 5 ms.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+from typing import NamedTuple
+
+from pointline import DomainError, Point, PointSet, TooFewPoints
+
+
+class LineKey(NamedTuple):
+    """Canonical integer form of the line a*x + b*y + c = 0."""
+
+    a: int
+    b: int
+    c: int
+
+
+def orient(p: Point, q: Point, r: Point) -> int:
+    """Sign of the cross product (q - p) x (r - p).
+
+    +1 for a counter-clockwise turn, -1 for clockwise, 0 iff the three
+    points are collinear.  Exact for rational inputs.
+    """
+    cross = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+    return (cross > 0) - (cross < 0)
+
+
+def normalize_key(a: Fraction, b: Fraction, c: Fraction) -> LineKey:
+    """Normalize a rational line equation to its canonical LineKey.
+
+    Clears denominators, divides out the content, and fixes the sign so
+    that a > 0 or (a = 0 and b > 0).  (a, b) must not both be zero.
+    """
+    if a == 0 and b == 0:
+        raise DomainError("degenerate line equation: a = b = 0")
+    # ints expose .denominator == 1, so mixed int/Fraction input is fine
+    scale = lcm(a.denominator, b.denominator, c.denominator)
+    ai, bi, ci = int(a * scale), int(b * scale), int(c * scale)
+    g = gcd(ai, bi, ci)
+    if ai < 0 or (ai == 0 and bi < 0):
+        g = -g
+    return LineKey(ai // g, bi // g, ci // g)
+
+
+def line_through(p: Point, q: Point) -> LineKey:
+    """Canonical key of the unique line through two distinct points.
+
+    Symmetric in its arguments; any r collinear with p and q satisfies
+    a*r.x + b*r.y + c = 0 for the returned key.
+    """
+    if p == q:
+        raise DomainError(f"no unique line through identical points {p}")
+    return normalize_key(q.y - p.y, p.x - q.x, q.x * p.y - p.x * q.y)
+
+
+def brute_force_lines(ps: PointSet) -> list[tuple[int, ...]]:
+    """All determined lines of ps as sorted tuples of member indices.
+
+    The result is the same abstract line set as build_arrangement: one
+    entry per line through >= 2 points, each entry the sorted indices of
+    every point on it, entries sorted for determinism (the order of
+    build_arrangement(ps).lines.values()).
+    """
+    if ps.n < 2:
+        raise TooFewPoints(f"need at least 2 points, got {ps.n}")
+    pts = [(x.numerator * y.denominator, y.numerator * x.denominator, x.denominator * y.denominator)
+           for x, y in ps.points]
+    lines = []
+    for i, (xi, yi, wi) in enumerate(pts):
+        # reduced direction from i -> [i, then every r on that line, ascending]
+        groups: dict[tuple[int, int], list[int]] = {}
+        for r, (x, y, w) in enumerate(pts):
+            if r == i:
+                continue
+            dx = x * wi - xi * w
+            dy = y * wi - yi * w
+            g = gcd(dx, dy)
+            if dx < 0 or (dx == 0 and dy < 0):
+                g = -g
+            groups.setdefault((dx // g, dy // g), [i]).append(r)
+        lines.extend(tuple(members) for members in groups.values() if members[1] > i)
+    return sorted(lines)

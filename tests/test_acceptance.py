@@ -12,7 +12,6 @@ import pytest
 
 from pointline import (
     bounds,
-    brute_force_lines,
     build_arrangement,
     circle,
     cli,
@@ -22,8 +21,10 @@ from pointline import (
     random_points,
     scan_constants_few,
     scan_constants_wd,
-    tail_sum,
 )
+
+from conftest import contains, encloses, tail
+from reference import brute_force_lines
 
 GRID_RANGE = range(2, 13)
 PENCIL_RANGE = range(3, 201)
@@ -72,12 +73,12 @@ def test_criterion_2_incidence_bound_constants():
         p.delta.lo >= F(1, 26)
         and p.r == F(20803, 8944)
         and p.r >= 2
-        and p.delta.width < F(1, 10**6)
+        and p.delta.hi - p.delta.lo < F(1, 10**6)
     )
     _report("2 incidence constants", ok, f"delta.lo={float(p.delta.lo):.9f}, r={p.r}")
     assert p.delta.lo >= F(1, 26)
     assert p.r == F(20803, 8944) and p.r >= 2
-    assert p.delta.width < F(1, 10**6)
+    assert p.delta.hi - p.delta.lo < F(1, 10**6)
     assert (bounds.WD_C, bounds.WD_DELTA, bounds.WD_R) == (46, F(1, 26), 2)
 
 
@@ -204,12 +205,12 @@ def test_criterion_7_series_enclosures():
     for kind in ("1/i^2", "(i+1)/i^3"):
         for c in (2, 8, 46, 200):
             for cutoff in (256, 512, 1024, 2048):
-                assert tail_sum(kind, c, cutoff).encloses(tail_sum(kind, c, 2 * cutoff))
-    iv = tail_sum("1/i^2", 2, 4096)
-    assert iv.width < F(24, 10**5)
+                assert encloses(tail(kind, c, cutoff), tail(kind, c, 2 * cutoff))
+    iv = tail("1/i^2", 2, 4096)
+    assert iv.hi - iv.lo < F(24, 10**5)
     # sum_{i>=2} 1/i^2 = pi^2/6 - 1, to 40 digits
-    assert iv.contains(F("0.6449340668482264364724151666460251892189"))
-    _report("7 series enclosures", True, f"width at 4096 = {float(iv.width):.2e}")
+    assert contains(iv, F("0.6449340668482264364724151666460251892189"))
+    _report("7 series enclosures", True, f"width at 4096 = {float(iv.hi - iv.lo):.2e}")
 
 
 def test_criterion_8_coverage_note():

@@ -11,12 +11,10 @@ from pointline import (
     DomainError,
     DuplicatePoint,
     TooFewPoints,
-    brute_force_lines,
     build_arrangement,
     circle,
     collinear,
     grid,
-    line_through,
     lines_with_at_most,
     max_lines_through_point,
     near_pencil,
@@ -27,6 +25,7 @@ from pointline import _kern, arrangement
 from pointline.arrangement import INT64_MIN_PAIRS, PointSet
 
 from conftest import line_statistics, pset, rational_sets
+from reference import brute_force_lines, line_through
 
 @pytest.fixture(scope="module")
 def grid33():
@@ -565,7 +564,7 @@ def test_line_records_match_membership():
     ids=["grid", "circle", "mixed-denominators"],
 )
 def test_kernel_keys_match_line_through(ps):
-    # the kernel normalizes keys inline; they must equal geometry's LineKey
+    # the kernel normalizes keys inline; they must equal the reference's LineKey
     arr = build_arrangement(ps)
     for key, members in arr.lines.items():
         expected = line_through(ps.points[members[0]], ps.points[members[1]])

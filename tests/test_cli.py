@@ -260,6 +260,18 @@ def test_verify_unknown_suite_name_fails_before_the_build(grid_file, monkeypatch
     )
 
 
+@pytest.mark.parametrize("cross_check", [False, True])
+def test_run_verify_refuses_an_empty_suite_before_the_build(monkeypatch, cross_check):
+    # an empty list selects no check; it must not run all eight and pass
+    def no_build(*args):
+        raise AssertionError("the build or a cross-check ran")
+
+    monkeypatch.setattr(cli, "build_arrangement", no_build)
+    monkeypatch.setattr(cli, "certify_lines", no_build)
+    with pytest.raises(pointline.PointLineError, match="empty check suite"):
+        cli.run_verify(generators.grid(3, 3), cross_check=cross_check, suite=[])
+
+
 def test_verify_exit_two_on_failed_check(grid_file, monkeypatch, capsys):
     failed = TheoremCheck("total_lines", True, ">=", F(1), F(2), False, "")
     monkeypatch.setattr(bounds, "verify_theorems", lambda arr: [failed])

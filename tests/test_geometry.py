@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from pointline import IdenticalPoints, LineKey, line_through, normalize_key, orient, point
+from pointline import DomainError, point
+
+from reference import LineKey, line_through, normalize_key, orient
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=8)
 points = st.builds(point, rationals, rationals)
@@ -41,12 +43,12 @@ def test_point_coordinates_are_int_exactly_when_integral():
 
 
 def test_line_through_identical_points_raises():
-    with pytest.raises(IdenticalPoints):
+    with pytest.raises(DomainError):
         line_through(point(2, 3), point(2, 3))
 
 
 def test_normalize_key_rejects_degenerate():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         normalize_key(Fraction(0), Fraction(0), Fraction(1))
 
 

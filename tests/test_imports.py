@@ -5,11 +5,16 @@ A deletion that leaves an import behind fails here.  The package's
 __init__.py is skipped: its imports are the package's re-exports.  `from __future__`
 imports are compiler directives and bind no name.  A re-exported name that no
 other module of the package references is allowed only with a stated reason.
+The independent references in tests/reference.py import only pointline's
+public records and errors, and no package module imports from the tests.
 """
 import ast
 from pathlib import Path
 
 import pytest
+
+import pointline
+from pointline import bounds, errors, geometry, oracle
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "pointline"
@@ -58,17 +63,10 @@ def test_modules_found():
 # re-exported names that no module of the package references, each with the
 # reason it stays public
 ONLY_OUTSIDE_THE_PACKAGE = {
-    "orient": "the exact orientation test the tests build configurations with",
-    "line_through": "independent reference for the canonical line keys",
-    "normalize_key": "the canonical key rule that line_through applies",
-    "LineKey": "the type of the canonical line keys",
-    "IdenticalPoints": "the error line_through raises",
-    "brute_force_lines": "the O(n^2) oracle the acceptance suite checks the kernel against",
-    "visibility_edge_count": "independent reference for the st_edges check's suffix sums",
-    "tail_sum": "the public series enclosure at one start c",
-    "GraphSize": "the argument type of crossing_lower_bound",
-    "crossing_lower_bound": "the crossing-number bound behind the Szemeredi-Trotter bound",
-    "few_lines_lower_bound": "the few-point-line count bound a BoundParamsFew record gives",
+    "visibility_edge_count": "ROADMAP item 5: the crossing check's visibility-graph edge count",
+    "GraphSize": "ROADMAP item 5: the crossing check's argument to crossing_lower_bound",
+    "crossing_lower_bound": "ROADMAP item 5: the crossing check's lower bound on C(L, 2)",
+    "few_lines_lower_bound": "ROADMAP item 5: the few_lines check's bound at FEW_C",
 }
 
 
@@ -88,7 +86,75 @@ def _referenced_names() -> set[str]:
     return names
 
 
+def _unreached_exports(exported: set[str]) -> list[str]:
+    """The exported names that no package module references and the allowlist does not hold."""
+    return sorted(exported - _referenced_names() - set(ONLY_OUTSIDE_THE_PACKAGE))
+
+
 def test_every_export_is_used_by_the_package_or_allowed():
     exported = _exported_names()
-    assert sorted(exported - _referenced_names() - set(ONLY_OUTSIDE_THE_PACKAGE)) == []
+    assert _unreached_exports(exported) == []
     assert sorted(set(ONLY_OUTSIDE_THE_PACKAGE) - exported) == []  # no stale reasons
+
+
+def test_an_export_only_the_tests_use_is_reported():
+    assert _unreached_exports(_exported_names() | {"brute_force_lines"}) == ["brute_force_lines"]
+
+
+# the test-side modules a package module must never import
+TEST_MODULES = {path.stem for path in TEST_FILES} | {"tests"}
+
+
+def _package_imports(tree: ast.Module) -> list[tuple[int, str, str]]:
+    """(line, module, name) of each import anywhere in tree; name is "" for a plain import."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name, "") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            found += [(node.lineno, module, alias.name) for alias in node.names]
+    return found
+
+
+def _reference_violations(source: str) -> list[str]:
+    """Imports of a reference module that reach past pointline's public records and errors."""
+    bad = []
+    for line, module, name in _package_imports(ast.parse(source)):
+        if module.split(".")[0] not in ("pointline", "") and module not in TEST_MODULES:
+            continue  # the standard library and third-party packages
+        public_type = (module == "pointline" and not name.startswith("_")
+                       and isinstance(getattr(pointline, name, None), type))
+        if not public_type:
+            bad.append(f"line {line}: {module} {name}".rstrip())
+    return bad
+
+
+def test_the_references_and_the_package_share_no_code():
+    assert _reference_violations((TESTS / "reference.py").read_text(encoding="utf-8")) == []
+    # the kernels' clearing, the certificate's, a whole module or another test module
+    source = ("from pointline import PointSet, _kern\nfrom pointline._kern import homogenise\n"
+              "from pointline.oracle import _cleared\nimport pointline\nfrom conftest import pset\n")
+    assert _reference_violations(source) == [
+        "line 1: pointline _kern", "line 2: pointline._kern homogenise",
+        "line 3: pointline.oracle _cleared", "line 4: pointline", "line 5: conftest pset",
+    ]
+    # and no package module imports from the tests
+    assert [(path.name, line, module) for path in [*MODULES, SRC / "__init__.py"]
+            for line, module, _ in _package_imports(ast.parse(path.read_text(encoding="utf-8")))
+            if module.split(".")[0] in TEST_MODULES or module.startswith("..")] == []
+
+
+def test_moved_and_deleted_names_are_gone():
+    # the references live in tests/reference.py; the rest had no caller
+    gone = {
+        pointline: ("orient", "normalize_key", "line_through", "LineKey", "brute_force_lines",
+                    "tail_sum", "IdenticalPoints"),
+        geometry: ("orient", "normalize_key", "line_through", "LineKey"),
+        oracle: ("brute_force_lines",),
+        bounds: ("tail_sum",),
+        errors: ("IdenticalPoints",),
+        bounds.Interval: ("of", "width", "contains", "encloses", "__neg__", "__str__"),
+    }
+    assert [(owner.__name__, name) for owner, names in gone.items()
+            for name in names if name in vars(owner)] == []

@@ -7,17 +7,16 @@ from hypothesis import strategies as st
 from pointline import (
     TooFewPoints,
     _kern,
-    brute_force_lines,
     build_arrangement,
     certify_lines,
     circle,
     grid,
     near_pencil,
-    orient,
     random_points,
 )
 
 from conftest import CERTIFIED_GRID, LINE_CORRUPTIONS, corrupted_grid_lines, line_statistics, pset, rational_sets
+from reference import brute_force_lines, orient
 
 
 def test_two_points_single_line():

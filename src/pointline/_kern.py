@@ -18,11 +18,9 @@ skipped, not evaluated: each point keeps one int bitmask of its covered
 columns, and a row lists its other columns by walking the set bits of
 one n-bit int, so its cost is about the number of pairs not covered by
 such a line, n(n - 1)/2 with no three points collinear and about 2n on a
-near-pencil, plus a few n-bit int operations per row.
-build_arrangement reads the statistics off the lines of 3 or more points
-alone, as ``int64_statistics`` does off its runs: a point's other n - 1
-points are split among the lines through it, and all C(n, 2) pairs among
-all lines, so the 2-point lines are the remainder.
+near-pencil, plus a few n-bit int operations per row.  It counts the
+statistics as each line of 3 or more points is finished, by the counting
+identities stated in its docstring.
 
 ``int64_statistics`` builds no line at all: it sorts, for every point,
 the directions to the other points in blocks of numpy rows, and reads the
@@ -60,13 +58,15 @@ def homogenise(points) -> tuple[list, list, list]:
     return hx, hy, hw
 
 
-def group_collinear(hx: list, hy: list, hw: list) -> dict:
-    """Group all point pairs by line: {(a, b, c): tuple of point indices}.
+def group_collinear(hx: list, hy: list, hw: list) -> tuple[dict, list, dict]:
+    """Statistics and lines of distinct points: (size_hist, lines_per_point, lines).
 
-    Takes the homogeneous triples of ``homogenise``, so the pair loop is
-    pure integer arithmetic (the line through two points is their
-    homogeneous cross product).  Each key (a, b, c) is canonical: content
-    gcd(a, b, c) = 1, and a > 0 or a = 0 < b.
+    size_hist and lines_per_point are as ``int64_statistics`` returns
+    them; lines groups all point pairs by line, {(a, b, c): tuple of
+    point indices}.  Takes the homogeneous triples of ``homogenise``, so
+    the pair loop is pure integer arithmetic (the line through two points
+    is their homogeneous cross product).  Each key (a, b, c) is
+    canonical: content gcd(a, b, c) = 1, and a > 0 or a = 0 < b.
 
     A line is created as the tuple (i, j) at its first pair and collects
     its other members in that row i: every later member is a column of
@@ -78,22 +78,33 @@ def group_collinear(hx: list, hy: list, hw: list) -> dict:
 
     A later row never meets a finished line again.  Each point v keeps
     one int bitmask of the columns it skips: when row r ends, every
-    member v of a line of at least 3 points created in it, but the first
-    and the last, gets the bits of the members after v OR-ed in.  Row i
-    lists the columns left clear by walking the set bits of
-    ((1 << n) - (2 << i)) & ~mask, lowest bit first (take free & -free,
-    then clear it), so an evaluated column costs three int operations and
-    a skipped pair costs no Python step.  A pair (i, j) that
-    is still evaluated can only lie on a line created in row i: had that
-    line a member before i, it would have at least 3 points and j would
-    be skipped.  So a found line is extended without a test of its first
-    member: a tuple (i, j) becomes [i, j, k], a list is appended to.  The
-    pairs evaluated are those not covered by a longer line through an
-    earlier point, about 2n on a near-pencil instead of n^2 / 2, and all
-    of them on input with no three points collinear.
+    member v of a line of at least 3 points created in it gets the bits
+    of the members after v OR-ed in, in one reversed walk over the
+    members that also counts the line.  Row i lists the columns left
+    clear by walking the set bits of ((1 << n) - (2 << i)) & ~mask,
+    lowest bit first (take free & -free, then clear it), so an evaluated
+    column costs three int operations and a skipped pair costs no Python
+    step.  A pair (i, j) that is still evaluated can only lie on a line
+    created in row i: had that line a member before i, it would have at
+    least 3 points and j would be skipped.  So a found line is extended
+    without a test of its first member: a tuple (i, j) becomes [i, j, k],
+    a list is appended to.  The pairs evaluated are those not covered by
+    a longer line through an earlier point, about 2n on a near-pencil
+    instead of n^2 / 2, and all of them on input with no three points
+    collinear.
+
+    The statistics are counted by two identities from the lines of 3 or
+    more points alone, each line once, when its row ends.  The lines
+    through a point v split the other n - 1 points among them, so v lies
+    on n - 1 - sum (k - 2) lines, the sum over the lines of k >= 3 points
+    through v.  All lines together hold the C(n, 2) pairs, so the
+    2-point lines number s_2 = C(n, 2) - sum C(k, 2) s_k over the sizes
+    k >= 3, and the key 2 is left out when s_2 = 0.
     """
     n = len(hx)
     groups: dict = {}
+    sizes: dict = {}  # sizes[k]: finished lines of k >= 3 points
+    per_point = [n - 1] * n
     # covered[v]: bit j set when the pair (v, j) lies on a finished line
     covered = [0] * n
     for i in range(n):
@@ -136,13 +147,18 @@ def group_collinear(hx: list, hy: list, hw: list) -> dict:
         for key in long_keys:
             # finished: no later row meets it again
             members = groups[key] = tuple(groups[key])
-            after = 1 << members[-1]  # the members after members[t]
-            for t in range(len(members) - 2, 0, -1):
-                v = members[t]
+            k = len(members)
+            sizes[k] = sizes.get(k, 0) + 1
+            after = 0  # the members after v
+            for v in reversed(members):
+                per_point[v] -= k - 2
                 covered[v] |= after
                 after |= 1 << v
         covered[i] = 0
-    return groups
+    two_point = n * (n - 1) // 2 - sum(k * (k - 1) // 2 * count for k, count in sizes.items())
+    if two_point:
+        sizes[2] = two_point
+    return dict(sorted(sizes.items())), per_point, groups
 
 
 def int64_statistics(hx: list, hy: list, hw: list) -> tuple[dict, list] | None:

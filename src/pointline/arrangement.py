@@ -10,12 +10,12 @@ that fit the guard of _kern.int64_statistics (for integer input,
 |coordinate| < 2^25), get their statistics from the vectorised numpy
 kernel, and their lines only when asked for.  Every other input,
 near-pencils included, goes through the exact big-integer kernel, which
-builds the lines; the statistics are then read off the lines of 3 or
-more points alone.
+builds the lines and counts the statistics as it finishes them (the
+identities are stated in _kern.group_collinear).
 """
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import cached_property
 from itertools import combinations, islice
 from types import MappingProxyType
@@ -62,8 +62,7 @@ class Arrangement(namedtuple("Arrangement", "n size_hist max_collinear incidence
     incidences is the total number of (point, line) incidences;
     max_collinear is the size of the largest collinear subset; num_lines
     counts the determined lines and lines_per_point[v] those through
-    point v.  On the exact path both are read off the lines of 3 or more
-    points alone (see build_arrangement).
+    point v.
 
     lines maps each determined line's canonical key (a, b, c) of
     a*x + b*y + c = 0, a plain int tuple with gcd(a, b, c) = 1 and a > 0
@@ -91,7 +90,7 @@ class Arrangement(namedtuple("Arrangement", "n size_hist max_collinear incidence
 
     @cached_property
     def lines(self) -> Mapping[tuple[int, int, int], tuple[int, ...]]:
-        return _exact_lines(*_kern.homogenise(self.points))
+        return MappingProxyType(_kern.group_collinear(*_kern.homogenise(self.points))[2])
 
 
 def build_arrangement(ps: PointSet) -> Arrangement:
@@ -100,13 +99,10 @@ def build_arrangement(ps: PointSet) -> Arrangement:
     The points are cleared to homogeneous integers once, and each kernel
     runs at most once, on those triples.  Inputs below INT64_MIN_PAIRS
     pairs, and those with a line missing at most 3 points, take the exact
-    big-integer kernel, which returns the lines finished (one tuple of
-    sorted members per line, in lexicographic member order), and lines is
-    kept.  The statistics are counted from the lines of 3 or more points
-    only: size_hist[2] = C(n, 2) - sum C(k, 2) over them (the key left out
-    when 0), and lines_per_point[v] = n - 1 - sum (k - 2) over those
-    through v, since the lines through v split the other n - 1 points
-    among them.  Every other input has its statistics counted by
+    big-integer kernel, which counts the statistics as it finishes the
+    lines (one tuple of sorted members per line, in lexicographic member
+    order; the counting identities are stated in _kern.group_collinear),
+    and lines is kept.  Every other input has its statistics counted by
     the vectorised numpy kernel, without building any line, when the
     coordinates fit its guard (for integer input |coordinate| < 2^25;
     stated in full in _kern.int64_statistics), and lines is built only if
@@ -124,8 +120,7 @@ def build_arrangement(ps: PointSet) -> Arrangement:
     if n * (n - 1) // 2 >= INT64_MIN_PAIRS and not _line_misses_at_most_three(hx, hy, hw):
         stats = _kern.int64_statistics(hx, hy, hw)
     if stats is None:
-        lines = _exact_lines(hx, hy, hw)
-        stats = _statistics_from_long_lines(lines.values(), n)
+        *stats, lines = _kern.group_collinear(hx, hy, hw)
     size_hist, lines_per_point = stats
     arr = Arrangement(
         n=n,
@@ -137,33 +132,8 @@ def build_arrangement(ps: PointSet) -> Arrangement:
         points=ps.points,
     )
     if lines is not None:
-        arr.__dict__["lines"] = lines  # fills the cached_property
+        arr.__dict__["lines"] = MappingProxyType(lines)  # fills the cached_property
     return arr
-
-
-def _statistics_from_long_lines(lines: Iterable[tuple[int, ...]], n: int) -> tuple[dict[int, int], list[int]]:
-    """size_hist (ascending sizes) and lines_per_point, read off the lines of 3 or more points.
-
-    lines must hold every determined line of the n points; the 2-point
-    ones are skipped, and counted by the identities stated in
-    build_arrangement.
-    """
-    long_lines = [members for members in lines if len(members) > 2]
-    size_hist = Counter(map(len, long_lines))
-    per_point = [n - 1] * n
-    for members in long_lines:
-        extra = len(members) - 2
-        for v in members:
-            per_point[v] -= extra
-    two_point = n * (n - 1) // 2 - sum(k * (k - 1) // 2 * count for k, count in size_hist.items())
-    if two_point:
-        size_hist[2] = two_point
-    return dict(sorted(size_hist.items())), per_point
-
-
-def _exact_lines(hx: list, hy: list, hw: list) -> Mapping[tuple[int, int, int], tuple[int, ...]]:
-    """The exact kernel's lines as a read-only view of its dict, not a copy."""
-    return MappingProxyType(_kern.group_collinear(hx, hy, hw))
 
 
 def _line_misses_at_most_three(hx: list, hy: list, hw: list) -> bool:

@@ -81,7 +81,7 @@ def test_build_is_deterministic(grid33):
     # lines come in lexicographic member order, each one tuple
     assert list(grid33.lines.values()) == sorted(grid33.lines.values())
     assert all(type(members) is tuple for members in grid33.lines.values())
-    groups = _kern.group_collinear(*_triples(grid(3, 3)))
+    _, _, groups = _kern.group_collinear(*_triples(grid(3, 3)))
     assert all(type(members) is tuple for members in groups.values())
 
 
@@ -122,7 +122,8 @@ def test_kernels_agree_on_lattice_input():
     as_fractions = _kern.homogenise([(Fraction(x), Fraction(y)) for x, y in ps.points])
     as_ints = _kern.group_collinear(*_kern.homogenise(ps.points))
     assert _kern.group_collinear(*as_fractions) == as_ints
-    assert sum(len(m) * (len(m) - 1) // 2 for m in as_ints.values()) == 35 * 34 // 2
+    _, _, lines = as_ints
+    assert sum(len(m) * (len(m) - 1) // 2 for m in lines.values()) == 35 * 34 // 2
 
 
 def test_huge_coordinates_keep_exact_statistics():
@@ -206,9 +207,26 @@ def _assert_statistics_match_oracle(ps):
          "near-pencil-5", "grid-12x12-scaled-2^40"],
 )
 def test_statistics_from_long_lines_edge_cases(ps, hist):
+    # the exact kernel counts only its lines of 3 or more points, and its
+    # counts equal the plain count over all of its lines
     arr = _assert_statistics_match_oracle(ps)
+    _assert_kernel_counts_its_lines(ps)
     if hist is not None:
         assert dict(arr.size_hist) == hist
+
+
+@given(rational_sets)
+@settings(max_examples=80)
+def test_exact_kernel_counts_the_lines_it_returns(coords):
+    _assert_kernel_counts_its_lines(pset(*coords))
+
+
+def _assert_kernel_counts_its_lines(ps):
+    """group_collinear's size_hist and lines_per_point are line_statistics of its own lines."""
+    size_hist, per_point, lines = _kern.group_collinear(*_triples(ps))
+    want_hist, want_per_point = line_statistics(list(lines.values()), ps.n)
+    assert list(size_hist.items()) == list(want_hist.items())  # sizes ascending too
+    assert per_point == want_per_point
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +241,7 @@ def _triples(ps):
 
 def _exact_statistics(ps):
     """(size_hist, lines_per_point) counted from the exact kernel's lines."""
-    groups = _kern.group_collinear(*_triples(ps))
+    _, _, groups = _kern.group_collinear(*_triples(ps))
     hist = dict(sorted(Counter(map(len, groups.values())).items()))
     per_point = Counter(chain.from_iterable(groups.values()))
     return hist, [per_point[v] for v in range(ps.n)]
@@ -480,7 +498,7 @@ def test_large_input_builds_lines_only_when_read(grid23, monkeypatch):
     lines = arr.lines
     assert arr.lines is lines and len(exact_calls) == 1
     assert all(type(members) is tuple for members in lines.values())
-    assert all(type(members) is tuple for members in exact_calls[0].values())
+    assert all(type(members) is tuple for members in exact_calls[0][2].values())
     assert arr.num_lines == len(lines)
     assert dict(arr.size_hist) == dict(sorted(Counter(map(len, lines.values())).items()))
     per_point = Counter(chain.from_iterable(lines.values()))
@@ -497,7 +515,7 @@ def test_large_input_past_the_guard_keeps_exact_statistics(scale, grid23, monkey
     assert int64_calls == [None]
     assert len(exact_calls) == 1
     # kept from the build's one run, not built again
-    assert list(arr.lines.values()) == list(exact_calls[0].values())
+    assert list(arr.lines.values()) == list(exact_calls[0][2].values())
     assert len(exact_calls) == 1
     hist, per_point = _exact_statistics(grid23)
     assert list(arr.size_hist.items()) == list(hist.items())
@@ -661,7 +679,7 @@ def test_row_listing_across_int_digit_boundaries(n, apex, monkeypatch):
     coords.insert({"first": 0, "middle": n // 2, "last": n - 1}[apex], (0, 1))
     ps = pset(*coords)
     calls = _count_gcd(monkeypatch)
-    groups = _kern.group_collinear(*_triples(ps))
+    _, _, groups = _kern.group_collinear(*_triples(ps))
     assert calls[0] <= 2 * n
     assert list(groups.values()) == brute_force_lines(ps)
 

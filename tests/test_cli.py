@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
-from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -116,6 +115,31 @@ def test_cross_check_catches_wrong_printed_statistics(tmp_path, monkeypatch, cap
     assert "cross_check: mismatch" in out
 
 
+@pytest.mark.parametrize(
+    "field, key, num_lines", [(0, 2, 141), (1, 0, 140)], ids=["size_hist", "lines_per_point"]
+)
+def test_cross_check_catches_wrong_printed_statistics_on_the_exact_path(
+    tmp_path, monkeypatch, capsys, field, key, num_lines
+):
+    # grid(5, 5) takes the exact path, whose kernel counts the printed
+    # statistics in the row loop that finishes the lines; a miscount there
+    # leaves the lines (and so the certificate) intact
+    path = tmp_path / "g55.json"
+    assert cli.main(["generate", "grid", "--w", "5", "--h", "5", "--out", str(path)]) == 0
+    real = _kern.group_collinear
+
+    def one_too_many(hx, hy, hw):
+        stats = real(hx, hy, hw)
+        stats[field][key] += 1  # size_hist[2] or lines_per_point[0]
+        return stats
+
+    monkeypatch.setattr(_kern, "group_collinear", one_too_many)
+    assert cli.main(["verify", str(path), "--cross-check"]) == 2
+    out = capsys.readouterr().out
+    assert f"lines: {num_lines}" in out
+    assert "cross_check: mismatch" in out
+
+
 def _counting(monkeypatch, module, name):
     """Wrap module.name so that each call appends its result to the returned list."""
     real, results = getattr(module, name), []
@@ -157,28 +181,27 @@ def test_cross_check_on_the_int64_statistics_path(tmp_path, monkeypatch, capsys)
     + [pytest.param(name, "int64", id=f"{name}-int64") for name in LINE_CORRUPTIONS],
 )
 def test_cross_check_certifies_the_built_lines(tmp_path, monkeypatch, capsys, corruption, kernel_path):
-    # grid(4, 4) takes the exact path, so the build keeps its lines; with
-    # INT64_MIN_PAIRS at 1 it takes the int64 path, and reading arr.lines
-    # builds them.  Either way the cross-check certifies them, and the
-    # printed statistics stay the true ones
+    # grid(4, 4) takes the exact path, so the build keeps the kernel's
+    # lines; with INT64_MIN_PAIRS at 1 it takes the int64 path, and
+    # reading arr.lines runs the kernel.  Either way the cross-check
+    # certifies the lines the kernel returned, and the printed statistics
+    # stay the true ones
     path = tmp_path / "g44.json"
     generators.save_points_file(CERTIFIED_GRID, str(path))
-    corrupted = MappingProxyType(corrupted_grid_lines(corruption))
+    corrupted = corrupted_grid_lines(corruption)
     if kernel_path == "int64":
         monkeypatch.setattr(arrangement, "INT64_MIN_PAIRS", 1)
         assert "lines" not in vars(arrangement.build_arrangement(CERTIFIED_GRID))
     assert cli.main(["verify", str(path), "--cross-check"]) == 0
     assert "cross_check: ok" in capsys.readouterr().out
 
-    if kernel_path == "int64":
-        monkeypatch.setattr(arrangement, "_exact_lines", lambda hx, hy, hw: corrupted)
-    else:
-        def corrupted_build(ps):
-            arr = arrangement.build_arrangement(ps)
-            arr.__dict__["lines"] = corrupted
-            return arr
+    real = _kern.group_collinear
 
-        monkeypatch.setattr(cli, "build_arrangement", corrupted_build)
+    def corrupted_lines(hx, hy, hw):
+        size_hist, per_point, _ = real(hx, hy, hw)
+        return size_hist, per_point, corrupted
+
+    monkeypatch.setattr(_kern, "group_collinear", corrupted_lines)
     assert cli.main(["verify", str(path), "--cross-check"]) == 2
     out = capsys.readouterr().out
     assert "lines: 62" in out

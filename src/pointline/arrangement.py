@@ -2,16 +2,18 @@
 
 Computes the statistics the verification suite quantifies over: the
 histogram of line sizes, the total point-line incidence count, the
-maximum collinear count, and per-point line counts, together with the
+maximum collinear count, and per-point line counts, and, on demand, the
 lines themselves (every line through at least two of the points).
 
 Large inputs on which no line holds all but at most 3 of the points, and
 that fit the guard of _kern.int64_statistics (for integer input,
 |coordinate| < 2^25), get their statistics from the vectorised numpy
-kernel, and their lines only when asked for.  Every other input,
-near-pencils included, goes through the exact big-integer kernel, which
-builds the lines and counts the statistics as it finishes them (the
-identities are stated in _kern.group_collinear).
+kernel.  Every other input, near-pencils included, gets them from the
+exact big-integer row loop of _kern.exact_statistics, which keeps no
+line (the counting identities are stated in _kern.group_collinear).
+Either way the lines are built by the exact kernel _kern.group_collinear
+only when they are read, or at once when the build is asked to hold
+them.
 """
 from __future__ import annotations
 
@@ -69,10 +71,10 @@ class Arrangement(namedtuple("Arrangement", "n size_hist max_collinear incidence
     or a = 0 < b, to the sorted indices of its points, as one tuple per
     line; lines come in lexicographic member order.
     It is the exact kernel's own dict behind a read-only view, built from
-    points on first access unless build_arrangement already built it.
-    Both maps are read-only views.  The class has no __slots__: the
-    cached lines lives in the instance dict, and __setattr__ and
-    __delattr__ refuse every other write to it.
+    points on first access unless build_arrangement(ps, lines=True)
+    already built it.  Both maps are read-only views.  The class has no
+    __slots__: the cached lines lives in the instance dict, and
+    __setattr__ and __delattr__ refuse every other write to it.
     """
 
     def __hash__(self):
@@ -93,34 +95,47 @@ class Arrangement(namedtuple("Arrangement", "n size_hist max_collinear incidence
         return MappingProxyType(_kern.group_collinear(*_kern.homogenise(self.points))[2])
 
 
-def build_arrangement(ps: PointSet) -> Arrangement:
-    """Enumerate all determined lines of ps and compute its statistics.
+def build_arrangement(ps: PointSet, lines: bool = False) -> Arrangement:
+    """Compute the statistics of ps, and its lines too if lines is true.
 
     The points are cleared to homogeneous integers once, and each kernel
     runs at most once, on those triples.  Inputs below INT64_MIN_PAIRS
-    pairs, and those with a line missing at most 3 points, take the exact
-    big-integer kernel, which counts the statistics as it finishes the
-    lines (one tuple of sorted members per line, in lexicographic member
-    order; the counting identities are stated in _kern.group_collinear),
-    and lines is kept.  Every other input has its statistics counted by
-    the vectorised numpy kernel, without building any line, when the
-    coordinates fit its guard (for integer input |coordinate| < 2^25;
-    stated in full in _kern.int64_statistics), and lines is built only if
-    it is read.  Past the guard, the exact kernel runs.
+    pairs, and those with a line missing at most 3 points, take an exact
+    big-integer row loop.  Every other input has its statistics counted
+    by the vectorised numpy kernel, when the coordinates fit its guard
+    (for integer input |coordinate| < 2^25; stated in full in
+    _kern.int64_statistics); past the guard, the exact loop runs.
 
-    The threshold keeps numpy out of small runs: importing it costs
-    0.15-0.19 s and 14 MB of RSS, about what the exact loop spends on
-    10^5 integer pairs.
+    With lines false, the exact loop is _kern.exact_statistics, which
+    keeps no line, and arr.lines is built by _kern.group_collinear only
+    if it is read.  With lines true, the build holds arr.lines (one tuple
+    of sorted members per line, in lexicographic member order): on the
+    exact path _kern.group_collinear counts the statistics and builds the
+    lines in one run, and on the numpy path it builds the lines after the
+    numpy kernel has counted the statistics.  The counting identities of
+    both exact loops are stated in _kern.group_collinear.
+
+    The threshold keeps numpy out of small runs.  Fresh-process `verify`
+    on random lattice points (bound 2000) and square grids, min of 5 and
+    of 7 runs on a shared 2-core VM with CPython 3.11.7, took 0.14-0.21 s
+    on the exact path against 0.19-0.27 s on the numpy path at 0.97-1.25
+    x 10^5 pairs, within 0.05 s either way at 1.4-2.4 x 10^5, and
+    0.30-0.36 s against 0.25-0.28 s at 3.1-3.2 x 10^5.  The break-even
+    lies near 2 x 10^5 pairs, below 2^18.
     """
     n = ps.n
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
     hx, hy, hw = _kern.homogenise(ps.points)
-    stats = lines = None
+    stats = groups = None
     if n * (n - 1) // 2 >= INT64_MIN_PAIRS and not _line_misses_at_most_three(hx, hy, hw):
         stats = _kern.int64_statistics(hx, hy, hw)
-    if stats is None:
-        *stats, lines = _kern.group_collinear(hx, hy, hw)
+    if lines:
+        *exact, groups = _kern.group_collinear(hx, hy, hw)
+        if stats is None:
+            stats = exact
+    elif stats is None:
+        stats = _kern.exact_statistics(hx, hy, hw)
     size_hist, lines_per_point = stats
     arr = Arrangement(
         n=n,
@@ -131,8 +146,8 @@ def build_arrangement(ps: PointSet) -> Arrangement:
         num_lines=sum(size_hist.values()),
         points=ps.points,
     )
-    if lines is not None:
-        arr.__dict__["lines"] = MappingProxyType(lines)  # fills the cached_property
+    if groups is not None:
+        arr.__dict__["lines"] = MappingProxyType(groups)  # fills the cached_property
     return arr
 
 

@@ -180,9 +180,12 @@ def run_verify(
 
     The cross-check compares the printed size_hist and lines_per_point
     with the recount of oracle.certify_lines from arr.lines, which it
-    first certifies to be exactly the determined lines.  Where the build
-    kept no lines (the int64 path), reading arr.lines builds them with
-    the exact kernel.
+    first certifies to be exactly the determined lines.  It asks the
+    build to hold the lines, so on the exact path one run of
+    _kern.group_collinear counts the printed statistics and builds the
+    certified lines; on the int64 path the numpy kernel counts them and
+    group_collinear builds the lines.  Without the cross-check the build
+    keeps no line.
     """
     if suite is not None:
         available = sorted(bounds.CHECK_NAMES)
@@ -191,7 +194,7 @@ def run_verify(
             raise PointLineError(f"unknown check name(s) {sorted(unknown)}; available: {available}")
         if not suite:
             raise PointLineError(f"empty check suite; available: {available}")
-    arr = build_arrangement(ps)
+    arr = build_arrangement(ps, lines=cross_check)
     report = _stats_dict(descriptor, arr)
     report["l"] = arr.max_collinear
 

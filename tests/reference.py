@@ -23,9 +23,12 @@ Grouping the r by reduced direction gives every line through i; a line
 is emitted only in the row of its smallest member.
 
 What it shares with the kernels: grouping the other points by their
-direction from each point, as the vectorised statistics path does too
-(that path keys a direction by its float64 slope, not by the reduced
-integer direction).
+direction from each point, as both statistics paths do too.
+``_kern.exact_statistics`` keys a direction the same way, by the
+gcd-reduced, sign-normalised integer direction, from the kernels' lcm
+clearing and only over the pairs its masks leave; its tests also compare
+it with ``_kern.group_collinear``, which keys a line by (a, b, c).  The
+vectorised path keys a direction by its float64 slope.
 What it does not share: the clearing (its own formula, no lcm), the
 integer type (Python ints, no int64, no floats and no numpy), the
 (a, b, c) line key (none is built) and any function of the package.

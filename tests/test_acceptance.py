@@ -167,6 +167,21 @@ def test_criterion_5_inequality_sweep():
     assert not failures, failures
 
 
+def test_cross_check_reports_what_verify_reports_on_the_sweep():
+    # plain verify counts with _kern.exact_statistics and verify
+    # --cross-check with _kern.group_collinear: two exact loops, one report
+    differ = []
+    count = 0
+    for label, ps in _sweep_corpus():
+        plain = cli.run_verify(ps, label)
+        code, report = cli.run_verify(ps, label, cross_check=True)
+        count += 1
+        if report.pop("cross_check") != "ok" or (code, report) != plain:
+            differ.append(label)
+    _report("5c cross-check agrees with verify", not differ, f"{count} configurations")
+    assert not differ, differ
+
+
 def test_criterion_5_cli_verify_end_to_end(tmp_path, capsys):
     # the same exit-code contract through the real command line, including
     # the oracle cross-check on the largest grid

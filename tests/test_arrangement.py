@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -207,26 +208,49 @@ def _assert_statistics_match_oracle(ps):
          "near-pencil-5", "grid-12x12-scaled-2^40"],
 )
 def test_statistics_from_long_lines_edge_cases(ps, hist):
-    # the exact kernel counts only its lines of 3 or more points, and its
-    # counts equal the plain count over all of its lines
+    # both exact loops count only lines of 3 or more points, and their
+    # counts equal the plain count over all of the kernel's lines
     arr = _assert_statistics_match_oracle(ps)
     _assert_kernel_counts_its_lines(ps)
     if hist is not None:
         assert dict(arr.size_hist) == hist
 
 
-@given(rational_sets)
-@settings(max_examples=80)
-def test_exact_kernel_counts_the_lines_it_returns(coords):
-    _assert_kernel_counts_its_lines(pset(*coords))
+def _scaled(ps, scale):
+    return pset(*[(p.x * scale, p.y * scale) for p in ps.points])
+
+
+# random lattice, grid, rational circle, mixed-denominator and near-pencil
+# sets, as they are and scaled by 2^40, past the int64 guard
+statistics_sets = st.builds(
+    _scaled,
+    st.one_of(
+        lattice_sets.map(lambda coords: pset(*coords)),
+        st.builds(grid, st.integers(2, 7), st.integers(2, 7)),
+        st.builds(circle, st.integers(3, 30)),
+        rational_sets.map(lambda coords: pset(*coords)),
+        st.builds(near_pencil, st.integers(3, 40)),
+    ),
+    st.sampled_from([1, 1 << 40]),
+)
+
+
+@given(statistics_sets)
+@settings(max_examples=150)
+def test_exact_kernel_counts_the_lines_it_returns(ps):
+    _assert_kernel_counts_its_lines(ps)
 
 
 def _assert_kernel_counts_its_lines(ps):
-    """group_collinear's size_hist and lines_per_point are line_statistics of its own lines."""
+    """group_collinear's size_hist and lines_per_point are line_statistics of its own
+    lines and of the reference's; exact_statistics counts the same without the lines."""
     size_hist, per_point, lines = _kern.group_collinear(*_triples(ps))
     want_hist, want_per_point = line_statistics(list(lines.values()), ps.n)
-    assert list(size_hist.items()) == list(want_hist.items())  # sizes ascending too
-    assert per_point == want_per_point
+    assert line_statistics(brute_force_lines(ps), ps.n) == (want_hist, want_per_point)
+    for hist, counts in ((size_hist, per_point), _kern.exact_statistics(*_triples(ps))):
+        assert list(hist.items()) == list(want_hist.items())  # sizes ascending too
+        assert counts == want_per_point
+        assert all(type(v) is int for v in chain(hist, hist.values(), counts))
 
 
 # ---------------------------------------------------------------------------
@@ -366,20 +390,27 @@ SWITCH_PAD = [(x, y) for x in range(3, 9) for y in range(3, 9)]
 
 
 def _build_at_the_switch(coords, mp):
-    """Build pad + coords on the large-input path; True if the slope key counted it."""
+    """Build pad + coords on the large-input path; True if the slope key counted it.
+
+    Past the guard the statistics loop of the exact path runs in the
+    build, and the line kernel only when arr.lines is first read.
+    """
     ps = pset(*coords, *SWITCH_PAD)
     want = brute_force_lines(ps)
     mp.setattr(arrangement, "INT64_MIN_PAIRS", 0)
     order = []
     int64_calls = _spy(mp, "int64_statistics", order)
+    stats_calls = _spy(mp, "exact_statistics", order)
     exact_calls = _spy(mp, "group_collinear", order)
     arr = build_arrangement(ps)
     assert order[0] == "int64_statistics"  # before any exact run
-    assert len(int64_calls) == 1 and len(exact_calls) == (int64_calls[0] is None)
+    assert len(int64_calls) == 1 and len(stats_calls) == (int64_calls[0] is None)
+    assert exact_calls == [] and "lines" not in arr.__dict__
     assert list(arr.size_hist.items()) == list(Counter(sorted(map(len, want))).items())
     per_point = Counter(chain.from_iterable(want))
     assert arr.lines_per_point == tuple(per_point[v] for v in range(ps.n))
     assert list(arr.lines.values()) == want
+    assert len(exact_calls) == 1
     return int64_calls[0] is not None
 
 
@@ -506,20 +537,52 @@ def test_large_input_builds_lines_only_when_read(grid23, monkeypatch):
     assert list(lines.values()) == sorted(lines.values())
 
 
+def test_statistics_build_keeps_no_line():
+    # circle 600 has no three points collinear: 179,700 2-point lines, which
+    # a build that kept them held in 58 MB.  Without them the build holds
+    # O(n) objects: 3n homogeneous coordinates, n counts, n masks (all 0
+    # here) and one row's dict of at most n - 1 reduced directions, a
+    # 2-tuple of two ints each, about 260 bytes per point in all (0.16 MB,
+    # CPython 3.11).  1 KB per point leaves room for other allocators and
+    # versions, and is still 1/100 of the lines.
+    ps = circle(600)
+    tracemalloc.start()
+    try:
+        arr = build_arrangement(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "lines" not in arr.__dict__
+    assert dict(arr.size_hist) == {2: 600 * 599 // 2}
+    assert peak < 1000 * ps.n
+
+
 @pytest.mark.parametrize("scale", [1 << 21, 1 << 30], ids=["scale-2^21", "scale-2^30"])
 def test_large_input_past_the_guard_keeps_exact_statistics(scale, grid23, monkeypatch):
-    big = pset(*[(p.x * scale, p.y * scale) for p in grid23.points])
+    big = _scaled(grid23, scale)
+    hist, per_point = _exact_statistics(grid23)
     int64_calls = _spy(monkeypatch, "int64_statistics")
+    stats_calls = _spy(monkeypatch, "exact_statistics")
     exact_calls = _spy(monkeypatch, "group_collinear")
     arr = build_arrangement(big)
     assert int64_calls == [None]
-    assert len(exact_calls) == 1
-    # kept from the build's one run, not built again
-    assert list(arr.lines.values()) == list(exact_calls[0][2].values())
-    assert len(exact_calls) == 1
-    hist, per_point = _exact_statistics(grid23)
+    # the build runs the statistics loop, which keeps no line
+    assert len(stats_calls) == 1 and exact_calls == []
+    assert "lines" not in arr.__dict__
     assert list(arr.size_hist.items()) == list(hist.items())
     assert arr.lines_per_point == tuple(per_point)
+    # the line kernel runs once, when the lines are first read
+    assert list(arr.lines.values()) == list(exact_calls[0][2].values())
+    assert arr.lines is arr.lines and len(exact_calls) == 1
+    assert line_statistics(list(arr.lines.values()), arr.n) == (hist, per_point)
+
+    # asked to hold its lines, the build runs the line kernel alone, once
+    int64_calls.clear(), stats_calls.clear(), exact_calls.clear()
+    held = build_arrangement(big, lines=True)
+    assert int64_calls == [None] and stats_calls == [] and len(exact_calls) == 1
+    assert "lines" in held.__dict__ and held == arr
+    assert list(held.lines.values()) == list(arr.lines.values())
+    assert len(exact_calls) == 1
 
 
 def test_arrangement_maps_are_read_only(grid33, grid23):
@@ -603,7 +666,10 @@ def test_pointset_requires_a_point():
 
 def _assert_lines_match_oracle(ps):
     arr = build_arrangement(ps)
-    assert list(arr.lines.values()) == brute_force_lines(ps)
+    oracle = brute_force_lines(ps)
+    # the build's statistics loop skips the same pairs as the line kernel
+    assert (dict(arr.size_hist), list(arr.lines_per_point)) == line_statistics(oracle, ps.n)
+    assert list(arr.lines.values()) == oracle
     for key, members in arr.lines.items():
         assert key == line_through(ps.points[members[0]], ps.points[members[1]])
 
@@ -658,15 +724,18 @@ def _count_gcd(monkeypatch):
     return calls
 
 
-def _gcd_calls(monkeypatch, ps):
+def _gcd_calls(monkeypatch, ps, kernel="group_collinear"):
     calls = _count_gcd(monkeypatch)
-    _kern.group_collinear(*_triples(ps))
+    getattr(_kern, kernel)(*_triples(ps))
     return calls[0]
 
 
 def test_kernel_skips_pairs_of_finished_lines(monkeypatch):
     # C(199, 2) of the 19,900 pairs lie on the long line, found in its first row
     assert _gcd_calls(monkeypatch, near_pencil(200)) <= 2 * 200
+    # the statistics loop skips the same pairs
+    assert _gcd_calls(monkeypatch, near_pencil(200), "exact_statistics") <= 2 * 200
+    assert _gcd_calls(monkeypatch, near_pencil(600), "exact_statistics") <= 2 * 600
 
 
 @pytest.mark.parametrize("n", [29, 30, 31, 32, 59, 60, 61, 62, 64, 65, 91])
@@ -679,13 +748,17 @@ def test_row_listing_across_int_digit_boundaries(n, apex, monkeypatch):
     coords.insert({"first": 0, "middle": n // 2, "last": n - 1}[apex], (0, 1))
     ps = pset(*coords)
     calls = _count_gcd(monkeypatch)
-    _, _, groups = _kern.group_collinear(*_triples(ps))
+    *stats, groups = _kern.group_collinear(*_triples(ps))
     assert calls[0] <= 2 * n
     assert list(groups.values()) == brute_force_lines(ps)
+    calls[0] = 0
+    assert list(_kern.exact_statistics(*_triples(ps))) == stats
+    assert calls[0] <= 2 * n
 
 
 def test_kernel_evaluates_every_pair_without_three_collinear(monkeypatch):
     assert _gcd_calls(monkeypatch, circle(50)) == 50 * 49 // 2
+    assert _gcd_calls(monkeypatch, circle(50), "exact_statistics") == 50 * 49 // 2
 
 
 # ---------------------------------------------------------------------------
@@ -698,13 +771,19 @@ def test_large_near_pencil_takes_the_exact_path(scale, monkeypatch):
     ps = pset(*[(p.x * scale, p.y * scale) for p in near_pencil(600).points])
     assert ps.n * (ps.n - 1) // 2 >= INT64_MIN_PAIRS
     int64_calls = _spy(monkeypatch, "int64_statistics")
+    stats_calls = _spy(monkeypatch, "exact_statistics")
+    exact_calls = _spy(monkeypatch, "group_collinear")
     gcd_calls = _count_gcd(monkeypatch)
     arr = build_arrangement(ps)
-    assert int64_calls == []
+    assert int64_calls == [] and len(stats_calls) == 1 and exact_calls == []
     assert gcd_calls[0] <= 2 * ps.n
-    assert "lines" in arr.__dict__  # kept from the build
+    assert "lines" not in arr.__dict__  # the build keeps no line
     assert dict(arr.size_hist) == {2: 599, 599: 1}
     assert arr.lines_per_point == (2,) * 599 + (599,)
+    # the line kernel runs once, when the lines are first read
+    assert line_statistics(list(arr.lines.values()), ps.n) == (dict(arr.size_hist),
+                                                               list(arr.lines_per_point))
+    assert arr.lines is arr.lines and len(exact_calls) == 1
 
 
 def _line_plus_off_points(n, k):

@@ -176,6 +176,32 @@ def test_cross_check_on_the_int64_statistics_path(tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize(
+    "kind",
+    [["grid", "--w", "6", "--h", "7"], ["circle", "--n", "40"], ["near-pencil", "--n", "60"]],
+    ids=["grid", "circle", "near-pencil"],
+)
+def test_verify_runs_one_exact_loop_on_the_exact_path(tmp_path, monkeypatch, capsys, kind):
+    # plain verify counts the statistics in the loop that keeps no line;
+    # --cross-check asks the build for its lines, so the line kernel counts
+    # the printed statistics and builds the lines it certifies in one run
+    path = tmp_path / "points.json"
+    assert cli.main(["generate", *kind, "--out", str(path)]) == 0
+    stats = _counting(monkeypatch, _kern, "exact_statistics")
+    kernel = _counting(monkeypatch, _kern, "group_collinear")
+    certified = _counting(monkeypatch, cli, "certify_lines")
+    assert cli.main(["verify", str(path)]) == 0
+    plain = capsys.readouterr().out
+    assert (len(stats), len(kernel), len(certified)) == (1, 0, 0)
+
+    stats.clear()
+    assert cli.main(["verify", str(path), "--cross-check"]) == 0
+    assert (len(stats), len(kernel), len(certified)) == (0, 1, 1)
+    out = capsys.readouterr().out
+    assert "cross_check: ok\n" in out
+    assert out.replace("cross_check: ok\n", "") == plain
+
+
+@pytest.mark.parametrize(
     "corruption, kernel_path",
     [pytest.param(name, "exact", id=name) for name in LINE_CORRUPTIONS]
     + [pytest.param(name, "int64", id=f"{name}-int64") for name in LINE_CORRUPTIONS],

@@ -70,6 +70,7 @@ def test_does_not_use_the_line_kernels(monkeypatch):
 
     monkeypatch.setattr(_kern, "homogenise", refuse)
     monkeypatch.setattr(_kern, "group_collinear", refuse)
+    monkeypatch.setattr(_kern, "exact_statistics", refuse)
     monkeypatch.setattr(_kern, "int64_statistics", refuse)
     assert brute_force_lines(ps) == expected
     assert certify_lines(ps, arr.lines) == (dict(arr.size_hist), list(arr.lines_per_point))

@@ -112,8 +112,13 @@ def build_arrangement(ps: PointSet, lines: bool = False) -> Arrangement:
     of sorted members per line, in lexicographic member order): on the
     exact path _kern.group_collinear counts the statistics and builds the
     lines in one run, and on the numpy path it builds the lines after the
-    numpy kernel has counted the statistics.  The counting identities of
-    both exact loops are stated in _kern.group_collinear.
+    numpy kernel has counted the statistics.  verify --cross-check asks
+    for the lines: a lazy read after a statistics-only build runs both
+    exact loops, which made verify --cross-check on a rational circle, a
+    grid and a random set (the benchmark's crosscheck workload) 1.30
+    times slower (median of 10 alternating runs, 2-core VM).
+    The counting identities of both exact loops are stated in
+    _kern.group_collinear.
 
     The threshold keeps numpy out of small runs.  Fresh-process `verify`
     on random lattice points (bound 2000) and square grids, min of 5 and

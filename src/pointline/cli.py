@@ -185,7 +185,10 @@ def run_verify(
     _kern.group_collinear counts the printed statistics and builds the
     certified lines; on the int64 path the numpy kernel counts them and
     group_collinear builds the lines.  Without the cross-check the build
-    keeps no line.
+    keeps no line.  The cross-check thus certifies group_collinear's
+    counts, not those of _kern.exact_statistics, which a plain verify
+    prints on the exact path; the tests compare the two loops with each
+    other and with an independent reference.
     """
     if suite is not None:
         available = sorted(bounds.CHECK_NAMES)

@@ -538,14 +538,15 @@ def test_large_input_builds_lines_only_when_read(grid23, monkeypatch):
 
 
 def test_statistics_build_keeps_no_line():
-    # circle 600 has no three points collinear: 179,700 2-point lines, which
-    # a build that kept them held in 58 MB.  Without them the build holds
-    # O(n) objects: 3n homogeneous coordinates, n counts, n masks (all 0
-    # here) and one row's dict of at most n - 1 reduced directions, a
-    # 2-tuple of two ints each, about 260 bytes per point in all (0.16 MB,
-    # CPython 3.11).  1 KB per point leaves room for other allocators and
-    # versions, and is still 1/100 of the lines.
-    ps = circle(600)
+    # circle 200 has no three points collinear: 19,900 2-point lines, which
+    # the line kernel holds in 4.8 MB, 24 KB per point.  Without them the
+    # build holds O(n) objects: 3n homogeneous coordinates, n counts, n
+    # masks (all 0 here) and one row's dict of at most n - 1 reduced
+    # directions, a 2-tuple of two ints each, about 200 bytes per point in
+    # all (0.04 MB, CPython 3.11).  1 KB per point leaves room for other
+    # allocators and versions, and is still 1/24 of the lines; the margin
+    # grows with n, as the lines take n/2 tuples per point.
+    ps = circle(200)
     tracemalloc.start()
     try:
         arr = build_arrangement(ps)
@@ -553,7 +554,7 @@ def test_statistics_build_keeps_no_line():
     finally:
         tracemalloc.stop()
     assert "lines" not in arr.__dict__
-    assert dict(arr.size_hist) == {2: 600 * 599 // 2}
+    assert dict(arr.size_hist) == {2: 200 * 199 // 2}
     assert peak < 1000 * ps.n
 
 

@@ -11,7 +11,9 @@ import json
 import random
 import re
 from fractions import Fraction
-from typing import IO
+from itertools import chain, repeat
+from operator import contains
+from typing import IO, NoReturn, Optional, Union
 
 from .arrangement import PointSet
 from .errors import DomainError, PointFormatError
@@ -103,7 +105,11 @@ def load_points(fp: IO[str]) -> PointSet:
     """Parse the JSON file format; raises PointFormatError naming the offender.
 
     A coordinate loads as an int when it is integral ("4/2" as 2) and as a
-    reduced Fraction otherwise, the rule of geometry.coordinate.
+    reduced Fraction otherwise, the rule of geometry.coordinate.  The file is
+    checked and converted in whole-list passes (entry shapes, coordinate
+    types, the coordinate pattern, the conversion); only when a pass fails
+    does a walk over the entries, in file order, name the first offending
+    point and field.
     """
     try:
         data = json.load(fp)
@@ -117,26 +123,52 @@ def load_points(fp: IO[str]) -> PointSet:
     raw = data["points"]
     if not isinstance(raw, list) or not raw:
         raise PointFormatError('"points" must be a non-empty list')
-    pts = []
+    pts = _parse_points(raw)
+    if pts is None:
+        _raise_first_offender(raw)
+    try:
+        return PointSet(pts)
+    except DomainError as exc:
+        raise PointFormatError(str(exc)) from exc
+
+
+def _parse_points(raw: list) -> Optional[tuple[Point, ...]]:
+    """The points of raw, or None when an entry or a coordinate does not parse."""
+    if set(map(type, raw)) != {list} or set(map(len, raw)) != {2}:
+        return None
+    coords = list(chain.from_iterable(raw))
+    if set(map(type, coords)) != {str} or not all(map(_COORD_RE.fullmatch, coords)):
+        return None
+    values = map(_coordinate if any(map(contains, coords, repeat("/"))) else int, coords)
+    try:
+        # one iterator zipped with itself pairs consecutive values; tuple.__new__
+        # builds each Point in C, where Point(x, y) runs a Python __new__
+        return tuple(map(tuple.__new__, repeat(Point), zip(values, values)))
+    except ValueError:  # more digits than the int-conversion limit
+        return None
+
+
+def _raise_first_offender(raw: list) -> NoReturn:
+    """Raise the PointFormatError of the first entry or coordinate of raw that does not parse."""
     for idx, entry in enumerate(raw):
         if not isinstance(entry, list) or len(entry) != 2:
             raise PointFormatError(f"point {idx}: expected a pair of strings, got {entry!r}")
-        coords = []
         for axis, value in zip("xy", entry):
             if not isinstance(value, str) or not _COORD_RE.fullmatch(value):
                 raise PointFormatError(
                     f"point {idx}, field {axis}: {value!r} is not a rational string"
                 )
-            num, _, den = value.partition("/")
             try:
-                coords.append(coordinate(Fraction(int(num), int(den))) if den else int(num))
+                _coordinate(value)
             except ValueError as exc:  # more digits than the int-conversion limit
                 raise PointFormatError(f"point {idx}, field {axis}: {exc}") from exc
-        pts.append(Point(*coords))
-    try:
-        return PointSet.of(pts)
-    except DomainError as exc:
-        raise PointFormatError(str(exc)) from exc
+    raise AssertionError("the whole-list passes refused points that the entry walk accepts")
+
+
+def _coordinate(text: str) -> Union[int, Fraction]:
+    """The value of a string matching _COORD_RE; a Fraction is built only for a "/"."""
+    num, _, den = text.partition("/")
+    return coordinate(Fraction(int(num), int(den))) if den else int(num)
 
 
 def save_points_file(ps: PointSet, path: str) -> None:

@@ -22,8 +22,12 @@ class Point(NamedTuple):
 
 
 def coordinate(value: RationalLike) -> Union[int, Rational]:
-    """value as an int when it is integral, else as a reduced Fraction."""
-    q = Fraction(value)
+    """value as an int when it is integral, else as a reduced Fraction.
+
+    The one owner of that rule: point() applies it, and so does the file
+    loader to each coordinate string that holds a "/".
+    """
+    q = value if type(value) is Fraction else Fraction(value)  # a Fraction is already reduced
     return q.numerator if q.denominator == 1 else q
 
 

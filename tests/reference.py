@@ -38,14 +38,25 @@ O(n^2) gcds; best of 3 calls on a shared 2-core VM with CPython 3.11.7
 rounds, 0.44-0.65 s for a 30x30 grid and 0.49-0.66 s for 800 random
 lattice points (seed 7, bound 2000); 3.6 s for a 2000-point near-pencil,
 which oracle.certify_lines checks in 5 ms.
+
+``load_points_per_entry`` is the point-file loader as one Python step per
+entry and coordinate: it checks each entry's shape, then each coordinate's
+type, pattern and digit count, in file order, and builds each Point as it
+goes.  The package's loader checks whole lists at once and walks the
+entries only to name an offender; the tests require the two to agree on
+every file, value for value and message for message.  It writes the
+coordinate pattern and the "int when integral, else reduced Fraction" rule
+out again.
 """
 from __future__ import annotations
 
+import json
+import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple
+from typing import IO, NamedTuple
 
-from pointline import DomainError, Point, PointSet, TooFewPoints
+from pointline import DomainError, Point, PointFormatError, PointSet, TooFewPoints
 
 
 class LineKey(NamedTuple):
@@ -121,3 +132,42 @@ def brute_force_lines(ps: PointSet) -> list[tuple[int, ...]]:
             groups.setdefault((dx // g, dy // g), [i]).append(r)
         lines.extend(tuple(members) for members in groups.values() if members[1] > i)
     return sorted(lines)
+
+
+_COORDINATE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+
+
+def load_points_per_entry(fp: IO[str]) -> PointSet:
+    """The point file in fp as a PointSet, or PointFormatError naming the first offender."""
+    try:
+        data = json.load(fp)
+    except json.JSONDecodeError as exc:
+        raise PointFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise PointFormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(data, dict) or "points" not in data:
+        raise PointFormatError('top-level object must have a "points" field')
+    raw = data["points"]
+    if not isinstance(raw, list) or not raw:
+        raise PointFormatError('"points" must be a non-empty list')
+    pts = []
+    for idx, entry in enumerate(raw):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise PointFormatError(f"point {idx}: expected a pair of strings, got {entry!r}")
+        coords = []
+        for axis, value in zip("xy", entry):
+            if not isinstance(value, str) or not _COORDINATE.fullmatch(value):
+                raise PointFormatError(
+                    f"point {idx}, field {axis}: {value!r} is not a rational string"
+                )
+            num, _, den = value.partition("/")
+            try:
+                q = Fraction(int(num), int(den or "1"))
+            except ValueError as exc:  # more digits than the int-conversion limit
+                raise PointFormatError(f"point {idx}, field {axis}: {exc}") from exc
+            coords.append(q.numerator if q.denominator == 1 else q)
+        pts.append(Point(*coords))
+    try:
+        return PointSet.of(pts)
+    except DomainError as exc:
+        raise PointFormatError(str(exc)) from exc

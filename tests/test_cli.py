@@ -72,6 +72,28 @@ def test_analyze_coordinate_past_digit_limit_is_exit_one(tmp_path, capsys):
     assert captured.err.startswith("error: point 0, field x:")
 
 
+def test_verify_non_utf8_file_is_invalid_json(tmp_path, capsys):
+    # the decode error is raised while json.load reads the file, so it is a JSON error
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"points": [["0", "0"], ["1", "\xff"]]}')
+    assert cli.main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: invalid JSON: 'utf-8' codec can't decode byte 0xff in "
+                            "position 31: invalid start byte\n")
+
+
+def test_verify_non_ascii_digit_is_not_a_rational_string(tmp_path, capsys):
+    # int() accepts the Arabic-Indic digit three; the coordinate pattern does not
+    path = tmp_path / "arabic.json"
+    path.write_text(json.dumps({"points": [["0", "0"], ["٣", "1"]]}), encoding="utf-8")
+    assert int("٣") == 3
+    assert cli.main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: point 1, field x: '٣' is not a rational string\n"
+
+
 def test_verify_nesting_past_recursion_limit_is_exit_one(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text('{"points": %s}' % ("[" * 100_000 + "]" * 100_000))

@@ -7,11 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from pointline import (
     DomainError,
+    Point,
     PointFormatError,
     build_arrangement,
     circle,
     collinear,
     dump_points,
+    generators,
     grid,
     load_points,
     max_lines_through_point,
@@ -20,6 +22,8 @@ from pointline import (
     random_points,
 )
 from pointline.generators import _COORD_RE
+
+from reference import load_points_per_entry
 
 
 def test_grid_33():
@@ -264,3 +268,103 @@ def test_load_parses_coordinates_as_fraction_does(value):
     else:
         (got, _), = _load(json.dumps({"points": [[value, "0"]]})).points
         assert type(got) is (int if want.denominator == 1 else F) and got == want
+
+
+# coordinates the file format admits, in six classes of equal values, so
+# that duplicates such as "2" against "4/2" are frequent
+_small_values = st.sampled_from(["0", "-0", "0/7", "2", "4/2", "1/2", "2/4", "-3", "-12/8", "007"])
+_invalid_values = st.one_of(
+    st.sampled_from(["1\n2", "1\n", "\u0663", "\uff11", "+3", " 1", "", "1/0", "3/-2", "1.5",
+                     "1" * 4301, "1/" + "1" * 4301]),
+    st.integers(-3, 3), st.floats(allow_nan=False, allow_infinity=False), st.none(),
+    st.booleans(), st.lists(st.sampled_from(["0", "1"]), max_size=2),
+)
+
+
+@st.composite
+def _point_files(draw):
+    """The "points" list of a file: mostly valid pairs, with a few faulty values or entries.
+
+    One valid value in eight is a signed digit string of up to about 4300
+    digits, on either side of the int-conversion limit.
+    """
+    def valid():
+        return draw(coordinate_strings if draw(st.integers(0, 7)) == 0 else _small_values)
+
+    entries = []
+    for _ in range(draw(st.integers(0, 6))):
+        fault = draw(st.integers(0, 9))
+        if fault == 0:  # an entry of 1 or 3 elements, or not a list
+            entries.append(draw(st.sampled_from([[valid()], [valid(), valid(), valid()],
+                                                 "0", 0, None, {"x": "0"}])))
+        else:
+            pair = [valid(), valid()]
+            if fault == 1:
+                pair[draw(st.integers(0, 1))] = draw(_invalid_values)
+            entries.append(pair)
+    return entries
+
+
+@given(_point_files())
+@example([["0", "0"], ["\u0663", "1"]])
+@example([["2", "0"], ["4/2", "0"]])
+@example([["0", "0"], ["1", "0"], ["2"]])
+@example([["1/2", "0"], ["0", "1/" + "1" * 4301]])
+@example([["0", "0"], ["1", 2.0]])
+@settings(max_examples=300, deadline=None)
+def test_load_agrees_with_the_per_entry_reference(entries):
+    text = json.dumps({"points": entries})
+    try:
+        want = load_points_per_entry(io.StringIO(text))
+    except PointFormatError as exc:
+        with pytest.raises(PointFormatError) as info:
+            _load(text)
+        assert type(info.value) is PointFormatError and str(info.value) == str(exc)
+    else:
+        got = _load(text)
+        assert got == want
+        for p in got.points:
+            assert type(p) is Point
+            assert all(type(v) is (int if F(v).denominator == 1 else F) for v in p)
+
+
+def _spy_walk(monkeypatch):
+    """Record each call of the loader's per-entry walk, by the length of the list it walks."""
+    calls = []
+    real = generators._raise_first_offender
+
+    def spy(raw):
+        calls.append(len(raw))
+        real(raw)
+
+    monkeypatch.setattr(generators, "_raise_first_offender", spy)
+    return calls
+
+
+def _near_pencil_file(last):
+    data = {"points": [[str(i), "0"] for i in range(1999)] + [last]}
+    return json.dumps(data)
+
+
+def test_a_valid_file_never_walks_its_entries(monkeypatch):
+    calls = _spy_walk(monkeypatch)
+    assert _load(_near_pencil_file(["0", "1"])).n == 2000
+    with pytest.raises(PointFormatError, match="^point 1999 duplicates point 0: "):
+        _load(_near_pencil_file(["0", "0"]))  # a duplicate is found after the parse
+    assert calls == []
+
+
+@pytest.mark.parametrize("last, message", [
+    (["0"], "point 1999: expected a pair of strings, got ['0']"),
+    (["0", 1], "point 1999, field y: 1 is not a rational string"),
+    (["0", "1.5"], "point 1999, field y: '1.5' is not a rational string"),
+    (["1/" + "1" * 4301, "1"], "point 1999, field x: Exceeds the limit (4300 digits) for integer "
+                               "string conversion: value has 4301 digits; use "
+                               "sys.set_int_max_str_digits() to increase the limit"),
+], ids=["shape", "type", "pattern", "digit-limit"])
+def test_an_invalid_file_walks_its_entries_once(monkeypatch, last, message):
+    calls = _spy_walk(monkeypatch)
+    with pytest.raises(PointFormatError) as info:
+        _load(_near_pencil_file(last))
+    assert str(info.value) == message
+    assert calls == [2000]

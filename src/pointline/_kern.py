@@ -24,20 +24,24 @@ identities stated in its docstring.
 
 ``exact_statistics`` is the same exact row loop, with the same masks,
 column walk and counting identities, for callers that want the
-statistics alone.  It keys each column by the reduced direction from the
-row's point, in a dict local to the row, and drops the dict when the row
-ends, so it holds O(n) ints instead of all C(n, 2) lines: on a rational
-circle of 600 points the tracemalloc peak of the loop alone, its input
-triples excluded, is 0.07 MB, against 58 MB for ``group_collinear``
-(0.16 MB for all of ``build_arrangement``; CPython 3.11.7).  The two
-loops stay separate because neither key serves both consumers.  A direction names a line only within
-its row, so a line dict needs the canonical (a, b, c); the direction is
-cheaper to form and to hash, and drops the third product of every pair.
-On the 562 small inputs of the benchmark's sweep (in-process, best of 9
-per round, 3 rounds, 2-core VM, CPython 3.11.7) the direction loop took
-0.51-0.75 of ``group_collinear``'s time, the same statistics loop keyed
-by (a, b, c) 0.77-1.05, and a direction loop that also forms each line's
-(a, b, c) key and keeps its members 1.5-1.8.
+statistics alone.  It keys each column by the slope of its direction from
+the row's point, a float, in a dict local to the row, and drops the dict
+when the row ends, so it holds O(n) objects instead of all C(n, 2)
+lines: on a rational circle of 600 points the tracemalloc peak of the
+loop alone, its input triples excluded, is 0.06 MB, against 58 MB for
+``group_collinear`` (0.12 MB for all of ``build_arrangement``; CPython
+3.11.7).  Inside the guard below the slope is an exact key; past it, a
+key met again is confirmed by an exact cross product, and a direction
+whose slope collides with another's is keyed by its reduced direction
+instead (see its docstring).  The two loops stay separate because
+neither key serves both consumers.  A slope names a line only within
+its row, so a line dict needs the canonical (a, b, c); the slope is
+cheaper to form and to hash, needs a gcd only on such a collision, and
+drops the third product of every pair.  On 562 small inputs shaped like
+the benchmark's sweep (in-process, best of 9 per round, 3 rounds, 2-core
+VM, CPython 3.11.7) the slope loop took 0.46-0.53 of
+``group_collinear``'s time, where the same loop keyed by the gcd-reduced
+direction took 0.55-0.68.
 
 ``int64_statistics`` builds no line at all: it sorts, for every point,
 the directions to the other points in blocks of numpy rows, and reads the
@@ -51,7 +55,7 @@ input before numpy is imported.
 """
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 # 8-byte elements per block of rows: each array of a block is 512 KB, so a
 # block stays in cache (larger blocks were no faster and cost more memory)
@@ -194,46 +198,79 @@ def _with_two_point_lines(sizes: dict, n: int) -> dict:
     return dict(sorted(sizes.items()))
 
 
+def _within_slope_guard(hx: list, hy: list, hw: list) -> bool:
+    """True when 2 * max(|X|, |Y|) * max(W) < 2^26: every slope dy / dx is then an exact key."""
+    return 2 * max(max(map(abs, hx)), max(map(abs, hy))) * max(hw) < _SLOPE_BOUND
+
+
 def exact_statistics(hx: list, hy: list, hw: list) -> tuple[dict, list]:
     """Statistics of distinct points, without their lines: (size_hist, lines_per_point).
 
     Returns ``group_collinear(hx, hy, hw)[:2]``, as ``int64_statistics``
     returns them, from the same row loop: the covered masks, the walk of
     a row's free bits and the counting identities are those of
-    ``group_collinear``.  Only the key differs.  Row i keys column j by
+    ``group_collinear``.  Only the key differs.  Row i forms for column j
     the direction (dx, dy) = (X_j W_i - X_i W_j, Y_j W_i - Y_i W_j), a
-    positive multiple of the affine difference, divided by gcd(dx, dy)
-    and by its sign, so that dx > 0 or dx = 0 < dy.  Every pair
-    evaluated in row i lies on a line whose first member is i (see
-    ``group_collinear``), so the reduced direction names that line, and
-    all its later members are columns of row i.  The row's dict maps each
-    direction to its first column; a direction met again holds a line of
-    3 or more points, whose members, i first, gather in a list.  When the
-    row ends, each list is counted and covers its pairs as a finished
-    line of ``group_collinear`` does, and the row's dicts are dropped.
-    The 2-point lines are the remainder, as in ``group_collinear``.
+    positive multiple of the affine difference.  Every pair evaluated in
+    row i lies on a line whose first member is i (see
+    ``group_collinear``), so the direction names that line up to scale,
+    and all its later members are columns of row i.  The row's dict maps
+    each key to its first column; a key met again holds a line of 3 or
+    more points, whose members, i first, gather in a list.  When the row
+    ends, each list is counted and covers its pairs as a finished line of
+    ``group_collinear`` does, and the row's dicts are dropped.  The
+    2-point lines are the remainder, as in ``group_collinear``.
+
+    The key is the slope dy / dx: Python's correctly rounded true
+    division of two ints, or inf when dx = 0.  A slope does not change
+    when the direction flips sign, and -0.0 == 0.0, so equal directions
+    give one double and meet at the first column f of their key.  Inside
+    the guard of ``int64_statistics``, 2 * max(|X|, |Y|) * max(W) < 2^26
+    (for integer input, |coordinate| < 2^25), every |dx|, |dy| is below
+    2^26, distinct slopes give distinct doubles by the argument in its
+    docstring, and a key met again is taken as it is: no gcd runs.  Past
+    the guard two slopes may round to one double, or a quotient past the
+    largest double raises OverflowError and takes the key None.  So there
+    each column j that meets f is confirmed by the exact cross product
+    dx * dy_f == dy * dx_f, with f's direction formed again.  A column
+    that fails it is keyed in the same dict by its direction divided by
+    gcd(dx, dy) and by its sign, so that dx > 0 or dx = 0 < dy, an exact
+    key that a float or None never equals.  A direction's columns all
+    meet f, so when f is not on its line, all of them go under its
+    reduced direction.
     """
     n = len(hx)
     sizes: dict = {}  # sizes[k]: lines of k >= 3 points
     per_point = [n - 1] * n
     # covered[v]: bit j set when the pair (v, j) lies on a counted line
     covered = [0] * n
+    # past the guard an equal slope is confirmed by an exact cross product
+    confirm = not _within_slope_guard(hx, hy, hw)
     for i in range(n):
         x1 = hx[i]
         y1 = hy[i]
         w1 = hw[i]
         mask = covered[i]
         columns = _free_columns(mask, i, n) if mask else range(i + 1, n)
-        first = {}  # reduced direction from i: its first column
+        first = {}  # slope key, or reduced direction, from i: its first column
         long_lines = {}  # first column: the members of a line of 3 or more points
         for j in columns:
             w2 = hw[j]
             dx = hx[j] * w1 - x1 * w2
             dy = hy[j] * w1 - y1 * w2
-            g = gcd(dx, dy)
-            if dx < 0 or (dx == 0 and dy < 0):
-                g = -g
-            f = first.setdefault((dx // g, dy // g), j)
+            try:
+                key = dy / dx if dx else inf
+            except OverflowError:
+                key = None
+            f = first.setdefault(key, j)
+            if f != j and confirm:
+                wf = hw[f]
+                if dx * (hy[f] * w1 - y1 * wf) != dy * (hx[f] * w1 - x1 * wf):
+                    # the double of another direction: key by the reduced one
+                    g = gcd(dx, dy)
+                    if dx < 0 or (dx == 0 and dy < 0):
+                        g = -g
+                    f = first.setdefault((dx // g, dy // g), j)
             if f != j:
                 members = long_lines.get(f)
                 if members is None:
@@ -283,13 +320,12 @@ def int64_statistics(hx: list, hy: list, hw: list) -> tuple[dict, list] | None:
     1) forms (dx, dy) by one subtraction each.  The block buffers are
     allocated once per call and written in place.
     """
-    m = max(max(map(abs, hx)), max(map(abs, hy)))
-    w_max = max(hw)
-    if 2 * m * w_max >= _SLOPE_BOUND:
+    if not _within_slope_guard(hx, hy, hw):
         return None
     import numpy as np
 
     n = len(hx)
+    integer = max(hw) == 1
     X = np.array(hx, dtype=np.float64)
     Y = np.array(hy, dtype=np.float64)
     W = np.array(hw, dtype=np.float64)
@@ -305,7 +341,7 @@ def int64_statistics(hx: list, hy: list, hw: list) -> tuple[dict, list] | None:
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         dx, dy, tmp, vertical, eq = (buf[: hi - lo] for buf in bufs)
-        if w_max == 1:
+        if integer:
             np.subtract(X, X[lo:hi, None], out=dx)
             np.subtract(Y, Y[lo:hi, None], out=dy)
         else:

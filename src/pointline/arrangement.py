@@ -121,12 +121,14 @@ def build_arrangement(ps: PointSet, lines: bool = False) -> Arrangement:
     _kern.group_collinear.
 
     The threshold keeps numpy out of small runs.  Fresh-process `verify`
-    on random lattice points (bound 2000) and square grids, min of 5 and
-    of 7 runs on a shared 2-core VM with CPython 3.11.7, took 0.14-0.21 s
-    on the exact path against 0.19-0.27 s on the numpy path at 0.97-1.25
-    x 10^5 pairs, within 0.05 s either way at 1.4-2.4 x 10^5, and
-    0.30-0.36 s against 0.25-0.28 s at 3.1-3.2 x 10^5.  The break-even
-    lies near 2 x 10^5 pairs, below 2^18.
+    on random lattice points (n = 450-800, bound 2000) and on grids from
+    21x21 to 28x28, min of 7 to 11 runs on a shared 2-core VM with
+    CPython 3.11.7: at 1.0-2.3 x 10^5 pairs the exact path took
+    0.15-0.23 s and the numpy path 0.17-0.26 s; at 2.4-2.7 x 10^5 either
+    path was up to 0.04 s the faster; at 3.1 x 10^5 the exact path took
+    0.29-0.33 s against 0.27-0.29 s.  The break-even lies at 2.4-2.7 x
+    10^5 pairs, earlier on grids than on random sets, so not clearly at
+    or above 2^18 (2.6 x 10^5), and the threshold stays at 2^17.
     """
     n = ps.n
     if n < 2:

@@ -24,11 +24,14 @@ is emitted only in the row of its smallest member.
 
 What it shares with the kernels: grouping the other points by their
 direction from each point, as both statistics paths do too.
-``_kern.exact_statistics`` keys a direction the same way, by the
-gcd-reduced, sign-normalised integer direction, from the kernels' lcm
-clearing and only over the pairs its masks leave; its tests also compare
-it with ``_kern.group_collinear``, which keys a line by (a, b, c).  The
-vectorised path keys a direction by its float64 slope.
+``_kern.exact_statistics`` keys a direction by its slope dy / dx, a
+float, from the kernels' lcm clearing and only over the pairs its masks
+leave.  It falls back to this key, the gcd-reduced, sign-normalised
+integer direction, only past the slope guard, for a direction whose slope
+rounds to an earlier one's double without being its direction, or
+overflows a double.  Its tests compare it with this reference on such
+collisions and with ``_kern.group_collinear``, which keys a line by
+(a, b, c).  The vectorised path keys a direction by its float64 slope.
 What it does not share: the clearing (its own formula, no lcm), the
 integer type (Python ints, no int64, no floats and no numpy), the
 (a, b, c) line key (none is built) and any function of the package.

@@ -169,7 +169,9 @@ def test_criterion_5_inequality_sweep():
 
 def test_cross_check_reports_what_verify_reports_on_the_sweep():
     # plain verify counts with _kern.exact_statistics and verify
-    # --cross-check with _kern.group_collinear: two exact loops, one report
+    # --cross-check with _kern.group_collinear: two exact loops, one report.
+    # The report holds max_point_lines but not each point's count, so the
+    # two builds' full statistics are compared too
     differ = []
     count = 0
     for label, ps in _sweep_corpus():
@@ -178,6 +180,10 @@ def test_cross_check_reports_what_verify_reports_on_the_sweep():
         count += 1
         if report.pop("cross_check") != "ok" or (code, report) != plain:
             differ.append(label)
+        counted, held = build_arrangement(ps), build_arrangement(ps, lines=True)
+        if (list(counted.size_hist.items()), counted.lines_per_point) != (
+                list(held.size_hist.items()), held.lines_per_point):
+            differ.append(f"{label} statistics")
     _report("5c cross-check agrees with verify", not differ, f"{count} configurations")
     assert not differ, differ
 

@@ -1,7 +1,10 @@
+import inspect
+import sys
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, permutations
 from random import Random
 
 import numpy as np
@@ -541,11 +544,11 @@ def test_statistics_build_keeps_no_line():
     # circle 200 has no three points collinear: 19,900 2-point lines, which
     # the line kernel holds in 4.8 MB, 24 KB per point.  Without them the
     # build holds O(n) objects: 3n homogeneous coordinates, n counts, n
-    # masks (all 0 here) and one row's dict of at most n - 1 reduced
-    # directions, a 2-tuple of two ints each, about 200 bytes per point in
-    # all (0.04 MB, CPython 3.11).  1 KB per point leaves room for other
-    # allocators and versions, and is still 1/24 of the lines; the margin
-    # grows with n, as the lines take n/2 tuples per point.
+    # masks (all 0 here) and one row's dict of at most n - 1 slope keys, a
+    # float each, about 200 bytes per point in all (0.04 MB, CPython 3.11).
+    # 1 KB per point leaves room for other allocators and versions, and is
+    # still 1/24 of the lines; the margin grows with n, as the lines take
+    # n/2 tuples per point.
     ps = circle(200)
     tracemalloc.start()
     try:
@@ -713,7 +716,7 @@ def test_oracle_equivalence_long_lines(ps):
 
 
 def _count_gcd(monkeypatch):
-    """Count the exact kernel's gcd calls, one per evaluated pair: calls[0]."""
+    """Count the exact kernels' gcd calls: calls[0]."""
     calls = [0]
     real = _kern.gcd
 
@@ -725,41 +728,73 @@ def _count_gcd(monkeypatch):
     return calls
 
 
-def _gcd_calls(monkeypatch, ps, kernel="group_collinear"):
-    calls = _count_gcd(monkeypatch)
-    getattr(_kern, kernel)(*_triples(ps))
-    return calls[0]
+@contextmanager
+def _pairs_evaluated(kernel):
+    """Count in evaluated[0] the pairs kernel evaluates while the block runs.
+
+    Both exact loops run their line ``w2 = hw[j]`` once for each column a
+    row evaluates, whatever its key, and no other time: a line tracer
+    counts its runs in kernel's frames.  Neither a gcd call (the statistics
+    loop makes one only on a slope collision past the guard) nor a read of
+    hw (past the guard it also reads the first column of each equal slope)
+    marks exactly one pair.
+    """
+    code = kernel.__code__
+    source, start = inspect.getsourcelines(kernel)
+    target = start + [line.strip() for line in source].index("w2 = hw[j]")
+    evaluated = [0]
+
+    def count_lines(frame, event, arg):
+        if event == "line" and frame.f_lineno == target:
+            evaluated[0] += 1
+        return count_lines
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count_lines if frame.f_code is code else None)
+    try:
+        yield evaluated
+    finally:
+        sys.settrace(previous)
 
 
-def test_kernel_skips_pairs_of_finished_lines(monkeypatch):
+def _evaluated(ps, kernel=_kern.group_collinear):
+    with _pairs_evaluated(kernel) as evaluated:
+        kernel(*_triples(ps))
+    return evaluated[0]
+
+
+def test_kernel_skips_pairs_of_finished_lines():
     # C(199, 2) of the 19,900 pairs lie on the long line, found in its first row
-    assert _gcd_calls(monkeypatch, near_pencil(200)) <= 2 * 200
+    assert _evaluated(near_pencil(200)) <= 2 * 200
     # the statistics loop skips the same pairs
-    assert _gcd_calls(monkeypatch, near_pencil(200), "exact_statistics") <= 2 * 200
-    assert _gcd_calls(monkeypatch, near_pencil(600), "exact_statistics") <= 2 * 600
+    assert _evaluated(near_pencil(200), _kern.exact_statistics) <= 2 * 200
+    assert _evaluated(near_pencil(600), _kern.exact_statistics) <= 2 * 600
 
 
 @pytest.mark.parametrize("n", [29, 30, 31, 32, 59, 60, 61, 62, 64, 65, 91])
 @pytest.mark.parametrize("apex", ["first", "middle", "last"])
-def test_row_listing_across_int_digit_boundaries(n, apex, monkeypatch):
+def test_row_listing_across_int_digit_boundaries(n, apex):
     # a row lists its columns from the set bits of an n-bit int, and CPython
     # stores an int in 30-bit digits: these n put the top column, and the
     # columns around the apex, on either side of a digit boundary
     coords = [(x, 0) for x in range(n - 1)]
     coords.insert({"first": 0, "middle": n // 2, "last": n - 1}[apex], (0, 1))
     ps = pset(*coords)
-    calls = _count_gcd(monkeypatch)
-    *stats, groups = _kern.group_collinear(*_triples(ps))
-    assert calls[0] <= 2 * n
+    with _pairs_evaluated(_kern.group_collinear) as evaluated:
+        *stats, groups = _kern.group_collinear(*_triples(ps))
+    assert evaluated[0] <= 2 * n
     assert list(groups.values()) == brute_force_lines(ps)
-    calls[0] = 0
-    assert list(_kern.exact_statistics(*_triples(ps))) == stats
-    assert calls[0] <= 2 * n
+    with _pairs_evaluated(_kern.exact_statistics) as evaluated:
+        assert list(_kern.exact_statistics(*_triples(ps))) == stats
+    assert evaluated[0] <= 2 * n
 
 
-def test_kernel_evaluates_every_pair_without_three_collinear(monkeypatch):
-    assert _gcd_calls(monkeypatch, circle(50)) == 50 * 49 // 2
-    assert _gcd_calls(monkeypatch, circle(50), "exact_statistics") == 50 * 49 // 2
+def test_kernel_evaluates_every_pair_without_three_collinear():
+    # also the count's own negative control: it reads C(50, 2), not 0
+    assert _evaluated(circle(50)) == 50 * 49 // 2
+    assert _evaluated(circle(50), _kern.exact_statistics) == 50 * 49 // 2
+    # and past the slope guard, where each equal slope is confirmed
+    assert _evaluated(_scaled(circle(50), 1 << 40), _kern.exact_statistics) == 50 * 49 // 2
 
 
 # ---------------------------------------------------------------------------
@@ -772,12 +807,12 @@ def test_large_near_pencil_takes_the_exact_path(scale, monkeypatch):
     ps = pset(*[(p.x * scale, p.y * scale) for p in near_pencil(600).points])
     assert ps.n * (ps.n - 1) // 2 >= INT64_MIN_PAIRS
     int64_calls = _spy(monkeypatch, "int64_statistics")
-    stats_calls = _spy(monkeypatch, "exact_statistics")
-    exact_calls = _spy(monkeypatch, "group_collinear")
-    gcd_calls = _count_gcd(monkeypatch)
-    arr = build_arrangement(ps)
+    with _pairs_evaluated(_kern.exact_statistics) as evaluated:
+        stats_calls = _spy(monkeypatch, "exact_statistics")
+        exact_calls = _spy(monkeypatch, "group_collinear")
+        arr = build_arrangement(ps)
     assert int64_calls == [] and len(stats_calls) == 1 and exact_calls == []
-    assert gcd_calls[0] <= 2 * ps.n
+    assert evaluated[0] <= 2 * ps.n
     assert "lines" not in arr.__dict__  # the build keeps no line
     assert dict(arr.size_hist) == {2: 599, 599: 1}
     assert arr.lines_per_point == (2,) * 599 + (599,)
@@ -799,12 +834,10 @@ def _line_plus_off_points(n, k):
 
 @pytest.mark.parametrize("n", [22, 600])
 @pytest.mark.parametrize("k", range(7))
-def test_line_missing_at_most_three_points_iff_within_4n_pairs(n, k, monkeypatch):
+def test_line_missing_at_most_three_points_iff_within_4n_pairs(n, k):
     ps = _line_plus_off_points(n, k)
-    gcd_calls = _count_gcd(monkeypatch)
-    _kern.group_collinear(*_triples(ps))
     near = arrangement._line_misses_at_most_three(*_triples(ps))
-    assert near == (k <= 3) == (gcd_calls[0] <= 4 * n)
+    assert near == (k <= 3) == (_evaluated(ps) <= 4 * n)
 
 
 @pytest.mark.parametrize(
@@ -840,3 +873,118 @@ def test_tiny_inputs_past_the_pair_threshold(coords, monkeypatch):
     assert list(arr.size_hist.items()) == list(Counter(sorted(map(len, want))).items())
     per_point = Counter(chain.from_iterable(want))
     assert arr.lines_per_point == tuple(per_point[v] for v in range(ps.n))
+
+
+# ---------------------------------------------------------------------------
+# The exact statistics loop keys by slope: collisions past the guard
+# ---------------------------------------------------------------------------
+
+
+def _assert_statistics_match_reference(ps):
+    """exact_statistics, and the build, count what the brute-force lines give."""
+    want_hist, want_per_point = line_statistics(brute_force_lines(ps), ps.n)
+    hist, per_point = _kern.exact_statistics(*_triples(ps))
+    assert list(hist.items()) == list(want_hist.items()) and per_point == want_per_point
+    arr = build_arrangement(ps)
+    assert list(arr.size_hist.items()) == list(want_hist.items())
+    assert arr.lines_per_point == tuple(want_per_point)
+    return want_hist
+
+
+def _two_lines_through_the_origin(u, v):
+    """The origin with u, 2u and v, 2v: a 3-point line in each direction."""
+    (a, b), (c, d) = u, v
+    return [(0, 0), (a, b), (2 * a, 2 * b), (c, d), (2 * c, 2 * d)]
+
+
+def _in_every_order(coords):
+    return [pset(*order) for order in permutations(coords)]
+
+
+def test_farey_neighbour_slopes_that_round_to_one_double_are_two_lines(monkeypatch):
+    # p/q and r/s with ps - qr = 1 differ by 1/(qs), about 2^-62, far below
+    # the 2^-53 spacing of doubles near 3/4: one double, two directions
+    q = (1 << 31) - 1
+    p = 3 * q // 4
+    s = pow(p, -1, q)
+    r = (p * s - 1) // q
+    assert p * s - q * r == 1 and s > 1 << 30
+    assert p / q == r / s
+    coords = _two_lines_through_the_origin((q, p), (s, r))
+    gcd_calls = _count_gcd(monkeypatch)
+    for ps in _in_every_order(coords):
+        assert not _kern._within_slope_guard(*_triples(ps))
+        assert _assert_statistics_match_reference(ps) == {2: 4, 3: 2}
+    # each order met the collision and keyed one direction by its reduced form
+    assert gcd_calls[0] >= 120
+
+
+def test_directions_whose_slopes_overflow_are_two_lines():
+    # dy / dx past the largest double raises OverflowError; both directions
+    # take the key None, and the cross product tells them apart
+    big = 10**400
+    with pytest.raises(OverflowError):
+        big / 1
+    for v in [(1, big + 1), (-1, big)]:
+        coords = _two_lines_through_the_origin((1, big), v)
+        for ps in _in_every_order(coords):
+            assert _assert_statistics_match_reference(ps) == {2: 4, 3: 2}
+
+
+def test_slopes_that_underflow_to_zero_are_not_the_horizontal_line():
+    # 1 / 10^400 and -1 / 10^400 round to 0.0 and -0.0, the key of y = 0
+    big = 10**400
+    assert 1 / big == 0.0 == -1 / big
+    coords = [(0, 0), (1, 0), (2, 0), (big, 1), (2 * big, 2), (big, -1), (2 * big, -2)]
+    for ps in _in_every_order(coords)[::29]:
+        assert _assert_statistics_match_reference(ps) == {2: 12, 3: 3}
+
+
+@st.composite
+def _sets_of_extent(draw, m):
+    """Integer sets whose largest |coordinate| is m: points anywhere in the
+    square, points near its diagonal (their slopes from the origin differ
+    by about 1/m^2), and 3-point runs, in any order."""
+    coords = {(0, 0), draw(st.sampled_from([(m, 0), (-m, m), (0, -m), (m, m - 1)]))}
+    third = m // 3
+    for kind in draw(st.lists(st.sampled_from(["any", "diagonal", "run"]), max_size=8)):
+        if kind == "any":
+            coords.add((draw(st.integers(-m, m)), draw(st.integers(-m, m))))
+        elif kind == "diagonal":
+            k = draw(st.integers(0, 5))
+            coords.update({(m - k, m - k - 1), (-(m - k), -(m - k - 2))})
+        else:
+            x, y, dx, dy = (draw(st.integers(-third, third)) for _ in range(4))
+            coords.update((x + t * dx, y + t * dy) for t in range(3))
+    return pset(*draw(st.permutations(sorted(coords))))
+
+
+@pytest.mark.parametrize(
+    "m, inside",
+    [((1 << 25) - 1, True), (1 << 25, False), ((1 << 62) - 1, False)],
+    ids=["2MW=2^26-2", "2MW=2^26", "m=2^62-1"],
+)
+@given(data=st.data())
+@settings(max_examples=60)
+def test_statistics_on_either_side_of_the_slope_guard(m, inside, data):
+    # integer input has W = 1, so 2 * M * W is even: 2^26 - 2 is the
+    # largest extent inside the guard and 2^26 the smallest past it
+    ps = data.draw(_sets_of_extent(m))
+    assert _kern._within_slope_guard(*_triples(ps)) is inside
+    _assert_statistics_match_reference(ps)
+
+
+@pytest.mark.parametrize(
+    "ps",
+    [grid(12, 12), near_pencil(200), circle(50), random_points(150, 7, 2000),
+     _scaled(grid(9, 9), ((1 << 25) - 1) // 8)],
+    ids=["grid-12x12", "near-pencil-200", "circle-50", "random-150", "grid-9x9-at-the-guard"],
+)
+def test_no_gcd_inside_the_slope_guard(ps, monkeypatch):
+    assert _kern._within_slope_guard(*_triples(ps))
+    gcd_calls = _count_gcd(monkeypatch)
+    _kern.exact_statistics(*_triples(ps))
+    assert gcd_calls[0] == 0
+    # the spy sees the line kernel's gcd, one per evaluated pair
+    _kern.group_collinear(*_triples(ps))
+    assert gcd_calls[0] > 0

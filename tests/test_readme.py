@@ -15,9 +15,11 @@ def test_readme_library_examples():
 
 
 def test_docs_state_the_guard_of_the_vectorised_kernel():
-    # 2 * |coordinate| * W < _SLOPE_BOUND with W = 1 for integer input
+    # 2 * |coordinate| * W < _SLOPE_BOUND with W = 1 for integer input; the
+    # exact statistics loop takes its slope key as it is inside the same guard
     k = _kern._SLOPE_BOUND.bit_length() - 2
-    for text in (README.read_text(), arrangement.__doc__, arrangement.build_arrangement.__doc__):
+    for text in (README.read_text(), arrangement.__doc__, arrangement.build_arrangement.__doc__,
+                 _kern.exact_statistics.__doc__):
         figures = re.findall(r"\|coordinate\| < 2\^(\d+)", " ".join(text.split()))
         assert figures and set(figures) == {str(k)}, figures
 

@@ -51,6 +51,6 @@ from .generators import (
     save_points_file,
 )
 from .geometry import Point, Rational, point
-from .oracle import certify_lines
+from .oracle import certify_statistics
 
 __version__ = "0.1.0"

@@ -12,8 +12,9 @@ kernel.  Every other input, near-pencils included, gets them from the
 exact big-integer row loop of _kern.exact_statistics, which keeps no
 line (the counting identities are stated in _kern.group_collinear).
 Either way the lines are built by the exact kernel _kern.group_collinear
-only when they are read, or at once when the build is asked to hold
-them.
+only when they are read.  Asked for them, the build hands out the lines
+of 3 or more points that the exact loop finds, the witness that
+oracle.certify_statistics checks.
 """
 from __future__ import annotations
 
@@ -71,9 +72,8 @@ class Arrangement(namedtuple("Arrangement", "n size_hist max_collinear incidence
     or a = 0 < b, to the sorted indices of its points, as one tuple per
     line; lines come in lexicographic member order.
     It is the exact kernel's own dict behind a read-only view, built from
-    points on first access unless build_arrangement(ps, lines=True)
-    already built it.  Both maps are read-only views.  The class has no
-    __slots__: the cached lines lives in the instance dict, and
+    points on first access.  Both maps are read-only views.  The class
+    has no __slots__: the cached lines lives in the instance dict, and
     __setattr__ and __delattr__ refuse every other write to it.
     """
 
@@ -95,28 +95,24 @@ class Arrangement(namedtuple("Arrangement", "n size_hist max_collinear incidence
         return MappingProxyType(_kern.group_collinear(*_kern.homogenise(self.points))[2])
 
 
-def build_arrangement(ps: PointSet, lines: bool = False) -> Arrangement:
-    """Compute the statistics of ps, and its lines too if lines is true.
+def build_arrangement(ps: PointSet, lines: list | None = None) -> Arrangement:
+    """Compute the statistics of ps, and hand out its lines of 3 or more points if asked.
 
     The points are cleared to homogeneous integers once, and each kernel
     runs at most once, on those triples.  Inputs below INT64_MIN_PAIRS
-    pairs, and those with a line missing at most 3 points, take an exact
-    big-integer row loop.  Every other input has its statistics counted
-    by the vectorised numpy kernel, when the coordinates fit its guard
-    (for integer input |coordinate| < 2^25; stated in full in
-    _kern.int64_statistics); past the guard, the exact loop runs.
+    pairs, and those with a line missing at most 3 points, take the exact
+    big-integer row loop _kern.exact_statistics, which keeps no line.
+    Every other input has its statistics counted by the vectorised numpy
+    kernel, when the coordinates fit its guard (for integer input
+    |coordinate| < 2^25; stated in full in _kern.int64_statistics); past
+    the guard, the exact loop runs.  arr.lines is built by
+    _kern.group_collinear only if it is read.
 
-    With lines false, the exact loop is _kern.exact_statistics, which
-    keeps no line, and arr.lines is built by _kern.group_collinear only
-    if it is read.  With lines true, the build holds arr.lines (one tuple
-    of sorted members per line, in lexicographic member order): on the
-    exact path _kern.group_collinear counts the statistics and builds the
-    lines in one run, and on the numpy path it builds the lines after the
-    numpy kernel has counted the statistics.  verify --cross-check asks
-    for the lines: a lazy read after a statistics-only build runs both
-    exact loops, which made verify --cross-check on a rational circle, a
-    grid and a random set (the benchmark's crosscheck workload) 1.30
-    times slower (median of 10 alternating runs, 2-core VM).
+    Given a list as lines, the build also runs the exact loop with that
+    list as its witness: each line of 3 or more points is appended to it
+    as the sorted list of its members, for oracle.certify_statistics to
+    check.  On the exact path this is the one run that counts the
+    statistics; on the numpy path it is an exact recount beside them.
     The counting identities of both exact loops are stated in
     _kern.group_collinear.
 
@@ -133,16 +129,16 @@ def build_arrangement(ps: PointSet, lines: bool = False) -> Arrangement:
     n = ps.n
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
+    if lines is not None and not isinstance(lines, list):
+        raise TypeError(f"lines must be a list or None, not {type(lines).__name__}")
     hx, hy, hw = _kern.homogenise(ps.points)
-    stats = groups = None
+    stats = None
     if n * (n - 1) // 2 >= INT64_MIN_PAIRS and not _line_misses_at_most_three(hx, hy, hw):
         stats = _kern.int64_statistics(hx, hy, hw)
-    if lines:
-        *exact, groups = _kern.group_collinear(hx, hy, hw)
+    if stats is None or lines is not None:
+        exact = _kern.exact_statistics(hx, hy, hw, lines)
         if stats is None:
             stats = exact
-    elif stats is None:
-        stats = _kern.exact_statistics(hx, hy, hw)
     size_hist, lines_per_point = stats
     arr = Arrangement(
         n=n,
@@ -153,8 +149,6 @@ def build_arrangement(ps: PointSet, lines: bool = False) -> Arrangement:
         num_lines=sum(size_hist.values()),
         points=ps.points,
     )
-    if groups is not None:
-        arr.__dict__["lines"] = MappingProxyType(groups)  # fills the cached_property
     return arr
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import bounds, generators
 from .arrangement import Arrangement, PointSet, build_arrangement, max_lines_through_point
 from .errors import PointLineError, Unresolved
-from .oracle import certify_lines
+from .oracle import certify_statistics
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -70,8 +70,9 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="run the inequality checks on a point-set file")
     p_verify.add_argument("input", help="point-set JSON file")
     p_verify.add_argument("--cross-check", action="store_true",
-                          help="first certify the determined lines and check the printed "
-                               "statistics against a recount from them")
+                          help="first certify the lines of 3 or more points that the exact "
+                               "loop found, and check the printed statistics against a "
+                               "recount from them")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--suite", default=None,
                           help="comma-separated check names to run (default: all)")
@@ -179,16 +180,11 @@ def run_verify(
     An empty suite or an unknown suite name is an error before any work.
 
     The cross-check compares the printed size_hist and lines_per_point
-    with the recount of oracle.certify_lines from arr.lines, which it
-    first certifies to be exactly the determined lines.  It asks the
-    build to hold the lines, so on the exact path one run of
-    _kern.group_collinear counts the printed statistics and builds the
-    certified lines; on the int64 path the numpy kernel counts them and
-    group_collinear builds the lines.  Without the cross-check the build
-    keeps no line.  The cross-check thus certifies group_collinear's
-    counts, not those of _kern.exact_statistics, which a plain verify
-    prints on the exact path; the tests compare the two loops with each
-    other and with an independent reference.
+    with the recount of oracle.certify_statistics from the lines of 3 or
+    more points that the exact loop hands out, which it first certifies
+    to be exactly those lines.  The build runs that loop once: on the
+    exact path the same run counts the printed statistics, and on the
+    int64 path it is an exact recount beside the numpy kernel's.
     """
     if suite is not None:
         available = sorted(bounds.CHECK_NAMES)
@@ -197,12 +193,13 @@ def run_verify(
             raise PointLineError(f"unknown check name(s) {sorted(unknown)}; available: {available}")
         if not suite:
             raise PointLineError(f"empty check suite; available: {available}")
-    arr = build_arrangement(ps, lines=cross_check)
+    long_lines = [] if cross_check else None
+    arr = build_arrangement(ps, lines=long_lines)
     report = _stats_dict(descriptor, arr)
     report["l"] = arr.max_collinear
 
     if cross_check:
-        agree = certify_lines(ps, arr.lines) == (dict(arr.size_hist), list(arr.lines_per_point))
+        agree = certify_statistics(ps, long_lines) == (dict(arr.size_hist), list(arr.lines_per_point))
         report["cross_check"] = "ok" if agree else "mismatch"
         if not agree:
             return EXIT_CHECK_FAILED, report

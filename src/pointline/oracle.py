@@ -1,35 +1,71 @@
-"""A certificate for the line kernels: checks claimed lines, enumerates none.
+"""A certificate for the exact statistics loop: checks its witness, enumerates no line.
 
 It clears each point (p/q, r/s) on its own to the integer triple
 (X, Y, W) = (p*s, r*q, q*s), not by the kernels' lcm, and calls no
-function of _kern.
+function of _kern.  The direction from point a to point u is
+D(a, u) = (X_u W_a - X_a W_u, Y_u W_a - Y_a W_u), W_a W_u times the
+affine difference u - a, and two directions are parallel iff their
+exact cross product is 0.
 
-``certify_lines`` checks that a claimed map {(a, b, c): members} is
-exactly the set of determined lines, in time linear in its incidences
-plus one gcd per line (a certifying check in the sense of McConnell,
-Mehlhorn, Näher and Schweitzer, "Certifying algorithms", Comput. Sci.
-Rev. 5, 2011).  It checks that
-  (i) every key is canonical: (a, b) != (0, 0), gcd(a, b, c) = 1, and
-      a > 0 or a = 0 < b;
- (ii) every member list holds at least 2 strictly increasing indices
-      in range, and each member satisfies a*X + b*Y + c*W = 0;
-(iii) the lines hold sum C(k, 2) = C(n, 2) pairs.
-That suffices.  Distinct canonical keys name distinct lines, so two
-claimed lines share at most one point and no pair is counted twice; by
-(iii) every pair then lies on a claimed line.  Were a point p of a
-claimed line L missing from its members S, then for s in S the pair
-(p, s) would lie on another claimed line, which holds two points of L,
-so is L: two keys for one line.  So the claimed member sets are exactly
-the determined lines.  Best of 9 calls, in each of 3 rounds, on a
-shared 2-core VM with CPython 3.11.7: 2.2-3.6 ms for a rational circle
-of 80 points (3,160 lines), 4.9-5.3 ms for a 12x12 grid (4,722 lines),
-11-12 ms for 150 random lattice points (seed 7, bound 100; 10,976
-lines) and 2.9-3.2 ms for a 2000-point near-pencil (2,000 lines).
+``certify_statistics`` checks that a claimed list of member lists, the
+witness that _kern.exact_statistics hands out, is exactly the set of
+lines of 3 or more points, each listed once with all its members, and
+then counts the statistics from it (a certifying check in the sense of
+McConnell, Mehlhorn, Näher and Schweitzer, "Certifying algorithms",
+Comput. Sci. Rev. 5, 2011).  It checks that
+  (i) every listed line has at least 3 strictly increasing indices in
+      range, and every member u lies on the line through its first two
+      members a, b: D(a, u) is parallel to D(a, b);
+ (ii) no pair of points lies on two listed lines;
+(iii) for every point a, the directions from a to the second member of
+      each listed line whose first member is a, and from a to each
+      later point u that no listed line shares with a, are pairwise
+      non-parallel.
+That suffices.  By (i) each listed line lies on a true line.  Take a
+true line M and its least point a.  A listed line L through a and a
+second point of M lies on M (two points fix a line), so a is its first
+member.  Every other point of M is later than a, and either shares a
+listed line with a, which then lies on M and starts at a, or shares none
+and gives a direction along M in a's row.  Each listed line on M that
+starts at a gives one more such direction, so (iii) leaves at most one
+of all these.  If M holds 3 or more points, its at least 2 points after
+a cannot all be uncovered, so exactly one listed line L starts at a on
+M, and it holds every point of M: L = M.  If M holds 2 points, no listed
+line lies on it.  Any listed line L' lies on some M of 3 or more points,
+and shares a pair with the listed line M unless it is that entry, which
+(ii) forbids.  So the listed lines are exactly the lines of 3 or more
+points, each once with all its members, and the counts follow by the
+two identities stated in _kern.group_collinear: point v lies on
+n - 1 - sum (k - 2) lines, the sum over the listed lines of k points
+through v, and the 2-point lines number C(n, 2) - sum C(k, 2) s_k.
+
+(ii) is tested while each line's later members are OR-ed into per-point
+bitmasks, and (iii) walks a row's uncovered later points by the set bits
+of one n-bit int, so the work is about that of the loop it certifies.  A
+direction of (iii) is keyed by its slope dy / dx (inf when dx = 0, None
+when the quotient raises OverflowError) in a dict of the row.  On a
+valid witness no two directions are parallel, so an equal key can only
+be two slopes that round to one double, or two overflows; every hit is
+confirmed by an exact cross product with the key's first direction, and
+one that is not parallel to it is keyed again by its direction divided
+by gcd(dx, dy) and by its sign (dx > 0, or dx = 0 < dy).  Parallel
+directions have one real slope, so one key: the second of two meets the
+first there, or, when the key's first direction is a third one, both go
+under one reduced key.  So no guard on the coordinates is needed.  In
+process, best of 9 calls in each of 3 rounds on a shared 2-core VM with
+CPython 3.11.7: 1.1 ms for a rational circle of 80 points (no listed
+line), 3.6-3.7 ms for a 12x12 grid (898 listed lines), 4.8-4.9 ms for
+150 random lattice points (seed 7, bound 100; 90) and 4.3-6.4 ms for a
+2000-point near-pencil (1), each within 0.9-1.2 times the witness loop
+itself; best of 3: 0.17-0.24 s for a 30x30 grid (34,270), 0.11-0.12 s
+for 800 random lattice points (seed 7, bound 2000; 67) and 0.11-0.14 s
+for a rational circle of 600 points, 1.3-1.7 times the loop there, as
+clearing each point on its own squares the circle's denominators.
 """
 from __future__ import annotations
 
-from math import gcd
-from typing import Mapping, Sequence
+from math import gcd, inf
+from typing import Iterable, Sequence
 
 from .arrangement import PointSet
 from .errors import TooFewPoints
@@ -43,40 +79,86 @@ def _cleared(ps: PointSet) -> list[tuple[int, int, int]]:
             for x, y in ps.points]
 
 
-def certify_lines(
-    ps: PointSet, lines: Mapping[tuple[int, int, int], Sequence[int]]
+def certify_statistics(
+    ps: PointSet, long_lines: Iterable[Sequence[int]]
 ) -> tuple[dict[int, int], list[int]] | None:
-    """size_hist and lines_per_point of ps counted from lines, or None if lines is wrong.
+    """size_hist and lines_per_point of ps counted from long_lines, or None if they are wrong.
 
-    lines maps canonical keys (a, b, c) to member indices, as
-    Arrangement.lines does.  Returns None at the first failed check of
-    the module docstring's (i)-(iii); otherwise lines are exactly the
-    determined lines of ps, and the result is ({size: number of lines},
-    [lines through point v for each v]) with sizes ascending, counted
-    here from the certified lines, not by any counter of the kernels.
+    long_lines holds the member indices of lines, as the witness of
+    _kern.exact_statistics does.  Returns None at the first failed check
+    of the module docstring's (i)-(iii); otherwise long_lines are exactly
+    the lines of 3 or more points of ps, and the result is ({size:
+    number of lines}, [lines through point v for each v]) with sizes
+    ascending, counted here from the certified lines.
     """
     pts = _cleared(ps)
     n = len(pts)
     sizes: dict[int, int] = {}
-    per_point = [0] * n
-    pairs = 0
-    for (a, b, c), members in lines.items():
-        if a < 0 or (a == 0 and b <= 0) or gcd(a, b, c) != 1:
-            return None
+    per_point = [n - 1] * n
+    # covered[v]: bit u set when v < u lie on one listed line
+    covered = [0] * n
+    # seconds[a]: the second member of each listed line whose first member is a
+    seconds: dict[int, list[int]] = {}
+    for members in long_lines:
         k = len(members)
-        if k < 2:
+        if k < 3:
             return None
-        last = -1
-        for v in members:
+        a, b = members[0], members[1]
+        if not 0 <= a < b < n:
+            return None
+        xa, ya, wa = pts[a]
+        xb, yb, wb = pts[b]
+        dx = xb * wa - xa * wb
+        dy = yb * wa - ya * wb
+        last = b
+        for v in members[2:]:
             if not last < v < n:
                 return None
             x, y, w = pts[v]
-            if a * x + b * y + c * w:
+            if (x * wa - xa * w) * dy != (y * wa - ya * w) * dx:
                 return None
-            per_point[v] += 1
             last = v
+        after = 0  # the members after v
+        for v in reversed(members):
+            mask = covered[v]
+            if mask & after:
+                return None  # a pair already on another listed line
+            covered[v] = mask | after
+            after |= 1 << v
+            per_point[v] -= k - 2
         sizes[k] = sizes.get(k, 0) + 1
-        pairs += k * (k - 1) // 2
-    if pairs != n * (n - 1) // 2:
-        return None
+        seconds.setdefault(a, []).append(b)
+    for a in range(n):
+        xa, ya, wa = pts[a]
+        columns = seconds.pop(a, [])  # dropped with the row
+        if covered[a]:
+            free = ((1 << n) - (2 << a)) & ~covered[a]  # later points on no listed line with a
+            while free:
+                low = free & -free
+                columns.append(low.bit_length() - 1)
+                free ^= low
+        else:
+            columns.extend(range(a + 1, n))
+        first = {}  # slope key, or reduced direction, from a: its column
+        for u in columns:
+            x, y, w = pts[u]
+            dx = x * wa - xa * w
+            dy = y * wa - ya * w
+            try:
+                key = dy / dx if dx else inf
+            except OverflowError:
+                key = None
+            f = first.setdefault(key, u)
+            if f != u:
+                xf, yf, wf = pts[f]
+                if dx * (yf * wa - ya * wf) == dy * (xf * wa - xa * wf):
+                    return None  # two directions along one line through a
+                g = gcd(dx, dy)
+                if dx < 0 or (dx == 0 and dy < 0):
+                    g = -g
+                if first.setdefault((dx // g, dy // g), u) != u:
+                    return None
+    two_point = n * (n - 1) // 2 - sum(k * (k - 1) // 2 * count for k, count in sizes.items())
+    if two_point:
+        sizes[2] = two_point
     return dict(sorted(sizes.items())), per_point

@@ -18,7 +18,7 @@ def line_statistics(lines, n: int) -> tuple[dict[int, int], list[int]]:
     """size_hist (ascending sizes) and lines_per_point of the lines given as member tuples.
 
     The plain count over every line, 2-point ones included: the reference
-    that the kernels' statistics and oracle.certify_lines are compared with.
+    that the kernels' statistics and both certificates are compared with.
     """
     size_hist = dict(sorted(Counter(map(len, lines)).items()))
     per_point = Counter(chain.from_iterable(lines))
@@ -67,7 +67,7 @@ rational_sets = st.lists(
 
 # Corruptions of the lines of grid(4, 4), which has 4-, 3- and 2-point
 # lines.  Each edits a dict copy in place so that it is no longer the set
-# of determined lines; oracle.certify_lines must reject every one.
+# of determined lines; reference.certify_lines must reject every one.
 CERTIFIED_GRID = grid(4, 4)
 
 
@@ -149,3 +149,123 @@ def corrupted_grid_lines(name: str) -> dict:
     lines = dict(build_arrangement(CERTIFIED_GRID).lines)
     LINE_CORRUPTIONS[name](lines)
     return lines
+
+
+# Corruptions of the witness of grid(6, 6): the member lists of its 6-, 5-,
+# 4- and 3-point lines that the exact statistics loop hands out.  Each
+# edits a copy in place so that it is no longer exactly the lines of 3 or
+# more points, each once with all its members; oracle.certify_statistics
+# must refuse every one.
+WITNESS_GRID = grid(6, 6)
+
+
+def _line_of_size(witness, size):
+    return next(i for i, members in enumerate(witness) if len(members) == size)
+
+
+def _w_drop_member(witness):
+    i = _line_of_size(witness, 6)
+    witness[i] = witness[i][:2] + witness[i][3:]
+
+
+def _w_drop_last_member(witness):
+    # only the row of the line's first point sees the dropped point along
+    # the listed line, beside its second member
+    i = _line_of_size(witness, 6)
+    witness[i] = witness[i][:-1]
+
+
+def _w_extra_member(witness):
+    i = _line_of_size(witness, 3)
+    a, b, c = witness[i]
+    pts = WITNESS_GRID.points
+    off = next(v for v in range(WITNESS_GRID.n) if orient(pts[a], pts[b], pts[v]) != 0)
+    witness[i] = sorted((a, b, c, off))
+
+
+def _w_duplicate_member(witness):
+    # (a, b, c, d) -> (a, b, b, d): the size stays
+    i = _line_of_size(witness, 4)
+    a, b, _, d = witness[i]
+    witness[i] = [a, b, b, d]
+
+
+def _w_merge_lines(witness):
+    # the first two lines both start at point 0
+    witness[0] = sorted(set(witness[0]) | set(witness.pop(1)))
+
+
+def _w_drop_line(witness):
+    del witness[_line_of_size(witness, 3)]
+
+
+def _w_split_line(witness):
+    # a 6-point line listed as two disjoint 3-point lines: no pair is shared
+    i = _line_of_size(witness, 6)
+    members = witness[i]
+    witness[i] = members[:3]
+    witness.append(members[3:])
+
+
+def _w_share_pair(witness):
+    # (a, b, c, d) -> (a, b, c) and (b, c, d): each on the true line
+    i = _line_of_size(witness, 4)
+    members = witness[i]
+    witness[i] = members[:3]
+    witness.append(members[1:])
+
+
+def _w_duplicate_line(witness):
+    witness.append(list(witness[_line_of_size(witness, 5)]))
+
+
+def _w_two_members(witness):
+    i = _line_of_size(witness, 3)
+    witness[i] = witness[i][:2]
+
+
+def _w_descending(witness):
+    i = _line_of_size(witness, 4)
+    witness[i] = witness[i][::-1]
+
+
+def _w_index_n(witness):
+    i = _line_of_size(witness, 3)
+    witness[i] = witness[i][:2] + [WITNESS_GRID.n]
+
+
+def _w_negative_index(witness):
+    # -1 standing in for the last point, n - 1
+    i = next(i for i, members in enumerate(witness) if members[-1] == WITNESS_GRID.n - 1)
+    witness[i] = [-1] + witness[i][:-1]
+
+
+WITNESS_CORRUPTIONS = {
+    "dropped member": _w_drop_member,
+    "dropped last member": _w_drop_last_member,
+    "extra off-line member": _w_extra_member,
+    "duplicated member": _w_duplicate_member,
+    "two lines merged": _w_merge_lines,
+    "missing line": _w_drop_line,
+    "line split in two": _w_split_line,
+    "two lines sharing a pair": _w_share_pair,
+    "duplicated line": _w_duplicate_line,
+    "2-member line": _w_two_members,
+    "descending": _w_descending,
+    "index n": _w_index_n,
+    "negative index": _w_negative_index,
+}
+
+
+def grid_witness() -> list:
+    """The witness of WITNESS_GRID, as the build hands it out."""
+    witness = []
+    build_arrangement(WITNESS_GRID, lines=witness)
+    return witness
+
+
+def corrupted_grid_witness(name: str) -> list:
+    """The witness of WITNESS_GRID with the corruption of that name applied."""
+    witness = [list(members) for members in grid_witness()]
+    WITNESS_CORRUPTIONS[name](witness)
+    return witness

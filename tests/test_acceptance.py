@@ -168,10 +168,10 @@ def test_criterion_5_inequality_sweep():
 
 
 def test_cross_check_reports_what_verify_reports_on_the_sweep():
-    # plain verify counts with _kern.exact_statistics and verify
-    # --cross-check with _kern.group_collinear: two exact loops, one report.
-    # The report holds max_point_lines but not each point's count, so the
-    # two builds' full statistics are compared too
+    # plain verify counts with _kern.exact_statistics, and verify
+    # --cross-check with the same loop asked for its witness: one exact
+    # loop, one report.  The report holds max_point_lines but not each
+    # point's count, so the two builds' full statistics are compared too
     differ = []
     count = 0
     for label, ps in _sweep_corpus():
@@ -180,7 +180,7 @@ def test_cross_check_reports_what_verify_reports_on_the_sweep():
         count += 1
         if report.pop("cross_check") != "ok" or (code, report) != plain:
             differ.append(label)
-        counted, held = build_arrangement(ps), build_arrangement(ps, lines=True)
+        counted, held = build_arrangement(ps), build_arrangement(ps, lines=[])
         if (list(counted.size_hist.items()), counted.lines_per_point) != (
                 list(held.size_hist.items()), held.lines_per_point):
             differ.append(f"{label} statistics")

@@ -16,6 +16,7 @@ from pointline import (
     DuplicatePoint,
     TooFewPoints,
     build_arrangement,
+    certify_statistics,
     circle,
     collinear,
     grid,
@@ -580,13 +581,17 @@ def test_large_input_past_the_guard_keeps_exact_statistics(scale, grid23, monkey
     assert arr.lines is arr.lines and len(exact_calls) == 1
     assert line_statistics(list(arr.lines.values()), arr.n) == (hist, per_point)
 
-    # asked to hold its lines, the build runs the line kernel alone, once
+    # asked for its lines of 3 or more points, the build runs the
+    # statistics loop once, with a witness, and the line kernel only when
+    # arr.lines is read
     int64_calls.clear(), stats_calls.clear(), exact_calls.clear()
-    held = build_arrangement(big, lines=True)
-    assert int64_calls == [None] and stats_calls == [] and len(exact_calls) == 1
-    assert "lines" in held.__dict__ and held == arr
+    witness = []
+    held = build_arrangement(big, lines=witness)
+    assert int64_calls == [None] and len(stats_calls) == 1 and exact_calls == []
+    assert "lines" not in held.__dict__ and held == arr
     assert list(held.lines.values()) == list(arr.lines.values())
     assert len(exact_calls) == 1
+    assert witness == [list(m) for m in held.lines.values() if len(m) >= 3]
 
 
 def test_arrangement_maps_are_read_only(grid33, grid23):
@@ -885,10 +890,26 @@ def _assert_statistics_match_reference(ps):
     want_hist, want_per_point = line_statistics(brute_force_lines(ps), ps.n)
     hist, per_point = _kern.exact_statistics(*_triples(ps))
     assert list(hist.items()) == list(want_hist.items()) and per_point == want_per_point
-    arr = build_arrangement(ps)
+    witness = []
+    arr = build_arrangement(ps, lines=witness)
     assert list(arr.size_hist.items()) == list(want_hist.items())
     assert arr.lines_per_point == tuple(want_per_point)
+    # and the certificate takes the witness of the same loop
+    assert certify_statistics(ps, witness) == (want_hist, want_per_point)
     return want_hist
+
+
+def test_witness_lists_every_long_line_once():
+    # point 0 is the middle of two lines, and the near-pencil's long line
+    # starts at its first point: each line goes on the witness as its
+    # sorted members, when the row of its first member ends
+    ps = pset((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (2, 5), (3, 0))
+    witness = []
+    assert _kern.exact_statistics(*_triples(ps), witness) == _kern.exact_statistics(*_triples(ps))
+    assert witness == [[0, 1, 2, 6], [0, 3, 4]]
+    # the old flag is refused, not taken for a request
+    with pytest.raises(TypeError, match="lines must be a list or None, not bool"):
+        build_arrangement(ps, lines=True)
 
 
 def _two_lines_through_the_origin(u, v):

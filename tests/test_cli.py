@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +15,8 @@ import pointline
 from pointline import Unresolved, _kern, arrangement, bounds, cli, generators, load_points_file
 from pointline.bounds import TheoremCheck
 
-from conftest import CERTIFIED_GRID, LINE_CORRUPTIONS, corrupted_grid_lines, exact_tail_table
+import reference
+from conftest import WITNESS_CORRUPTIONS, WITNESS_GRID, corrupted_grid_witness, exact_tail_table, pset
 
 
 @pytest.fixture()
@@ -143,22 +146,68 @@ def test_cross_check_catches_wrong_printed_statistics(tmp_path, monkeypatch, cap
 def test_cross_check_catches_wrong_printed_statistics_on_the_exact_path(
     tmp_path, monkeypatch, capsys, field, key, num_lines
 ):
-    # grid(5, 5) takes the exact path, whose kernel counts the printed
-    # statistics in the row loop that finishes the lines; a miscount there
-    # leaves the lines (and so the certificate) intact
+    # grid(5, 5) takes the exact path, whose loop counts the printed
+    # statistics and hands out the witness in one run; a miscount there
+    # leaves the witness (and so the certificate's recount) intact
     path = tmp_path / "g55.json"
     assert cli.main(["generate", "grid", "--w", "5", "--h", "5", "--out", str(path)]) == 0
-    real = _kern.group_collinear
+    real = _kern.exact_statistics
 
-    def one_too_many(hx, hy, hw):
-        stats = real(hx, hy, hw)
+    def one_too_many(hx, hy, hw, witness=None):
+        stats = real(hx, hy, hw, witness)
         stats[field][key] += 1  # size_hist[2] or lines_per_point[0]
         return stats
 
-    monkeypatch.setattr(_kern, "group_collinear", one_too_many)
+    monkeypatch.setattr(_kern, "exact_statistics", one_too_many)
     assert cli.main(["verify", str(path), "--cross-check"]) == 2
     out = capsys.readouterr().out
     assert f"lines: {num_lines}" in out
+    assert "cross_check: mismatch" in out
+
+
+def _mutant(name, old, new):
+    """_kern.<name> compiled again from its source with old replaced by new."""
+    source = textwrap.dedent(inspect.getsource(getattr(_kern, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(_kern))
+    exec(compile(source.replace(old, new), _kern.__file__, "exec"), namespace)
+    return namespace[name]
+
+
+# the slope key with the sign of its direction: a line whose first point
+# lies between two later ones splits in two there
+SIGN_MUTANT = ("key = dy / dx if dx else inf", "key = (dy / dx if dx else inf, dx > 0 or (dx == 0 and dy > 0))")
+# every point one line short
+INT64_MUTANT = ("per_point[lo:hi] = n - 1 - np.count_nonzero", "per_point[lo:hi] = n - 2 - np.count_nonzero")
+
+
+def test_cross_check_catches_a_sign_mutant_of_the_exact_loop(tmp_path, monkeypatch, capsys):
+    # the sweep's sets are sorted, so no line's first point lies between
+    # two later ones, and the mutant counts them right; here point 0 is
+    # the middle of y = 0 and of x = 0
+    path = tmp_path / "cross.json"
+    generators.save_points_file(pset((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (2, 5)), str(path))
+    assert cli.main(["verify", str(path), "--cross-check"]) == 0
+    honest = capsys.readouterr().out
+    assert "cross_check: ok" in honest and "s[3]: 2" in honest
+
+    monkeypatch.setattr(_kern, "exact_statistics", _mutant("exact_statistics", *SIGN_MUTANT))
+    assert cli.main(["verify", str(path)]) == 0
+    assert "s[3]" not in capsys.readouterr().out  # plain verify prints the mutant's counts
+    assert cli.main(["verify", str(path), "--cross-check"]) == 2
+    out = capsys.readouterr().out
+    assert "s[3]" not in out
+    assert "cross_check: mismatch" in out
+
+
+def test_cross_check_catches_a_mutant_of_the_int64_loop(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "g55.json"
+    assert cli.main(["generate", "grid", "--w", "5", "--h", "5", "--out", str(path)]) == 0
+    monkeypatch.setattr(arrangement, "INT64_MIN_PAIRS", 1)
+    monkeypatch.setattr(_kern, "int64_statistics", _mutant("int64_statistics", *INT64_MUTANT))
+    assert cli.main(["verify", str(path), "--cross-check"]) == 2
+    out = capsys.readouterr().out
+    assert "lines: 140" not in out  # the mutant's counts are printed
     assert "cross_check: mismatch" in out
 
 
@@ -176,22 +225,23 @@ def _counting(monkeypatch, module, name):
 
 def test_cross_check_on_the_int64_statistics_path(tmp_path, monkeypatch, capsys):
     # 529 points give 139,656 pairs >= INT64_MIN_PAIRS, so the printed
-    # statistics come from int64_statistics and the build keeps no lines;
-    # only the cross-check builds them, once, and certifies them
+    # statistics come from int64_statistics and the build runs no exact
+    # loop; only the cross-check runs it, once, for the witness it certifies
     path = tmp_path / "g2323.json"
     assert cli.main(["generate", "grid", "--w", "23", "--h", "23", "--out", str(path)]) == 0
     stats = _counting(monkeypatch, _kern, "int64_statistics")
+    exact = _counting(monkeypatch, _kern, "exact_statistics")
     kernel = _counting(monkeypatch, _kern, "group_collinear")
-    certified = _counting(monkeypatch, cli, "certify_lines")
+    certified = _counting(monkeypatch, cli, "certify_statistics")
     assert cli.main(["verify", str(path)]) == 0
     assert "cross_check:" not in capsys.readouterr().out
-    assert (len(stats), len(kernel), len(certified)) == (1, 0, 0)
+    assert (len(stats), len(exact), len(kernel), len(certified)) == (1, 0, 0, 0)
     assert stats[0] is not None
 
     stats.clear()
     assert cli.main(["verify", str(path), "--cross-check"]) == 0
-    assert (len(stats), len(kernel), len(certified)) == (1, 1, 1)
-    assert stats[0] is not None
+    assert (len(stats), len(exact), len(kernel), len(certified)) == (1, 1, 0, 1)
+    assert stats[0] is not None and certified[0] == stats[0]
     out = capsys.readouterr().out
     assert "n: 529" in out
     assert "cross_check: ok" in out
@@ -204,55 +254,78 @@ def test_cross_check_on_the_int64_statistics_path(tmp_path, monkeypatch, capsys)
 )
 def test_verify_runs_one_exact_loop_on_the_exact_path(tmp_path, monkeypatch, capsys, kind):
     # plain verify counts the statistics in the loop that keeps no line;
-    # --cross-check asks the build for its lines, so the line kernel counts
-    # the printed statistics and builds the lines it certifies in one run
+    # --cross-check asks the same loop for its witness, so one run counts
+    # the printed statistics and hands out the lines it certifies; neither
+    # the line kernel nor the line-level certificate runs
     path = tmp_path / "points.json"
     assert cli.main(["generate", *kind, "--out", str(path)]) == 0
     stats = _counting(monkeypatch, _kern, "exact_statistics")
     kernel = _counting(monkeypatch, _kern, "group_collinear")
-    certified = _counting(monkeypatch, cli, "certify_lines")
+    certified = _counting(monkeypatch, cli, "certify_statistics")
+    line_level = _counting(monkeypatch, reference, "certify_lines")
     assert cli.main(["verify", str(path)]) == 0
     plain = capsys.readouterr().out
     assert (len(stats), len(kernel), len(certified)) == (1, 0, 0)
 
     stats.clear()
     assert cli.main(["verify", str(path), "--cross-check"]) == 0
-    assert (len(stats), len(kernel), len(certified)) == (0, 1, 1)
+    assert (len(stats), len(kernel), len(certified), len(line_level)) == (1, 0, 1, 0)
+    assert certified[0] == stats[0]
     out = capsys.readouterr().out
     assert "cross_check: ok\n" in out
     assert out.replace("cross_check: ok\n", "") == plain
 
 
+def test_cross_check_keeps_no_line_of_two_points():
+    # circle 200 has no three points collinear: the line kernel held its
+    # 19,900 2-point lines in 4.6 MB for the line-level certificate, 23 KB
+    # per point.  The witness is empty here, and the certificate holds
+    # its own n triples, n masks and one row's dict of at most n - 1 slope
+    # keys: about 220 bytes per point in all for run_verify (0.04 MB,
+    # CPython 3.11).  The bound is that of the statistics-only build in
+    # test_arrangement, 1 KB per point
+    ps = generators.circle(200)
+    tracemalloc.start()
+    try:
+        code, report = cli.run_verify(ps, cross_check=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, report["cross_check"], report["s"]) == (0, "ok", {"2": 200 * 199 // 2})
+    assert peak < 1000 * ps.n
+
+
 @pytest.mark.parametrize(
     "corruption, kernel_path",
-    [pytest.param(name, "exact", id=name) for name in LINE_CORRUPTIONS]
-    + [pytest.param(name, "int64", id=f"{name}-int64") for name in LINE_CORRUPTIONS],
+    [pytest.param(name, "exact", id=name) for name in WITNESS_CORRUPTIONS]
+    + [pytest.param(name, "int64", id=f"{name}-int64") for name in WITNESS_CORRUPTIONS],
 )
 def test_cross_check_certifies_the_built_lines(tmp_path, monkeypatch, capsys, corruption, kernel_path):
-    # grid(4, 4) takes the exact path, so the build keeps the kernel's
-    # lines; with INT64_MIN_PAIRS at 1 it takes the int64 path, and
-    # reading arr.lines runs the kernel.  Either way the cross-check
-    # certifies the lines the kernel returned, and the printed statistics
-    # stay the true ones
-    path = tmp_path / "g44.json"
-    generators.save_points_file(CERTIFIED_GRID, str(path))
-    corrupted = corrupted_grid_lines(corruption)
+    # grid(6, 6) takes the exact path, where one run of the exact loop
+    # counts the printed statistics and builds the lines of 3 or more
+    # points; with INT64_MIN_PAIRS at 1 it takes the int64 path, and the
+    # exact loop runs beside it for those lines alone.  Either way the
+    # cross-check certifies the lines the loop handed out, and the printed
+    # statistics stay the true ones
+    path = tmp_path / "g66.json"
+    generators.save_points_file(WITNESS_GRID, str(path))
+    corrupted = corrupted_grid_witness(corruption)
     if kernel_path == "int64":
         monkeypatch.setattr(arrangement, "INT64_MIN_PAIRS", 1)
-        assert "lines" not in vars(arrangement.build_arrangement(CERTIFIED_GRID))
     assert cli.main(["verify", str(path), "--cross-check"]) == 0
     assert "cross_check: ok" in capsys.readouterr().out
 
-    real = _kern.group_collinear
+    real = _kern.exact_statistics
 
-    def corrupted_lines(hx, hy, hw):
-        size_hist, per_point, _ = real(hx, hy, hw)
-        return size_hist, per_point, corrupted
+    def corrupted_witness(hx, hy, hw, witness=None):
+        stats = real(hx, hy, hw, witness)
+        witness[:] = corrupted
+        return stats
 
-    monkeypatch.setattr(_kern, "group_collinear", corrupted_lines)
+    monkeypatch.setattr(_kern, "exact_statistics", corrupted_witness)
     assert cli.main(["verify", str(path), "--cross-check"]) == 2
     out = capsys.readouterr().out
-    assert "lines: 62" in out
+    assert "lines: 306" in out
     assert "cross_check: mismatch" in out
 
 
@@ -321,7 +394,7 @@ def test_verify_unknown_suite_name_fails_before_the_build(grid_file, monkeypatch
         raise AssertionError("the build or a cross-check ran")
 
     monkeypatch.setattr(cli, "build_arrangement", no_build)
-    monkeypatch.setattr(cli, "certify_lines", no_build)
+    monkeypatch.setattr(cli, "certify_statistics", no_build)
     assert cli.main(["verify", grid_file, "--suite", suite, *extra]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -338,7 +411,7 @@ def test_run_verify_refuses_an_empty_suite_before_the_build(monkeypatch, cross_c
         raise AssertionError("the build or a cross-check ran")
 
     monkeypatch.setattr(cli, "build_arrangement", no_build)
-    monkeypatch.setattr(cli, "certify_lines", no_build)
+    monkeypatch.setattr(cli, "certify_statistics", no_build)
     with pytest.raises(pointline.PointLineError, match="empty check suite"):
         cli.run_verify(generators.grid(3, 3), cross_check=cross_check, suite=[])
 

@@ -149,9 +149,9 @@ def test_moved_and_deleted_names_are_gone():
     # the references live in tests/reference.py; the rest had no caller
     gone = {
         pointline: ("orient", "normalize_key", "line_through", "LineKey", "brute_force_lines",
-                    "tail_sum", "IdenticalPoints"),
+                    "certify_lines", "tail_sum", "IdenticalPoints"),
         geometry: ("orient", "normalize_key", "line_through", "LineKey"),
-        oracle: ("brute_force_lines",),
+        oracle: ("brute_force_lines", "certify_lines"),
         bounds: ("tail_sum",),
         errors: ("IdenticalPoints",),
         bounds.Interval: ("of", "width", "contains", "encloses", "__neg__", "__str__"),

@@ -1,22 +1,34 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pointline import (
     TooFewPoints,
     _kern,
     build_arrangement,
-    certify_lines,
+    certify_statistics,
     circle,
     grid,
     near_pencil,
     random_points,
 )
 
-from conftest import CERTIFIED_GRID, LINE_CORRUPTIONS, corrupted_grid_lines, line_statistics, pset, rational_sets
-from reference import brute_force_lines, orient
+from conftest import (
+    CERTIFIED_GRID,
+    LINE_CORRUPTIONS,
+    WITNESS_CORRUPTIONS,
+    WITNESS_GRID,
+    corrupted_grid_lines,
+    corrupted_grid_witness,
+    grid_witness,
+    line_statistics,
+    pset,
+    rational_sets,
+)
+from reference import brute_force_lines, certify_lines, orient
 
 
 def test_two_points_single_line():
@@ -34,6 +46,8 @@ def test_requires_two_points():
         brute_force_lines(pset((5, 5)))
     with pytest.raises(TooFewPoints):
         certify_lines(pset((5, 5)), {})
+    with pytest.raises(TooFewPoints):
+        certify_statistics(pset((5, 5)), [])
 
 
 def test_matches_arrangement_on_grid():
@@ -61,9 +75,10 @@ def test_does_not_use_the_line_kernels(monkeypatch):
     # (1/2, 1/3), (1, 2/3), (3/2, 1) lie on y = 2x/3; their clearing
     # must not borrow the kernel's homogenise
     ps = pset(("1/2", "1/3"), (1, "2/3"), ("3/2", 1), (0, "1/5"), ("1/3", 0), ("-1/4", "3/2"))
-    arr = build_arrangement(ps)
+    witness = []
+    arr = build_arrangement(ps, lines=witness)
     expected = list(arr.lines.values())
-    assert (0, 1, 2) in expected
+    assert (0, 1, 2) in expected and witness == [[0, 1, 2]]
 
     def refuse(*args):
         raise AssertionError("the oracle called a line kernel")
@@ -74,6 +89,7 @@ def test_does_not_use_the_line_kernels(monkeypatch):
     monkeypatch.setattr(_kern, "int64_statistics", refuse)
     assert brute_force_lines(ps) == expected
     assert certify_lines(ps, arr.lines) == (dict(arr.size_hist), list(arr.lines_per_point))
+    assert certify_statistics(ps, witness) == (dict(arr.size_hist), list(arr.lines_per_point))
 
 
 def _naive_lines(ps):
@@ -128,7 +144,7 @@ def test_coordinates_past_int64():
 
 
 # ---------------------------------------------------------------------------
-# the certificate
+# the line-level certificate of the tests' reference
 # ---------------------------------------------------------------------------
 
 
@@ -186,7 +202,98 @@ CROSS_CHECK_INPUTS = {
 @pytest.mark.parametrize("name", CROSS_CHECK_INPUTS)
 def test_certificate_accepts_every_cross_check_input(name):
     ps = CROSS_CHECK_INPUTS[name]()
-    arr = build_arrangement(ps)
+    witness = []
+    arr = build_arrangement(ps, lines=witness)
     oracle = line_statistics(brute_force_lines(ps), ps.n)
     assert oracle == (dict(arr.size_hist), list(arr.lines_per_point))
     assert certify_lines(ps, arr.lines) == oracle
+    assert certify_statistics(ps, witness) == oracle
+
+
+# ---------------------------------------------------------------------------
+# the certificate of the exact statistics loop
+# ---------------------------------------------------------------------------
+
+
+def _scaled(ps, factor):
+    return pset(*((x * factor, y * factor) for x, y in ps.points))
+
+
+def _farey_collision():
+    # the origin with two 3-point lines whose slopes p/q and r/s, ps - qr = 1,
+    # differ by about 2^-62 and round to one double
+    q = (1 << 31) - 1
+    p = 3 * q // 4
+    s = pow(p, -1, q)
+    r = (p * s - 1) // q
+    assert p * s - q * r == 1 and p / q == r / s
+    return pset((0, 0), (s, r), (q, p), (2 * s, 2 * r), (2 * q, 2 * p))
+
+
+_WITNESSED_SETS = st.one_of(
+    st.builds(grid, st.integers(2, 7), st.integers(2, 7)),
+    st.builds(circle, st.integers(3, 40)),
+    st.builds(random_points, st.integers(2, 40), st.integers(0, 99), st.integers(3, 9)),
+    st.builds(near_pencil, st.integers(3, 40)),
+    rational_sets.map(lambda coords: pset(*coords)),
+)
+
+
+@given(_WITNESSED_SETS, st.sampled_from([1, 1 << 21, 1 << 40]))
+@example(_farey_collision(), 1)
+@example(CROSS_CHECK_INPUTS["past int64"](), 1)
+@example(pset((0, 0), (1, 10**400), (2, 2 * 10**400), (1, 10**400 + 1), (2, 2 * 10**400 + 2)), 1)
+@settings(max_examples=120, deadline=None)
+def test_statistics_certificate_accepts_the_true_witness(ps, scale):
+    # scaled by 2^21 most sets, and by 2^40 all, lie past the slope guard;
+    # the examples collide in a double, pass 2^63 and overflow a double
+    ps = _scaled(ps, scale)
+    witness = []
+    arr = build_arrangement(ps, lines=witness)
+    oracle = line_statistics(brute_force_lines(ps), ps.n)
+    assert certify_statistics(ps, witness) == oracle == (dict(arr.size_hist), list(arr.lines_per_point))
+    assert sorted(witness) == [list(m) for m in brute_force_lines(ps) if len(m) >= 3]
+
+
+@pytest.mark.parametrize("name", WITNESS_CORRUPTIONS)
+def test_statistics_certificate_refuses_a_wrong_witness(name):
+    witness = grid_witness()
+    assert certify_statistics(WITNESS_GRID, witness) is not None
+    corrupted = corrupted_grid_witness(name)
+    assert corrupted != witness
+    assert certify_statistics(WITNESS_GRID, corrupted) is None
+
+
+def test_statistics_certificate_refuses_three_points_off_one_line():
+    # no three points of a circle are collinear, so only (i) sees it
+    ps = circle(8)
+    assert certify_statistics(ps, []) == line_statistics(brute_force_lines(ps), ps.n)
+    assert certify_statistics(ps, [[0, 1, 2]]) is None
+
+
+def _centred(u, v):
+    """The origin between u and -u and between v and -v: two 3-point lines."""
+    (a, b), (c, d) = u, v
+    return [(0, 0), (a, b), (-a, -b), (c, d), (-c, -d)]
+
+
+_FAREY = [tuple(p) for p in _farey_collision().points[1:3]]
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize("coords", [_centred(*_FAREY), _centred((1, _HUGE), (1, _HUGE + 1))],
+                         ids=["farey", "overflow"])
+def test_statistics_certificate_refuses_a_missing_line_whose_slope_collides(coords):
+    # the directions of the missing line, on both sides of the origin, meet
+    # a listed line's slope (one double, or an overflow) and must still be
+    # told apart from it, and from each other only by their reduced,
+    # sign-normalised direction
+    for order in permutations(coords):
+        ps = pset(*order)
+        witness = []
+        build_arrangement(ps, lines=witness)
+        assert len(witness) == 2
+        assert certify_statistics(ps, witness) == line_statistics(brute_force_lines(ps), ps.n)
+        for dropped in range(2):
+            assert certify_statistics(ps, witness[:dropped] + witness[dropped + 1:]) is None
+

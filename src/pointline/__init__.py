@@ -1,10 +1,10 @@
 """Exact rational point-line incidence structures and bound verification.
 
-The package enumerates the lines determined by finite planar point sets
-in exact rational arithmetic, verifies a family of classical incidence
-inequalities on concrete configurations, and computes the bound
-constants of the incidence and line-count lower bounds with rigorous
-rational enclosures.
+The package counts the statistics of the lines determined by finite
+planar point sets in exact rational arithmetic, verifies a family of
+classical incidence inequalities on concrete configurations, and
+computes the bound constants of the incidence and line-count lower
+bounds with rigorous rational enclosures.
 """
 from .arrangement import (
     Arrangement,

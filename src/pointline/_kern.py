@@ -1,56 +1,43 @@
-"""The line kernels: the hot loops of arrangement construction.
+"""The statistics kernels: the hot loops of arrangement construction.
 
-All take the triples of ``homogenise``, which clears every point to an
-integer homogeneous triple (X, Y, W), so ints and Fractions take one path.
+Both take the triples of ``homogenise``, which clears every point to an
+integer homogeneous triple (X, Y, W), so ints and Fractions take one path,
+and both return (size_hist, lines_per_point) without building the lines.
 
-``group_collinear`` maps point pairs to the canonical integer key of
-their line and collects line memberships.  It is exact big-integer
-arithmetic, whatever the size of the coordinates, and the only kernel
-that builds every line.  It builds each line once, as the tuple of its
-sorted members that Arrangement.lines returns: a 2-point line is born a
-tuple and stays one, and a line of 3 or more points grows in a list
-only within the row that finds it.  In CPython a tuple of ints leaves the
-cyclic garbage collector's care at the first collection that sees it,
-so no line stays tracked for the collector to rescan, as a list per line
-would for each of the 10^5 or more lines of a large input.  A pair on a
-line of 3 or more points that an earlier row already finished is
-skipped, not evaluated: each point keeps one int bitmask of its covered
-columns, and a row lists its other columns by walking the set bits of
-one n-bit int, so its cost is about the number of pairs not covered by
-such a line, n(n - 1)/2 with no three points collinear and about 2n on a
-near-pencil, plus a few n-bit int operations per row.  It counts the
-statistics as each line of 3 or more points is finished, by the counting
-identities stated in its docstring.
-
-``exact_statistics`` is the same exact row loop, with the same masks,
-column walk and counting identities, for callers that want the
-statistics alone.  It keys each column by the slope of its direction from
-the row's point, a float, in a dict local to the row, and drops the dict
-when the row ends, so it holds O(n) objects instead of all C(n, 2)
-lines: on a rational circle of 600 points the tracemalloc peak of the
-loop alone, its input triples excluded, is 0.06 MB, against 58 MB for
-``group_collinear`` (0.12 MB for all of ``build_arrangement``; CPython
-3.11.7).  Inside the guard below the slope is an exact key; past it, a
-key met again is confirmed by an exact cross product, and a direction
-whose slope collides with another's is keyed by its reduced direction
-instead (see its docstring).  The two loops stay separate because
-neither key serves both consumers.  A slope names a line only within
-its row, so a line dict needs the canonical (a, b, c); the slope is
-cheaper to form and to hash, needs a gcd only on such a collision, and
-drops the third product of every pair.  On 562 small inputs shaped like
-the benchmark's sweep (in-process, best of 9 per round, 3 rounds, 2-core
-VM, CPython 3.11.7) the slope loop took 0.46-0.53 of
-``group_collinear``'s time, where the same loop keyed by the gcd-reduced
-direction took 0.55-0.68.
+``exact_statistics`` is exact big-integer arithmetic, whatever the size
+of the coordinates.  A pair on a line of 3 or more points that an earlier
+row already counted is skipped, not evaluated: each point keeps one int
+bitmask of its covered columns, and a row lists its other columns by
+walking the set bits of one n-bit int, so its cost is about the number of
+pairs not covered by such a line, n(n - 1)/2 with no three points
+collinear and about 2n on a near-pencil, plus a few n-bit int operations
+per row.  It counts the statistics as each line of 3 or more points is
+finished, by the counting identities stated in its docstring.  It keys
+each column by the slope of its direction from the row's point, a float,
+in a dict local to the row, and drops the dict when the row ends, so it
+holds O(n) objects instead of all C(n, 2) lines: on a rational circle of
+600 points the tracemalloc peak of the loop alone, its input triples
+excluded, is 0.06 MB, where a dict of all its 179,700 lines took 58 MB
+(0.12 MB for all of ``build_arrangement``; CPython 3.11.7).  Inside the
+guard below the slope is an exact key; past it, a key met again is
+confirmed by an exact cross product, and a direction whose slope collides
+with another's is keyed by its reduced direction instead (see its
+docstring).  A slope names a line only within its row, but it is cheaper
+to form and to hash than the canonical key (a, b, c) of the line, needs a
+gcd only on such a collision, and drops the third product of every pair.
+On 562 small inputs shaped like the benchmark's sweep (in-process, best
+of 9 per round, 3 rounds, 2-core VM, CPython 3.11.7) the slope loop took
+0.46-0.53 of the time of a row loop with the same masks that keyed each
+pair by the gcd-reduced (a, b, c) and kept every line in one dict, where
+the slope loop keyed by the gcd-reduced direction took 0.55-0.68.
 
 Asked for a witness, ``exact_statistics`` also hands out every line of 3
 or more points, as the sorted member list that it builds anyway before
 counting the line; ``oracle.certify_statistics`` certifies the statistics
 from that witness with its own arithmetic, so ``verify --cross-check``
-runs this one loop and no line kernel.  The witness holds the lines of 3
-or more points only: none on a rational circle, and 34,270 of the
-184,466 lines of a 30x30 grid.  Without a witness the loop keeps nothing
-extra.
+runs this one loop.  The witness holds the lines of 3 or more points
+only: none on a rational circle, and 34,270 of the 184,466 lines of a
+30x30 grid.  Without a witness the loop keeps nothing extra.
 
 ``int64_statistics`` builds no line at all: it sorts, for every point,
 the directions to the other points in blocks of numpy rows, and reads the
@@ -88,125 +75,6 @@ def homogenise(points) -> tuple[list, list, list]:
     return hx, hy, hw
 
 
-def group_collinear(hx: list, hy: list, hw: list) -> tuple[dict, list, dict]:
-    """Statistics and lines of distinct points: (size_hist, lines_per_point, lines).
-
-    size_hist and lines_per_point are as ``int64_statistics`` returns
-    them; lines groups all point pairs by line, {(a, b, c): tuple of
-    point indices}.  Takes the homogeneous triples of ``homogenise``, so
-    the pair loop is pure integer arithmetic (the line through two points
-    is their homogeneous cross product).  Each key (a, b, c) is
-    canonical: content gcd(a, b, c) = 1, and a > 0 or a = 0 < b.
-
-    A line is created as the tuple (i, j) at its first pair and collects
-    its other members in that row i: every later member is a column of
-    row i, in ascending order.  At its third member it becomes the list
-    [i, j, k], and its key goes on the row's list of long lines; when the
-    row ends, that line is finished and its list is replaced, under its
-    key, by its tuple.  So every value is a sorted tuple and the dict is
-    in lexicographic member order: by first member, then by second.
-
-    A later row never meets a finished line again.  Each point v keeps
-    one int bitmask of the columns it skips: when row r ends, every
-    member v of a line of at least 3 points created in it gets the bits
-    of the members after v OR-ed in, in one reversed walk over the
-    members that also counts the line.  Row i lists the columns left
-    clear by walking the set bits of ((1 << n) - (2 << i)) & ~mask,
-    lowest bit first (take free & -free, then clear it), so an evaluated
-    column costs three int operations and a skipped pair costs no Python
-    step.  A pair (i, j) that is still evaluated can only lie on a line
-    created in row i: had that line a member before i, it would have at
-    least 3 points and j would be skipped.  So a found line is extended
-    without a test of its first member: a tuple (i, j) becomes [i, j, k],
-    a list is appended to.  The pairs evaluated are those not covered by
-    a longer line through an earlier point, about 2n on a near-pencil
-    instead of n^2 / 2, and all of them on input with no three points
-    collinear.
-
-    The statistics are counted by two identities from the lines of 3 or
-    more points alone, each line once, when its row ends.  The lines
-    through a point v split the other n - 1 points among them, so v lies
-    on n - 1 - sum (k - 2) lines, the sum over the lines of k >= 3 points
-    through v.  All lines together hold the C(n, 2) pairs, so the
-    2-point lines number s_2 = C(n, 2) - sum C(k, 2) s_k over the sizes
-    k >= 3, and the key 2 is left out when s_2 = 0.
-    """
-    n = len(hx)
-    groups: dict = {}
-    sizes: dict = {}  # sizes[k]: finished lines of k >= 3 points
-    per_point = [n - 1] * n
-    # covered[v]: bit j set when the pair (v, j) lies on a finished line
-    covered = [0] * n
-    for i in range(n):
-        x1 = hx[i]
-        y1 = hy[i]
-        w1 = hw[i]
-        mask = covered[i]
-        columns = _free_columns(mask, i, n) if mask else range(i + 1, n)
-        long_keys = []  # the lines of row i that reached 3 points
-        for j in columns:
-            w2 = hw[j]
-            a = y1 * w2 - hy[j] * w1
-            b = hx[j] * w1 - x1 * w2
-            c = x1 * hy[j] - y1 * hx[j]
-            g = gcd(a, b, c)
-            if g > 1:
-                a //= g
-                b //= g
-                c //= g
-            if a < 0 or (a == 0 and b < 0):
-                a, b, c = -a, -b, -c
-            key = (a, b, c)
-            members = groups.get(key)
-            if members is None:
-                groups[key] = (i, j)
-            elif len(members) == 2:  # a 2-point line is a tuple
-                groups[key] = [i, members[1], j]
-                long_keys.append(key)
-            else:
-                members.append(j)
-        for key in long_keys:
-            # finished: no later row meets it again
-            groups[key] = members = tuple(groups[key])
-            _count_line(members, sizes, per_point, covered)
-        covered[i] = 0
-    return _with_two_point_lines(sizes, n), per_point, groups
-
-
-def _free_columns(mask: int, i: int, n: int) -> list:
-    """The columns after i whose bits are clear in mask, ascending: the set bits of free."""
-    free = ((1 << n) - (2 << i)) & ~mask
-    columns = []
-    while free:
-        low = free & -free
-        columns.append(low.bit_length() - 1)
-        free ^= low
-    return columns
-
-
-def _count_line(members, sizes: dict, per_point: list, covered: list) -> None:
-    """Count a finished line of its k >= 3 sorted members, and cover the pairs among them.
-
-    In one reversed walk each member v loses k - 2 from its line count
-    and gets the bits of the members after v in its mask.
-    """
-    k = len(members)
-    sizes[k] = sizes.get(k, 0) + 1
-    after = 0  # the members after v
-    for v in reversed(members):
-        per_point[v] -= k - 2
-        covered[v] |= after
-        after |= 1 << v
-
-
-def _with_two_point_lines(sizes: dict, n: int) -> dict:
-    """sizes, ascending, with the 2-point lines of n points added: the pairs no longer line holds."""
-    two_point = n * (n - 1) // 2 - sum(k * (k - 1) // 2 * count for k, count in sizes.items())
-    if two_point:
-        sizes[2] = two_point
-    return dict(sorted(sizes.items()))
-
-
 def _within_slope_guard(hx: list, hy: list, hw: list) -> bool:
     """True when 2 * max(|X|, |Y|) * max(W) < 2^26: every slope dy / dx is then an exact key."""
     return 2 * max(max(map(abs, hx)), max(map(abs, hy))) * max(hw) < _SLOPE_BOUND
@@ -215,23 +83,43 @@ def _within_slope_guard(hx: list, hy: list, hw: list) -> bool:
 def exact_statistics(hx: list, hy: list, hw: list, witness: list | None = None) -> tuple[dict, list]:
     """Statistics of distinct points, without their lines: (size_hist, lines_per_point).
 
-    Returns ``group_collinear(hx, hy, hw)[:2]``, as ``int64_statistics``
-    returns them, from the same row loop: the covered masks, the walk of
-    a row's free bits and the counting identities are those of
-    ``group_collinear``.  Only the key differs.  Row i forms for column j
-    the direction (dx, dy) = (X_j W_i - X_i W_j, Y_j W_i - Y_i W_j), a
-    positive multiple of the affine difference.  Every pair evaluated in
-    row i lies on a line whose first member is i (see
-    ``group_collinear``), so the direction names that line up to scale,
-    and all its later members are columns of row i.  The row's dict maps
-    each key to its first column; a key met again holds a line of 3 or
-    more points, whose members, i first, gather in a list.  When the row
-    ends, each list is counted and covers its pairs as a finished line of
-    ``group_collinear`` does, and the row's dicts are dropped.  The
-    2-point lines are the remainder, as in ``group_collinear``.  Given a
-    list as witness, the loop also appends each of those member lists to
-    it when its row ends (by first member, then by second), so the
-    witness holds every line of 3 or more points once, sorted;
+    size_hist and lines_per_point are as ``int64_statistics`` returns
+    them.  Row i forms for column j the direction (dx, dy) = (X_j W_i -
+    X_i W_j, Y_j W_i - Y_i W_j), a positive multiple of the affine
+    difference, and keys it (below).  The row's dict maps each key to its
+    first column; a key met again holds a line of 3 or more points, whose
+    members, i first, gather in a list.  When the row ends, each list is
+    counted, its pairs are covered, and the row's dicts are dropped.
+
+    A later row never meets a counted line again.  Each point v keeps one
+    int bitmask of the columns it skips: when row r ends, every member v
+    of a line of at least 3 points found in it gets the bits of the
+    members after v OR-ed in, in one reversed walk over the members that
+    also counts the line.  Row i lists the columns left clear by walking
+    the set bits of ((1 << n) - (2 << i)) & ~mask, lowest bit first (take
+    free & -free, then clear it), so an evaluated column costs three int
+    operations and a skipped pair costs no Python step.  Every pair (i, j)
+    that is still evaluated lies on a line whose first member is i: had
+    that line a member before i, it would have at least 3 points, the row
+    of its first member would have counted it, and j would be skipped.  So
+    the direction names that line up to scale, all its later members are
+    columns of row i, and a found line is extended without a test of its
+    first member.  The pairs evaluated are those not covered by a longer
+    line through an earlier point, about 2n on a near-pencil instead of
+    n^2 / 2, and all of them on input with no three points collinear.
+
+    The statistics are counted by two identities from the lines of 3 or
+    more points alone, each line once, when its row ends.  The lines
+    through a point v split the other n - 1 points among them, so v lies
+    on n - 1 - sum (k - 2) lines, the sum over the lines of k >= 3 points
+    through v.  All lines together hold the C(n, 2) pairs, so the
+    2-point lines number s_2 = C(n, 2) - sum C(k, 2) s_k over the sizes
+    k >= 3, and the key 2 is left out when s_2 = 0.
+
+    Given a list as witness, the loop also appends each of those member
+    lists to it when its row ends (by first member, then in the order the
+    row met their third members), so the witness holds every line of 3 or
+    more points once, its members sorted;
     oracle.certify_statistics checks it and recounts the statistics from
     it.  Without one the loop keeps nothing past its row.
 
@@ -265,7 +153,15 @@ def exact_statistics(hx: list, hy: list, hw: list, witness: list | None = None) 
         y1 = hy[i]
         w1 = hw[i]
         mask = covered[i]
-        columns = _free_columns(mask, i, n) if mask else range(i + 1, n)
+        if mask:
+            free = ((1 << n) - (2 << i)) & ~mask  # the columns after i left clear
+            columns = []
+            while free:
+                low = free & -free
+                columns.append(low.bit_length() - 1)
+                free ^= low
+        else:
+            columns = range(i + 1, n)
         first = {}  # slope key, or reduced direction, from i: its first column
         long_lines = {}  # first column: the members of a line of 3 or more points
         for j in columns:
@@ -292,11 +188,20 @@ def exact_statistics(hx: list, hy: list, hw: list, witness: list | None = None) 
                 else:
                     members.append(j)
         for members in long_lines.values():
-            _count_line(members, sizes, per_point, covered)
+            k = len(members)
+            sizes[k] = sizes.get(k, 0) + 1
+            after = 0  # the members after v
+            for v in reversed(members):
+                per_point[v] -= k - 2
+                covered[v] |= after
+                after |= 1 << v
         if witness is not None:
             witness.extend(long_lines.values())
         covered[i] = 0
-    return _with_two_point_lines(sizes, n), per_point
+    two_point = n * (n - 1) // 2 - sum(k * (k - 1) // 2 * count for k, count in sizes.items())
+    if two_point:
+        sizes[2] = two_point
+    return dict(sorted(sizes.items())), per_point
 
 
 def int64_statistics(hx: list, hy: list, hw: list) -> tuple[dict, list] | None:

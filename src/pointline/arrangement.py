@@ -2,27 +2,24 @@
 
 Computes the statistics the verification suite quantifies over: the
 histogram of line sizes, the total point-line incidence count, the
-maximum collinear count, and per-point line counts, and, on demand, the
-lines themselves (every line through at least two of the points).
+maximum collinear count, and per-point line counts, over every line
+through at least two of the points.
 
 Large inputs on which no line holds all but at most 3 of the points, and
 that fit the guard of _kern.int64_statistics (for integer input,
 |coordinate| < 2^25), get their statistics from the vectorised numpy
 kernel.  Every other input, near-pencils included, gets them from the
 exact big-integer row loop of _kern.exact_statistics, which keeps no
-line (the counting identities are stated in _kern.group_collinear).
-Either way the lines are built by the exact kernel _kern.group_collinear
-only when they are read.  Asked for them, the build hands out the lines
-of 3 or more points that the exact loop finds, the witness that
-oracle.certify_statistics checks.
+line (the counting identities are stated in its docstring).  Asked for
+them, the build hands out the lines of 3 or more points that the exact
+loop finds, the witness that oracle.certify_statistics checks.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 from itertools import combinations, islice
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from . import _kern
 from .errors import DomainError, DuplicatePoint, TooFewPoints
@@ -57,42 +54,21 @@ class PointSet(namedtuple("PointSet", "points")):
 
 
 class Arrangement(namedtuple("Arrangement", "n size_hist max_collinear incidences "
-                                             "lines_per_point num_lines points")):
-    """Full line/incidence structure of a point set, as an immutable named tuple.
+                                             "lines_per_point num_lines")):
+    """Line/incidence statistics of a point set, as an immutable named tuple.
 
     size_hist maps line size i (>= 2) to the number of lines with exactly
-    i points, in ascending size; only sizes that occur are stored.
-    incidences is the total number of (point, line) incidences;
-    max_collinear is the size of the largest collinear subset; num_lines
-    counts the determined lines and lines_per_point[v] those through
-    point v.
-
-    lines maps each determined line's canonical key (a, b, c) of
-    a*x + b*y + c = 0, a plain int tuple with gcd(a, b, c) = 1 and a > 0
-    or a = 0 < b, to the sorted indices of its points, as one tuple per
-    line; lines come in lexicographic member order.
-    It is the exact kernel's own dict behind a read-only view, built from
-    points on first access.  Both maps are read-only views.  The class
-    has no __slots__: the cached lines lives in the instance dict, and
-    __setattr__ and __delattr__ refuse every other write to it.
+    i points, in ascending size; only sizes that occur are stored, behind
+    a read-only view.  incidences is the total number of (point, line)
+    incidences; max_collinear is the size of the largest collinear
+    subset; num_lines counts the determined lines and lines_per_point[v]
+    those through point v.
     """
+
+    __slots__ = ()
 
     def __hash__(self):
         return hash(self[:1] + self[2:])  # without size_hist: a mappingproxy has no hash
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
-        return f"Arrangement({fields})"  # points left out
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    @cached_property
-    def lines(self) -> Mapping[tuple[int, int, int], tuple[int, ...]]:
-        return MappingProxyType(_kern.group_collinear(*_kern.homogenise(self.points))[2])
 
 
 def build_arrangement(ps: PointSet, lines: list | None = None) -> Arrangement:
@@ -105,16 +81,15 @@ def build_arrangement(ps: PointSet, lines: list | None = None) -> Arrangement:
     Every other input has its statistics counted by the vectorised numpy
     kernel, when the coordinates fit its guard (for integer input
     |coordinate| < 2^25; stated in full in _kern.int64_statistics); past
-    the guard, the exact loop runs.  arr.lines is built by
-    _kern.group_collinear only if it is read.
+    the guard, the exact loop runs.
 
     Given a list as lines, the build also runs the exact loop with that
     list as its witness: each line of 3 or more points is appended to it
     as the sorted list of its members, for oracle.certify_statistics to
     check.  On the exact path this is the one run that counts the
     statistics; on the numpy path it is an exact recount beside them.
-    The counting identities of both exact loops are stated in
-    _kern.group_collinear.
+    The counting identities of the exact loop are stated in
+    _kern.exact_statistics.
 
     The threshold keeps numpy out of small runs.  Fresh-process `verify`
     on random lattice points (n = 450-800, bound 2000) and on grids from
@@ -140,16 +115,14 @@ def build_arrangement(ps: PointSet, lines: list | None = None) -> Arrangement:
         if stats is None:
             stats = exact
     size_hist, lines_per_point = stats
-    arr = Arrangement(
+    return Arrangement(
         n=n,
         size_hist=MappingProxyType(size_hist),
         max_collinear=max(size_hist),
         incidences=sum(i * count for i, count in size_hist.items()),
         lines_per_point=tuple(lines_per_point),
         num_lines=sum(size_hist.values()),
-        points=ps.points,
     )
-    return arr
 
 
 def _line_misses_at_most_three(hx: list, hy: list, hw: list) -> bool:

@@ -35,7 +35,7 @@ line lies on it.  Any listed line L' lies on some M of 3 or more points,
 and shares a pair with the listed line M unless it is that entry, which
 (ii) forbids.  So the listed lines are exactly the lines of 3 or more
 points, each once with all its members, and the counts follow by the
-two identities stated in _kern.group_collinear: point v lies on
+two identities stated in _kern.exact_statistics: point v lies on
 n - 1 - sum (k - 2) lines, the sum over the listed lines of k points
 through v, and the 2-point lines number C(n, 2) - sum C(k, 2) s_k.
 

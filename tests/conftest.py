@@ -18,7 +18,7 @@ def line_statistics(lines, n: int) -> tuple[dict[int, int], list[int]]:
     """size_hist (ascending sizes) and lines_per_point of the lines given as member tuples.
 
     The plain count over every line, 2-point ones included: the reference
-    that the kernels' statistics and both certificates are compared with.
+    that the kernels' statistics and the certificate are compared with.
     """
     size_hist = dict(sorted(Counter(map(len, lines)).items()))
     per_point = Counter(chain.from_iterable(lines))
@@ -63,92 +63,6 @@ rational_sets = st.lists(
     max_size=12,
     unique=True,
 )
-
-
-# Corruptions of the lines of grid(4, 4), which has 4-, 3- and 2-point
-# lines.  Each edits a dict copy in place so that it is no longer the set
-# of determined lines; reference.certify_lines must reject every one.
-CERTIFIED_GRID = grid(4, 4)
-
-
-def _key_of_size(lines, size, skip=0):
-    return [key for key, members in lines.items() if len(members) == size][skip]
-
-
-def _drop_member(lines):
-    # members and key stay valid: only the pair count sees it
-    key = _key_of_size(lines, 4)
-    lines[key] = lines[key][:1] + lines[key][2:]
-
-
-def _extra_member(lines):
-    key = _key_of_size(lines, 2)
-    i, j = lines[key]
-    pts = CERTIFIED_GRID.points
-    off = next(v for v in range(CERTIFIED_GRID.n) if orient(pts[i], pts[j], pts[v]) != 0)
-    lines[key] = tuple(sorted((i, j, off)))
-
-
-def _duplicate_member(lines):
-    # (a, b, c, d) -> (a, b, b, d): the size and so the pair count stay
-    key = _key_of_size(lines, 4)
-    a, b, _, d = lines[key]
-    lines[key] = (a, b, b, d)
-
-
-def _split_line(lines):
-    # (a, b, c, d) -> (a, b, c) and (b, c, d) under the negated key: 3 + 3
-    # pairs, as many as the line had
-    key = _key_of_size(lines, 4)
-    members = lines[key]
-    lines[key] = members[:3]
-    lines[tuple(-t for t in key)] = members[1:]
-
-
-def _merge_lines(lines):
-    # the first two lines both pass through point 0
-    first, second = list(lines)[:2]
-    lines[first] = tuple(sorted(set(lines[first]) | set(lines.pop(second))))
-
-
-def _negate_key(lines):
-    key = _key_of_size(lines, 2)
-    lines[tuple(-t for t in key)] = lines.pop(key)
-
-
-def _scale_key(lines):
-    key = _key_of_size(lines, 2)
-    lines[tuple(2 * t for t in key)] = lines.pop(key)
-
-
-def _key_off_members(lines):
-    # two 4-point lines swap keys: every key canonical, every size kept
-    one, two = _key_of_size(lines, 4), _key_of_size(lines, 4, skip=1)
-    lines[one], lines[two] = lines[two], lines[one]
-
-
-def _drop_two_point_line(lines):
-    del lines[_key_of_size(lines, 2)]
-
-
-LINE_CORRUPTIONS = {
-    "dropped member": _drop_member,
-    "extra off-line member": _extra_member,
-    "duplicated member": _duplicate_member,
-    "line split under two keys": _split_line,
-    "two lines merged": _merge_lines,
-    "negated key": _negate_key,
-    "key scaled by 2": _scale_key,
-    "key off its members": _key_off_members,
-    "missing 2-point line": _drop_two_point_line,
-}
-
-
-def corrupted_grid_lines(name: str) -> dict:
-    """The lines of CERTIFIED_GRID with the corruption of that name applied."""
-    lines = dict(build_arrangement(CERTIFIED_GRID).lines)
-    LINE_CORRUPTIONS[name](lines)
-    return lines
 
 
 # Corruptions of the witness of grid(6, 6): the member lists of its 6-, 5-,

@@ -29,9 +29,9 @@ float, from the kernels' lcm clearing and only over the pairs its masks
 leave.  It falls back to this key, the gcd-reduced, sign-normalised
 integer direction, only past the slope guard, for a direction whose slope
 rounds to an earlier one's double without being its direction, or
-overflows a double.  Its tests compare it with this reference on such
-collisions and with ``_kern.group_collinear``, which keys a line by
-(a, b, c).  The vectorised path keys a direction by its float64 slope.
+overflows a double.  Its tests compare it with this reference, on such
+collisions too.  The vectorised path keys a direction by its float64
+slope.
 What it does not share: the clearing (its own formula, no lcm), the
 integer type (Python ints, no int64, no floats and no numpy), the
 (a, b, c) line key (none is built) and any function of the package.
@@ -40,25 +40,6 @@ O(n^2) gcds; best of 3 calls on a shared 2-core VM with CPython 3.11.7
 12x12 grid or 150 random lattice points (seed 7, bound 2000); over three
 rounds, 0.44-0.65 s for a 30x30 grid and 0.49-0.66 s for 800 random
 lattice points (seed 7, bound 2000); 3.6 s for a 2000-point near-pencil.
-
-``certify_lines`` is the line-level certificate: it checks that a claimed
-map {(a, b, c): members}, as Arrangement.lines holds, is exactly the set
-of determined lines, in time linear in its incidences plus one gcd per
-line, and counts the statistics from it.  It checks that
-  (i) every key is canonical: (a, b) != (0, 0), gcd(a, b, c) = 1, and
-      a > 0 or a = 0 < b;
- (ii) every member list holds at least 2 strictly increasing indices
-      in range, and each member satisfies a*X + b*Y + c*W = 0;
-(iii) the lines hold sum C(k, 2) = C(n, 2) pairs.
-That suffices.  Distinct canonical keys name distinct lines, so two
-claimed lines share at most one point and no pair is counted twice; by
-(iii) every pair then lies on a claimed line.  Were a point p of a
-claimed line L missing from its members S, then for s in S the pair
-(p, s) would lie on another claimed line, which holds two points of L,
-so is L: two keys for one line.  So the claimed member sets are exactly
-the determined lines.  The package certifies its statistics from the
-lines of 3 or more points alone (oracle.certify_statistics); this one
-checks _kern.group_collinear's full line dict.
 
 ``load_points_per_entry`` is the point-file loader as one Python step per
 entry and coordinate: it checks each entry's shape, then each coordinate's
@@ -75,7 +56,7 @@ import json
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import IO, Mapping, NamedTuple, Sequence
+from typing import IO, NamedTuple
 
 from pointline import DomainError, Point, PointFormatError, PointSet, TooFewPoints
 
@@ -137,10 +118,10 @@ def _cleared(ps: PointSet) -> list[tuple[int, int, int]]:
 def brute_force_lines(ps: PointSet) -> list[tuple[int, ...]]:
     """All determined lines of ps as sorted tuples of member indices.
 
-    The result is the same abstract line set as build_arrangement: one
-    entry per line through >= 2 points, each entry the sorted indices of
-    every point on it, entries sorted for determinism (the order of
-    build_arrangement(ps).lines.values()).
+    One entry per line through >= 2 points, each entry the sorted indices
+    of every point on it, entries sorted for determinism.  Its entries of
+    3 or more points are the lines that the witness of
+    build_arrangement(ps, lines=witness) lists.
     """
     pts = _cleared(ps)
     lines = []
@@ -158,45 +139,6 @@ def brute_force_lines(ps: PointSet) -> list[tuple[int, ...]]:
             groups.setdefault((dx // g, dy // g), [i]).append(r)
         lines.extend(tuple(members) for members in groups.values() if members[1] > i)
     return sorted(lines)
-
-
-def certify_lines(
-    ps: PointSet, lines: Mapping[tuple[int, int, int], Sequence[int]]
-) -> tuple[dict[int, int], list[int]] | None:
-    """size_hist and lines_per_point of ps counted from lines, or None if lines is wrong.
-
-    lines maps canonical keys (a, b, c) to member indices, as
-    Arrangement.lines does.  Returns None at the first failed check of
-    the module docstring's (i)-(iii); otherwise lines are exactly the
-    determined lines of ps, and the result is ({size: number of lines},
-    [lines through point v for each v]) with sizes ascending, counted
-    here from the certified lines.
-    """
-    pts = _cleared(ps)
-    n = len(pts)
-    sizes: dict[int, int] = {}
-    per_point = [0] * n
-    pairs = 0
-    for (a, b, c), members in lines.items():
-        if a < 0 or (a == 0 and b <= 0) or gcd(a, b, c) != 1:
-            return None
-        k = len(members)
-        if k < 2:
-            return None
-        last = -1
-        for v in members:
-            if not last < v < n:
-                return None
-            x, y, w = pts[v]
-            if a * x + b * y + c * w:
-                return None
-            per_point[v] += 1
-            last = v
-        sizes[k] = sizes.get(k, 0) + 1
-        pairs += k * (k - 1) // 2
-    if pairs != n * (n - 1) // 2:
-        return None
-    return dict(sorted(sizes.items())), per_point
 
 
 _COORDINATE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")

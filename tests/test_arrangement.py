@@ -30,7 +30,7 @@ from pointline import _kern, arrangement
 from pointline.arrangement import INT64_MIN_PAIRS, PointSet
 
 from conftest import line_statistics, pset, rational_sets
-from reference import brute_force_lines, line_through
+from reference import brute_force_lines
 
 @pytest.fixture(scope="module")
 def grid33():
@@ -80,14 +80,11 @@ def test_duplicate_point_named_by_its_reduced_coordinates():
 
 
 def test_build_is_deterministic(grid33):
-    again = build_arrangement(grid(3, 3))
-    assert again == grid33
-    assert list(again.lines.items()) == list(grid33.lines.items())
-    # lines come in lexicographic member order, each one tuple
-    assert list(grid33.lines.values()) == sorted(grid33.lines.values())
-    assert all(type(members) is tuple for members in grid33.lines.values())
-    _, _, groups = _kern.group_collinear(*_triples(grid(3, 3)))
-    assert all(type(members) is tuple for members in groups.values())
+    witness, again_witness = [], []
+    assert build_arrangement(grid(3, 3), lines=witness) == grid33
+    assert build_arrangement(grid(3, 3), lines=again_witness) == grid33
+    assert witness == again_witness
+    assert sorted(witness) == _long_lines(brute_force_lines(grid(3, 3)))
 
 
 def test_visibility_edge_count(grid33):
@@ -125,10 +122,15 @@ def test_kernels_agree_on_lattice_input():
     ys = [p.y for p in ps.points]
     assert all(type(v) is int for v in xs + ys)
     as_fractions = _kern.homogenise([(Fraction(x), Fraction(y)) for x, y in ps.points])
-    as_ints = _kern.group_collinear(*_kern.homogenise(ps.points))
-    assert _kern.group_collinear(*as_fractions) == as_ints
-    _, _, lines = as_ints
-    assert sum(len(m) * (len(m) - 1) // 2 for m in lines.values()) == 35 * 34 // 2
+    int_witness, fraction_witness = [], []
+    as_ints = _kern.exact_statistics(*_kern.homogenise(ps.points), int_witness)
+    assert _kern.exact_statistics(*as_fractions, fraction_witness) == as_ints
+    assert fraction_witness == int_witness
+    oracle = brute_force_lines(ps)
+    assert sorted(int_witness) == _long_lines(oracle)
+    assert as_ints == line_statistics(oracle, ps.n)
+    hist, _ = as_ints
+    assert sum(k * (k - 1) // 2 * count for k, count in hist.items()) == 35 * 34 // 2
 
 
 def test_huge_coordinates_keep_exact_statistics():
@@ -187,11 +189,17 @@ def test_oracle_equivalence_mixed_denominators(coords):
     _assert_statistics_match_oracle(pset(*coords))
 
 
+def _long_lines(lines):
+    """The lines of 3 or more points among the reference's, as a sorted witness lists them."""
+    return [list(members) for members in lines if len(members) >= 3]
+
+
 def _assert_statistics_match_oracle(ps):
-    """The lines and, counted from the long lines alone, the statistics are the oracle's."""
-    arr = build_arrangement(ps)
+    """The witness and, counted from the long lines alone, the statistics are the oracle's."""
+    witness = []
+    arr = build_arrangement(ps, lines=witness)
     oracle = brute_force_lines(ps)
-    assert list(arr.lines.values()) == oracle
+    assert sorted(witness) == _long_lines(oracle)
     assert (dict(arr.size_hist), list(arr.lines_per_point)) == line_statistics(oracle, ps.n)
     return arr
 
@@ -212,8 +220,8 @@ def _assert_statistics_match_oracle(ps):
          "near-pencil-5", "grid-12x12-scaled-2^40"],
 )
 def test_statistics_from_long_lines_edge_cases(ps, hist):
-    # both exact loops count only lines of 3 or more points, and their
-    # counts equal the plain count over all of the kernel's lines
+    # the exact loop counts only lines of 3 or more points, and its counts
+    # equal the plain count over all of the reference's lines
     arr = _assert_statistics_match_oracle(ps)
     _assert_kernel_counts_its_lines(ps)
     if hist is not None:
@@ -246,19 +254,20 @@ def test_exact_kernel_counts_the_lines_it_returns(ps):
 
 
 def _assert_kernel_counts_its_lines(ps):
-    """group_collinear's size_hist and lines_per_point are line_statistics of its own
-    lines and of the reference's; exact_statistics counts the same without the lines."""
-    size_hist, per_point, lines = _kern.group_collinear(*_triples(ps))
-    want_hist, want_per_point = line_statistics(list(lines.values()), ps.n)
-    assert line_statistics(brute_force_lines(ps), ps.n) == (want_hist, want_per_point)
-    for hist, counts in ((size_hist, per_point), _kern.exact_statistics(*_triples(ps))):
-        assert list(hist.items()) == list(want_hist.items())  # sizes ascending too
-        assert counts == want_per_point
-        assert all(type(v) is int for v in chain(hist, hist.values(), counts))
+    """exact_statistics' size_hist and lines_per_point are line_statistics of the
+    reference's lines, and its witness is the reference's lines of 3 or more points."""
+    oracle = brute_force_lines(ps)
+    want_hist, want_per_point = line_statistics(oracle, ps.n)
+    witness = []
+    hist, counts = _kern.exact_statistics(*_triples(ps), witness)
+    assert list(hist.items()) == list(want_hist.items())  # sizes ascending too
+    assert counts == want_per_point
+    assert all(type(v) is int for v in chain(hist, hist.values(), counts))
+    assert sorted(witness) == _long_lines(oracle)
 
 
 # ---------------------------------------------------------------------------
-# The int64 statistics kernel against the exact kernel
+# The int64 statistics kernel against the reference
 # ---------------------------------------------------------------------------
 
 
@@ -268,11 +277,8 @@ def _triples(ps):
 
 
 def _exact_statistics(ps):
-    """(size_hist, lines_per_point) counted from the exact kernel's lines."""
-    _, _, groups = _kern.group_collinear(*_triples(ps))
-    hist = dict(sorted(Counter(map(len, groups.values())).items()))
-    per_point = Counter(chain.from_iterable(groups.values()))
-    return hist, [per_point[v] for v in range(ps.n)]
+    """(size_hist, lines_per_point) counted from the reference's lines."""
+    return line_statistics(brute_force_lines(ps), ps.n)
 
 
 def _int64_statistics(ps):
@@ -396,8 +402,9 @@ SWITCH_PAD = [(x, y) for x in range(3, 9) for y in range(3, 9)]
 def _build_at_the_switch(coords, mp):
     """Build pad + coords on the large-input path; True if the slope key counted it.
 
-    Past the guard the statistics loop of the exact path runs in the
-    build, and the line kernel only when arr.lines is first read.
+    Past the guard the exact statistics loop runs in the build.  Asked
+    for a witness, the build hands out the reference's lines of 3 or more
+    points.
     """
     ps = pset(*coords, *SWITCH_PAD)
     want = brute_force_lines(ps)
@@ -405,16 +412,15 @@ def _build_at_the_switch(coords, mp):
     order = []
     int64_calls = _spy(mp, "int64_statistics", order)
     stats_calls = _spy(mp, "exact_statistics", order)
-    exact_calls = _spy(mp, "group_collinear", order)
     arr = build_arrangement(ps)
     assert order[0] == "int64_statistics"  # before any exact run
     assert len(int64_calls) == 1 and len(stats_calls) == (int64_calls[0] is None)
-    assert exact_calls == [] and "lines" not in arr.__dict__
     assert list(arr.size_hist.items()) == list(Counter(sorted(map(len, want))).items())
     per_point = Counter(chain.from_iterable(want))
     assert arr.lines_per_point == tuple(per_point[v] for v in range(ps.n))
-    assert list(arr.lines.values()) == want
-    assert len(exact_calls) == 1
+    witness = []
+    build_arrangement(ps, lines=witness)
+    assert sorted(witness) == _long_lines(want)
     return int64_calls[0] is not None
 
 
@@ -524,26 +530,9 @@ def _spy(monkeypatch, name, order=None):
     return calls
 
 
-def test_large_input_builds_lines_only_when_read(grid23, monkeypatch):
-    int64_calls = _spy(monkeypatch, "int64_statistics")
-    exact_calls = _spy(monkeypatch, "group_collinear")
-    arr = build_arrangement(grid23)
-    assert len(int64_calls) == 1 and int64_calls[0] is not None
-    assert exact_calls == []
-    lines = arr.lines
-    assert arr.lines is lines and len(exact_calls) == 1
-    assert all(type(members) is tuple for members in lines.values())
-    assert all(type(members) is tuple for members in exact_calls[0][2].values())
-    assert arr.num_lines == len(lines)
-    assert dict(arr.size_hist) == dict(sorted(Counter(map(len, lines.values())).items()))
-    per_point = Counter(chain.from_iterable(lines.values()))
-    assert arr.lines_per_point == tuple(per_point[v] for v in range(arr.n))
-    assert list(lines.values()) == sorted(lines.values())
-
-
 def test_statistics_build_keeps_no_line():
     # circle 200 has no three points collinear: 19,900 2-point lines, which
-    # the line kernel holds in 4.8 MB, 24 KB per point.  Without them the
+    # a dict of all lines held in 4.8 MB, 24 KB per point.  Without them the
     # build holds O(n) objects: 3n homogeneous coordinates, n counts, n
     # masks (all 0 here) and one row's dict of at most n - 1 slope keys, a
     # float each, about 200 bytes per point in all (0.04 MB, CPython 3.11).
@@ -557,7 +546,6 @@ def test_statistics_build_keeps_no_line():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "lines" not in arr.__dict__
     assert dict(arr.size_hist) == {2: 200 * 199 // 2}
     assert peak < 1000 * ps.n
 
@@ -565,57 +553,41 @@ def test_statistics_build_keeps_no_line():
 @pytest.mark.parametrize("scale", [1 << 21, 1 << 30], ids=["scale-2^21", "scale-2^30"])
 def test_large_input_past_the_guard_keeps_exact_statistics(scale, grid23, monkeypatch):
     big = _scaled(grid23, scale)
-    hist, per_point = _exact_statistics(grid23)
+    oracle = brute_force_lines(grid23)
+    hist, per_point = line_statistics(oracle, grid23.n)
     int64_calls = _spy(monkeypatch, "int64_statistics")
     stats_calls = _spy(monkeypatch, "exact_statistics")
-    exact_calls = _spy(monkeypatch, "group_collinear")
     arr = build_arrangement(big)
     assert int64_calls == [None]
     # the build runs the statistics loop, which keeps no line
-    assert len(stats_calls) == 1 and exact_calls == []
-    assert "lines" not in arr.__dict__
+    assert len(stats_calls) == 1
     assert list(arr.size_hist.items()) == list(hist.items())
     assert arr.lines_per_point == tuple(per_point)
-    # the line kernel runs once, when the lines are first read
-    assert list(arr.lines.values()) == list(exact_calls[0][2].values())
-    assert arr.lines is arr.lines and len(exact_calls) == 1
-    assert line_statistics(list(arr.lines.values()), arr.n) == (hist, per_point)
 
     # asked for its lines of 3 or more points, the build runs the
-    # statistics loop once, with a witness, and the line kernel only when
-    # arr.lines is read
-    int64_calls.clear(), stats_calls.clear(), exact_calls.clear()
+    # statistics loop once, with a witness
+    int64_calls.clear(), stats_calls.clear()
     witness = []
     held = build_arrangement(big, lines=witness)
-    assert int64_calls == [None] and len(stats_calls) == 1 and exact_calls == []
-    assert "lines" not in held.__dict__ and held == arr
-    assert list(held.lines.values()) == list(arr.lines.values())
-    assert len(exact_calls) == 1
-    assert witness == [list(m) for m in held.lines.values() if len(m) >= 3]
+    assert int64_calls == [None] and len(stats_calls) == 1 and held == arr
+    assert sorted(witness) == _long_lines(oracle)
 
 
 def test_arrangement_maps_are_read_only(grid33, grid23):
-    lazy = build_arrangement(grid23)
-    for arr in (grid33, lazy):
+    for ps, arr in ((grid(3, 3), grid33), (grid23, build_arrangement(grid23))):
         with pytest.raises(TypeError):
             arr.size_hist[2] = 99
-        key = next(iter(arr.lines))
-        with pytest.raises(TypeError):
-            arr.lines[key] = (0, 1)
-        with pytest.raises(TypeError):
-            del arr.lines[key]
-        assert hash(arr) == hash(build_arrangement(PointSet(arr.points)))
-        # the record itself: no field, new attribute or cached lines can be
-        # set, and no attribute deleted
+        assert hash(arr) == hash(build_arrangement(PointSet(ps.points)))
+        # the record itself: no field, new attribute or lines can be set,
+        # and no attribute deleted
         for name, value in [("n", 1), ("size_hist", {}), ("extra", 1), ("lines", {})]:
             with pytest.raises(AttributeError):
                 setattr(arr, name, value)
         for name in ("n", "lines", "extra"):
             with pytest.raises(AttributeError):
                 delattr(arr, name)
-        assert arr.lines is arr.lines  # still cached
         assert "points=" not in repr(arr) and repr(arr).startswith(f"Arrangement(n={arr.n}, size_hist=")
-    ps = PointSet(grid33.points)
+    ps = PointSet(grid(3, 3).points)
     with pytest.raises(AttributeError):
         ps.points = ()
     with pytest.raises(AttributeError):
@@ -631,38 +603,6 @@ def test_visibility_counts_non_increasing(coords):
     assert counts[-1] == 0
 
 
-def test_line_records_match_membership():
-    arr = build_arrangement(grid(4, 4))
-    for members in arr.lines.values():
-        assert len(members) >= 2
-        assert list(members) == sorted(members)
-    # every member satisfies its line equation, no non-member does
-    ps = grid(4, 4)
-    for (a, b, c), members in list(arr.lines.items())[:10]:
-        on_line = {idx for idx, p in enumerate(ps.points) if a * p.x + b * p.y + c == 0}
-        assert on_line == set(members)
-
-
-@pytest.mark.parametrize(
-    "ps",
-    [
-        grid(5, 4),
-        circle(9),
-        pset((0, 0), ("1/2", 0), (1, "1/3"), ("-1/2", "1/4"), (2, "-1/3"), ("1/3", "1/2"),
-             (-1, -1), ("1/4", "1/4")),
-    ],
-    ids=["grid", "circle", "mixed-denominators"],
-)
-def test_kernel_keys_match_line_through(ps):
-    # the kernel normalizes keys inline; they must equal the reference's LineKey
-    arr = build_arrangement(ps)
-    for key, members in arr.lines.items():
-        expected = line_through(ps.points[members[0]], ps.points[members[1]])
-        assert key == expected
-        assert hash(key) == hash(expected)
-        assert arr.lines[expected] == members
-
-
 def test_pointset_requires_a_point():
     with pytest.raises(DomainError):
         PointSet.of([])
@@ -674,13 +614,12 @@ def test_pointset_requires_a_point():
 
 
 def _assert_lines_match_oracle(ps):
-    arr = build_arrangement(ps)
+    witness = []
+    arr = build_arrangement(ps, lines=witness)
     oracle = brute_force_lines(ps)
-    # the build's statistics loop skips the same pairs as the line kernel
+    # the loop skips the pairs of counted lines and still counts every line
     assert (dict(arr.size_hist), list(arr.lines_per_point)) == line_statistics(oracle, ps.n)
-    assert list(arr.lines.values()) == oracle
-    for key, members in arr.lines.items():
-        assert key == line_through(ps.points[members[0]], ps.points[members[1]])
+    assert sorted(witness) == _long_lines(oracle)
 
 
 # up to 20 points of the 5x5 integer grid or of the halves grid in [-2, 2]^2:
@@ -721,7 +660,7 @@ def test_oracle_equivalence_long_lines(ps):
 
 
 def _count_gcd(monkeypatch):
-    """Count the exact kernels' gcd calls: calls[0]."""
+    """Count the exact loop's gcd calls: calls[0]."""
     calls = [0]
     real = _kern.gcd
 
@@ -734,16 +673,17 @@ def _count_gcd(monkeypatch):
 
 
 @contextmanager
-def _pairs_evaluated(kernel):
-    """Count in evaluated[0] the pairs kernel evaluates while the block runs.
+def _pairs_evaluated():
+    """Count in evaluated[0] the pairs exact_statistics evaluates while the block runs.
 
-    Both exact loops run their line ``w2 = hw[j]`` once for each column a
-    row evaluates, whatever its key, and no other time: a line tracer
-    counts its runs in kernel's frames.  Neither a gcd call (the statistics
-    loop makes one only on a slope collision past the guard) nor a read of
-    hw (past the guard it also reads the first column of each equal slope)
-    marks exactly one pair.
+    The exact loop runs its line ``w2 = hw[j]`` once for each column a row
+    evaluates, whatever its key, and no other time: a line tracer counts
+    its runs in the loop's frames.  Neither a gcd call (the loop makes one
+    only on a slope collision past the guard) nor a read of hw (past the
+    guard it also reads the first column of each equal slope) marks
+    exactly one pair.
     """
+    kernel = _kern.exact_statistics
     code = kernel.__code__
     source, start = inspect.getsourcelines(kernel)
     target = start + [line.strip() for line in source].index("w2 = hw[j]")
@@ -762,18 +702,16 @@ def _pairs_evaluated(kernel):
         sys.settrace(previous)
 
 
-def _evaluated(ps, kernel=_kern.group_collinear):
-    with _pairs_evaluated(kernel) as evaluated:
-        kernel(*_triples(ps))
+def _evaluated(ps):
+    with _pairs_evaluated() as evaluated:
+        _kern.exact_statistics(*_triples(ps))
     return evaluated[0]
 
 
 def test_kernel_skips_pairs_of_finished_lines():
     # C(199, 2) of the 19,900 pairs lie on the long line, found in its first row
     assert _evaluated(near_pencil(200)) <= 2 * 200
-    # the statistics loop skips the same pairs
-    assert _evaluated(near_pencil(200), _kern.exact_statistics) <= 2 * 200
-    assert _evaluated(near_pencil(600), _kern.exact_statistics) <= 2 * 600
+    assert _evaluated(near_pencil(600)) <= 2 * 600
 
 
 @pytest.mark.parametrize("n", [29, 30, 31, 32, 59, 60, 61, 62, 64, 65, 91])
@@ -785,21 +723,20 @@ def test_row_listing_across_int_digit_boundaries(n, apex):
     coords = [(x, 0) for x in range(n - 1)]
     coords.insert({"first": 0, "middle": n // 2, "last": n - 1}[apex], (0, 1))
     ps = pset(*coords)
-    with _pairs_evaluated(_kern.group_collinear) as evaluated:
-        *stats, groups = _kern.group_collinear(*_triples(ps))
+    witness = []
+    with _pairs_evaluated() as evaluated:
+        stats = _kern.exact_statistics(*_triples(ps), witness)
     assert evaluated[0] <= 2 * n
-    assert list(groups.values()) == brute_force_lines(ps)
-    with _pairs_evaluated(_kern.exact_statistics) as evaluated:
-        assert list(_kern.exact_statistics(*_triples(ps))) == stats
-    assert evaluated[0] <= 2 * n
+    oracle = brute_force_lines(ps)
+    assert stats == line_statistics(oracle, ps.n)
+    assert sorted(witness) == _long_lines(oracle)
 
 
 def test_kernel_evaluates_every_pair_without_three_collinear():
     # also the count's own negative control: it reads C(50, 2), not 0
     assert _evaluated(circle(50)) == 50 * 49 // 2
-    assert _evaluated(circle(50), _kern.exact_statistics) == 50 * 49 // 2
     # and past the slope guard, where each equal slope is confirmed
-    assert _evaluated(_scaled(circle(50), 1 << 40), _kern.exact_statistics) == 50 * 49 // 2
+    assert _evaluated(_scaled(circle(50), 1 << 40)) == 50 * 49 // 2
 
 
 # ---------------------------------------------------------------------------
@@ -812,19 +749,15 @@ def test_large_near_pencil_takes_the_exact_path(scale, monkeypatch):
     ps = pset(*[(p.x * scale, p.y * scale) for p in near_pencil(600).points])
     assert ps.n * (ps.n - 1) // 2 >= INT64_MIN_PAIRS
     int64_calls = _spy(monkeypatch, "int64_statistics")
-    with _pairs_evaluated(_kern.exact_statistics) as evaluated:
+    with _pairs_evaluated() as evaluated:
         stats_calls = _spy(monkeypatch, "exact_statistics")
-        exact_calls = _spy(monkeypatch, "group_collinear")
         arr = build_arrangement(ps)
-    assert int64_calls == [] and len(stats_calls) == 1 and exact_calls == []
+    assert int64_calls == [] and len(stats_calls) == 1
     assert evaluated[0] <= 2 * ps.n
-    assert "lines" not in arr.__dict__  # the build keeps no line
     assert dict(arr.size_hist) == {2: 599, 599: 1}
     assert arr.lines_per_point == (2,) * 599 + (599,)
-    # the line kernel runs once, when the lines are first read
-    assert line_statistics(list(arr.lines.values()), ps.n) == (dict(arr.size_hist),
-                                                               list(arr.lines_per_point))
-    assert arr.lines is arr.lines and len(exact_calls) == 1
+    assert line_statistics(brute_force_lines(ps), ps.n) == (dict(arr.size_hist),
+                                                            list(arr.lines_per_point))
 
 
 def _line_plus_off_points(n, k):
@@ -873,8 +806,9 @@ def test_tiny_inputs_past_the_pair_threshold(coords, monkeypatch):
     ps = pset(*coords)
     want = brute_force_lines(ps)
     monkeypatch.setattr(arrangement, "INT64_MIN_PAIRS", 0)
-    arr = build_arrangement(ps)
-    assert list(arr.lines.values()) == want
+    witness = []
+    arr = build_arrangement(ps, lines=witness)
+    assert sorted(witness) == _long_lines(want)
     assert list(arr.size_hist.items()) == list(Counter(sorted(map(len, want))).items())
     per_point = Counter(chain.from_iterable(want))
     assert arr.lines_per_point == tuple(per_point[v] for v in range(ps.n))
@@ -922,16 +856,23 @@ def _in_every_order(coords):
     return [pset(*order) for order in permutations(coords)]
 
 
-def test_farey_neighbour_slopes_that_round_to_one_double_are_two_lines(monkeypatch):
-    # p/q and r/s with ps - qr = 1 differ by 1/(qs), about 2^-62, far below
-    # the 2^-53 spacing of doubles near 3/4: one double, two directions
+def _farey_neighbour_lines():
+    """Two 3-point lines through the origin whose slopes round to one double.
+
+    p/q and r/s with ps - qr = 1 differ by 1/(qs), about 2^-62, far below
+    the 2^-53 spacing of doubles near 3/4: one double, two directions.
+    """
     q = (1 << 31) - 1
     p = 3 * q // 4
     s = pow(p, -1, q)
     r = (p * s - 1) // q
     assert p * s - q * r == 1 and s > 1 << 30
     assert p / q == r / s
-    coords = _two_lines_through_the_origin((q, p), (s, r))
+    return _two_lines_through_the_origin((q, p), (s, r))
+
+
+def test_farey_neighbour_slopes_that_round_to_one_double_are_two_lines(monkeypatch):
+    coords = _farey_neighbour_lines()
     gcd_calls = _count_gcd(monkeypatch)
     for ps in _in_every_order(coords):
         assert not _kern._within_slope_guard(*_triples(ps))
@@ -1006,6 +947,7 @@ def test_no_gcd_inside_the_slope_guard(ps, monkeypatch):
     gcd_calls = _count_gcd(monkeypatch)
     _kern.exact_statistics(*_triples(ps))
     assert gcd_calls[0] == 0
-    # the spy sees the line kernel's gcd, one per evaluated pair
-    _kern.group_collinear(*_triples(ps))
+    # the spy's negative control: past the guard, two directions whose
+    # slopes round to one double make the same loop call gcd
+    _kern.exact_statistics(*_triples(pset(*_farey_neighbour_lines())))
     assert gcd_calls[0] > 0

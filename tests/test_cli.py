@@ -15,7 +15,6 @@ import pointline
 from pointline import Unresolved, _kern, arrangement, bounds, cli, generators, load_points_file
 from pointline.bounds import TheoremCheck
 
-import reference
 from conftest import WITNESS_CORRUPTIONS, WITNESS_GRID, corrupted_grid_witness, exact_tail_table, pset
 
 
@@ -121,8 +120,8 @@ def test_verify_grid_exit_zero(grid_file, capsys):
 
 
 def test_cross_check_catches_wrong_printed_statistics(tmp_path, monkeypatch, capsys):
-    # the int64 path counts the printed statistics without building lines,
-    # so a miscount there leaves arr.lines (and the line comparison) intact
+    # the int64 path counts the printed statistics without building lines;
+    # the cross-check recounts them from the exact loop's witness
     path = tmp_path / "g55.json"
     assert cli.main(["generate", "grid", "--w", "5", "--h", "5", "--out", str(path)]) == 0
     real = _kern.int64_statistics
@@ -231,16 +230,15 @@ def test_cross_check_on_the_int64_statistics_path(tmp_path, monkeypatch, capsys)
     assert cli.main(["generate", "grid", "--w", "23", "--h", "23", "--out", str(path)]) == 0
     stats = _counting(monkeypatch, _kern, "int64_statistics")
     exact = _counting(monkeypatch, _kern, "exact_statistics")
-    kernel = _counting(monkeypatch, _kern, "group_collinear")
     certified = _counting(monkeypatch, cli, "certify_statistics")
     assert cli.main(["verify", str(path)]) == 0
     assert "cross_check:" not in capsys.readouterr().out
-    assert (len(stats), len(exact), len(kernel), len(certified)) == (1, 0, 0, 0)
+    assert (len(stats), len(exact), len(certified)) == (1, 0, 0)
     assert stats[0] is not None
 
     stats.clear()
     assert cli.main(["verify", str(path), "--cross-check"]) == 0
-    assert (len(stats), len(exact), len(kernel), len(certified)) == (1, 1, 0, 1)
+    assert (len(stats), len(exact), len(certified)) == (1, 1, 1)
     assert stats[0] is not None and certified[0] == stats[0]
     out = capsys.readouterr().out
     assert "n: 529" in out
@@ -255,21 +253,18 @@ def test_cross_check_on_the_int64_statistics_path(tmp_path, monkeypatch, capsys)
 def test_verify_runs_one_exact_loop_on_the_exact_path(tmp_path, monkeypatch, capsys, kind):
     # plain verify counts the statistics in the loop that keeps no line;
     # --cross-check asks the same loop for its witness, so one run counts
-    # the printed statistics and hands out the lines it certifies; neither
-    # the line kernel nor the line-level certificate runs
+    # the printed statistics and hands out the lines it certifies
     path = tmp_path / "points.json"
     assert cli.main(["generate", *kind, "--out", str(path)]) == 0
     stats = _counting(monkeypatch, _kern, "exact_statistics")
-    kernel = _counting(monkeypatch, _kern, "group_collinear")
     certified = _counting(monkeypatch, cli, "certify_statistics")
-    line_level = _counting(monkeypatch, reference, "certify_lines")
     assert cli.main(["verify", str(path)]) == 0
     plain = capsys.readouterr().out
-    assert (len(stats), len(kernel), len(certified)) == (1, 0, 0)
+    assert (len(stats), len(certified)) == (1, 0)
 
     stats.clear()
     assert cli.main(["verify", str(path), "--cross-check"]) == 0
-    assert (len(stats), len(kernel), len(certified), len(line_level)) == (1, 0, 1, 0)
+    assert (len(stats), len(certified)) == (1, 1)
     assert certified[0] == stats[0]
     out = capsys.readouterr().out
     assert "cross_check: ok\n" in out
@@ -277,9 +272,9 @@ def test_verify_runs_one_exact_loop_on_the_exact_path(tmp_path, monkeypatch, cap
 
 
 def test_cross_check_keeps_no_line_of_two_points():
-    # circle 200 has no three points collinear: the line kernel held its
-    # 19,900 2-point lines in 4.6 MB for the line-level certificate, 23 KB
-    # per point.  The witness is empty here, and the certificate holds
+    # circle 200 has no three points collinear: a dict of all its lines
+    # held its 19,900 2-point lines in 4.6 MB for a line-level certificate,
+    # 23 KB per point.  The witness is empty here, and the certificate holds
     # its own n triples, n masks and one row's dict of at most n - 1 slope
     # keys: about 220 bytes per point in all for run_verify (0.04 MB,
     # CPython 3.11).  The bound is that of the statistics-only build in

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import pointline
-from pointline import bounds, errors, geometry, oracle
+from pointline import _kern, arrangement, bounds, errors, geometry, oracle
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "pointline"
@@ -146,7 +146,8 @@ def test_the_references_and_the_package_share_no_code():
 
 
 def test_moved_and_deleted_names_are_gone():
-    # the references live in tests/reference.py; the rest had no caller
+    # the references live in tests/reference.py; the rest had no caller, or,
+    # as the lazy line map and its kernel, no command reached them
     gone = {
         pointline: ("orient", "normalize_key", "line_through", "LineKey", "brute_force_lines",
                     "certify_lines", "tail_sum", "IdenticalPoints"),
@@ -155,6 +156,10 @@ def test_moved_and_deleted_names_are_gone():
         bounds: ("tail_sum",),
         errors: ("IdenticalPoints",),
         bounds.Interval: ("of", "width", "contains", "encloses", "__neg__", "__str__"),
+        _kern: ("group_collinear", "_free_columns", "_count_line", "_with_two_point_lines"),
+        arrangement.Arrangement: ("lines",),
     }
     assert [(owner.__name__, name) for owner, names in gone.items()
             for name in names if name in vars(owner)] == []
+    assert arrangement.Arrangement._fields == ("n", "size_hist", "max_collinear", "incidences",
+                                               "lines_per_point", "num_lines")

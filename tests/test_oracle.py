@@ -17,18 +17,15 @@ from pointline import (
 )
 
 from conftest import (
-    CERTIFIED_GRID,
-    LINE_CORRUPTIONS,
     WITNESS_CORRUPTIONS,
     WITNESS_GRID,
-    corrupted_grid_lines,
     corrupted_grid_witness,
     grid_witness,
     line_statistics,
     pset,
     rational_sets,
 )
-from reference import brute_force_lines, certify_lines, orient
+from reference import brute_force_lines, orient
 
 
 def test_two_points_single_line():
@@ -45,24 +42,28 @@ def test_requires_two_points():
     with pytest.raises(TooFewPoints):
         brute_force_lines(pset((5, 5)))
     with pytest.raises(TooFewPoints):
-        certify_lines(pset((5, 5)), {})
-    with pytest.raises(TooFewPoints):
         certify_statistics(pset((5, 5)), [])
+
+
+def _assert_matches_arrangement(ps, oracle):
+    """The build's witness is oracle's lines of 3 or more points, and its statistics oracle's."""
+    witness = []
+    arr = build_arrangement(ps, lines=witness)
+    assert sorted(witness) == [list(members) for members in oracle if len(members) >= 3]
+    assert (dict(arr.size_hist), list(arr.lines_per_point)) == line_statistics(oracle, ps.n)
 
 
 def test_matches_arrangement_on_grid():
     ps = grid(3, 3)
     oracle = brute_force_lines(ps)
-    arr = build_arrangement(ps)
     assert len(oracle) == 20
-    assert list(arr.lines.values()) == oracle
+    _assert_matches_arrangement(ps, oracle)
 
 
 @pytest.mark.parametrize("n", [8, 120])
 def test_matches_arrangement_on_rational_coordinates(n):
     ps = circle(n)
-    arr = build_arrangement(ps)
-    assert list(arr.lines.values()) == brute_force_lines(ps)
+    _assert_matches_arrangement(ps, brute_force_lines(ps))
 
 
 def test_collinear_triples_merge():
@@ -77,19 +78,19 @@ def test_does_not_use_the_line_kernels(monkeypatch):
     ps = pset(("1/2", "1/3"), (1, "2/3"), ("3/2", 1), (0, "1/5"), ("1/3", 0), ("-1/4", "3/2"))
     witness = []
     arr = build_arrangement(ps, lines=witness)
-    expected = list(arr.lines.values())
-    assert (0, 1, 2) in expected and witness == [[0, 1, 2]]
+    stats = (dict(arr.size_hist), list(arr.lines_per_point))
+    assert witness == [[0, 1, 2]]
 
     def refuse(*args):
         raise AssertionError("the oracle called a line kernel")
 
     monkeypatch.setattr(_kern, "homogenise", refuse)
-    monkeypatch.setattr(_kern, "group_collinear", refuse)
     monkeypatch.setattr(_kern, "exact_statistics", refuse)
     monkeypatch.setattr(_kern, "int64_statistics", refuse)
-    assert brute_force_lines(ps) == expected
-    assert certify_lines(ps, arr.lines) == (dict(arr.size_hist), list(arr.lines_per_point))
-    assert certify_statistics(ps, witness) == (dict(arr.size_hist), list(arr.lines_per_point))
+    lines = brute_force_lines(ps)
+    assert [list(members) for members in lines if len(members) >= 3] == witness
+    assert line_statistics(lines, ps.n) == stats
+    assert certify_statistics(ps, witness) == stats
 
 
 def _naive_lines(ps):
@@ -143,43 +144,6 @@ def test_coordinates_past_int64():
     assert len(lines) == 3 + 9  # 21 pairs, 12 of them on the three lines above
 
 
-# ---------------------------------------------------------------------------
-# the line-level certificate of the tests' reference
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", LINE_CORRUPTIONS)
-def test_certificate_rejects_corrupted_lines(name):
-    lines = build_arrangement(CERTIFIED_GRID).lines
-    assert certify_lines(CERTIFIED_GRID, lines) is not None
-    corrupted = corrupted_grid_lines(name)
-    assert corrupted != dict(lines)
-    assert certify_lines(CERTIFIED_GRID, corrupted) is None
-
-
-# each edit keeps every other check passing; the line x = 3 of grid(4, 4)
-# is (12, 13, 14, 15), and x + y = 0 holds point 0 alone
-@pytest.mark.parametrize("key, members", [
-    ((1, 1, 1), ()),                  # a line through no point
-    ((1, 1, 0), (0,)),                # a line through one point
-    ((1, 0, -3), (-1, 12, 13, 14)),   # -1 standing in for n - 1
-    ((1, 0, -3), (12, 13, 14, 16)),   # past the last index
-    ((1, 0, -3), (15, 14, 13, 12)),   # descending
-], ids=["empty", "one member", "negative index", "index n", "descending"])
-def test_certificate_rejects_member_lists_out_of_shape(key, members):
-    lines = dict(build_arrangement(CERTIFIED_GRID).lines)
-    assert lines[(1, 0, -3)] == (12, 13, 14, 15)
-    lines[key] = members
-    assert certify_lines(CERTIFIED_GRID, lines) is None
-
-
-@given(rational_sets)
-@settings(max_examples=80)
-def test_certificate_counts_what_the_oracle_counts(coords):
-    ps = pset(*coords)
-    assert certify_lines(ps, build_arrangement(ps).lines) == line_statistics(brute_force_lines(ps), ps.n)
-
-
 _BIG = 2**63 + 1
 # the inputs of the cross-check tests here, in test_cli and in test_acceptance,
 # the shapes of the benchmark's crosscheck workload, and a near-pencil
@@ -204,9 +168,10 @@ def test_certificate_accepts_every_cross_check_input(name):
     ps = CROSS_CHECK_INPUTS[name]()
     witness = []
     arr = build_arrangement(ps, lines=witness)
-    oracle = line_statistics(brute_force_lines(ps), ps.n)
+    lines = brute_force_lines(ps)
+    oracle = line_statistics(lines, ps.n)
     assert oracle == (dict(arr.size_hist), list(arr.lines_per_point))
-    assert certify_lines(ps, arr.lines) == oracle
+    assert sorted(witness) == [list(members) for members in lines if len(members) >= 3]
     assert certify_statistics(ps, witness) == oracle
 
 
@@ -262,6 +227,34 @@ def test_statistics_certificate_refuses_a_wrong_witness(name):
     corrupted = corrupted_grid_witness(name)
     assert corrupted != witness
     assert certify_statistics(WITNESS_GRID, corrupted) is None
+
+
+# each edit keeps every other check passing; the line x = 5 of grid(6, 6) is
+# the witness's last entry, [30, 31, 32, 33, 34, 35]
+@pytest.mark.parametrize("members", [
+    [],                                # a line through no point
+    [0],                               # a line through one point
+    [-1, 30, 31, 32, 33, 34],          # -1 standing in for n - 1
+    [30, 31, 32, 33, 34, 36],          # past the last index
+    [35, 34, 33, 32, 31, 30],          # descending
+], ids=["empty", "one member", "negative index", "index n", "descending"])
+def test_certificate_rejects_member_lists_out_of_shape(members):
+    witness = grid_witness()
+    assert witness[-1] == [30, 31, 32, 33, 34, 35]
+    if len(members) < 3:
+        witness.append(members)
+    else:
+        witness[-1] = members
+    assert certify_statistics(WITNESS_GRID, witness) is None
+
+
+@given(rational_sets)
+@settings(max_examples=80)
+def test_certificate_counts_what_the_oracle_counts(coords):
+    ps = pset(*coords)
+    witness = []
+    build_arrangement(ps, lines=witness)
+    assert certify_statistics(ps, witness) == line_statistics(brute_force_lines(ps), ps.n)
 
 
 def test_statistics_certificate_refuses_three_points_off_one_line():

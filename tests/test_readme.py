@@ -27,3 +27,15 @@ def test_docs_state_the_guard_of_the_vectorised_kernel():
 def test_readme_states_the_coordinate_pattern_the_loader_uses():
     patterns = re.findall(r"rational string matching `([^`]+)`", README.read_text())
     assert patterns == [generators._COORD_RE.pattern]
+
+
+def test_deleted_line_map_is_named_only_in_the_migration_note():
+    # the package keeps one exact loop; the deleted line kernel and line
+    # certificate are named only where the README tells users what replaced them
+    gone = ("group_collinear", "certify_lines")
+    src = Path(arrangement.__file__).parent
+    assert [(path.name, name) for path in sorted(src.glob("*.py"))
+            for name in gone if name in path.read_text(encoding="utf-8")] == []
+    naming = [paragraph for paragraph in README.read_text().split("\n\n")
+              if any(name in paragraph for name in gone)]
+    assert naming and all(paragraph.startswith("**Migration.**") for paragraph in naming)

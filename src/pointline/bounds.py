@@ -1,7 +1,7 @@
 """Bound constants, series enclosures, inequality checks, and constant scans.
 
 Everything here is exact or a true enclosure: closed-form quantities are
-Fractions, and the two infinite series that appear in the bound
+exact rationals, and the two infinite series that appear in the bound
 coefficients are bracketed by an Interval: a partial sum up to a cutoff
 M, plus the Euler-Maclaurin bracket of the remainder past M (truncated
 after the B_2 and after the B_4 term; Graham, Knuth and Patashnik,
@@ -20,11 +20,13 @@ n/26 + 2 are never rounded.
 
 The constant formulas of the two bound families live in one record
 builder each (_wd_record, _few_record; BoundParamsWD.with_eps gives the
-eps-dependent delta from the record's numerator).  The scans over c
-(scan_constants_wd, scan_constants_few) are the only callers of those
-builders and return their records, so callers such as the CLI format
-fields and never re-derive one.  The record at a single c is the one
-record of the scan from c to c.
+eps-dependent delta from the record's numerator), from integer closed
+forms, one Fraction per field or enclosure end; the paper-form formulas,
+in Fraction and Interval operators, are in tests/reference.py.  The scans
+over c (scan_constants_wd, scan_constants_few) are the only callers of
+those builders and return their records, so callers such as the CLI
+format fields and never re-derive one.  The record at a single c is the
+one record of the scan from c to c.
 """
 from __future__ import annotations
 
@@ -44,10 +46,11 @@ MAX_CUTOFF = 1 << 12
 class Interval(namedtuple("Interval", "lo hi")):
     """Closed rational interval [lo, hi] enclosing a real value, as a named tuple.
 
-    Supports the affine arithmetic the bound formulas need: addition and
-    subtraction with scalars or intervals, sign-aware scalar multiplication,
-    and division by a nonzero scalar.  Each operator is defined here, so
-    none falls back to tuple concatenation or repetition.  Intervals are
+    Supports the affine arithmetic of few_lines_lower_bound and the paper-form
+    reference records: addition and subtraction with scalars or intervals,
+    sign-aware scalar multiplication, and division by a nonzero scalar.
+    Each operator is defined here, so none falls back to tuple
+    concatenation or repetition.  Intervals are
     not ordered: <, <=, > and >= raise TypeError rather than compare the
     endpoints as a tuple, so max and sorted refuse them too.
     """
@@ -300,7 +303,10 @@ class BoundParamsWD(NamedTuple):
     def with_eps(self, eps: Rational) -> "BoundParamsWD":
         """A copy of this record with delta filled in for eps in (0, 1/2)."""
         eps = check_eps(eps)
-        return self._replace(eps=eps, delta=(self.num - eps * self.k.alpha) / (self.h + 1))
+        ea, ea_den = eps.numerator * self.k.alpha.numerator, eps.denominator * self.k.alpha.denominator
+        ends = [(v.numerator * ea_den - ea * v.denominator, v.denominator * ea_den) for v in self.num]
+        h = self.h  # delta = (num - eps*alpha)/(h + 1)
+        return self._replace(eps=eps, delta=_scaled(ends, h.denominator, h.numerator + h.denominator))
 
 
 class BoundParamsFew(NamedTuple):
@@ -319,31 +325,47 @@ class BoundParamsFew(NamedTuple):
     eps: Interval
 
 
+def _series_ends(off_num: int, off_den: int, series: Interval, beta: Rational) -> list[tuple[int, int]]:
+    """1 - (beta/2)(off_num/off_den + S) as (num, den): the lower end (S = series.hi, beta > 0), then the upper."""
+    ends = []
+    for s in (series.hi, series.lo):
+        den = 2 * beta.denominator * off_den * s.denominator
+        ends.append((den - beta.numerator * (off_num * s.denominator + s.numerator * off_den), den))
+    return ends
+
+
+def _scaled(ends: list[tuple[int, int]], num: int, den: int) -> Interval:
+    """The Interval of the (num, den) end pairs, each times num/den > 0, one Fraction per end."""
+    (lo_num, lo_den), (hi_num, hi_den) = ends
+    return Interval(Fraction(lo_num * num, lo_den * den), Fraction(hi_num * num, hi_den * den))
+
+
 def _wd_record(c: int, series: Interval, k: CrossingConstants) -> BoundParamsWD:
-    h = Fraction(c * (c - 2), 5 * c - 18)
-    offset = Fraction(-18 * (c - 2), c**3 * (5 * c - 18))  # y * (c+1)/c^3 in closed form
-    num = 1 - (k.beta / 2) * (offset + series)
+    p, q = c * (c - 2), 5 * c - 18  # h = p/q
+    a_num, a_den = k.alpha.numerator, k.alpha.denominator
+    ends = _series_ends(-18 * (c - 2), c**3 * q, series, k.beta)  # offset y * (c+1)/c^3
     return BoundParamsWD(
         c=c,
         eps=None,
-        h=h,
-        x=(h + 1) / 2,
-        y=c - 5 * h - 2 + 18 * h / (c + 1),
+        h=Fraction(p, q),
+        x=Fraction(p + q, 2 * q),  # (h + 1)/2
+        y=Fraction(-18 * (c - 2), (c + 1) * q),  # c - 5h - 2 + 18h/(c + 1)
         delta=None,
-        r=(2 * h - 1 + k.alpha) / (h + 1),
-        num=num,
-        f=num / (h + 1 + k.alpha),
+        r=Fraction((2 * p - q) * a_den + a_num * q, (p + q) * a_den),  # (2h - 1 + alpha)/(h + 1)
+        num=_scaled(ends, 1, 1),
+        f=_scaled(ends, q * a_den, (p + q) * a_den + a_num * q),  # num/(h + 1 + alpha)
         k=k,
     )
 
 
 def _few_record(c: int, series: Interval, k: CrossingConstants) -> BoundParamsFew:
-    h = Fraction(c * c - c - 2, 4 * c - 16)
-    x = h + 1
-    offset = Fraction(c * c - 3 * c - 14, 2 * c**3 * (c - 4))
-    a = (1 - (k.beta / 2) * (offset + series)) / (2 * x)
-    b = k.alpha / (2 * x)
-    return BoundParamsFew(c=c, h=h, x=x, a=a, b=b, eps=2 * a / (1 + 2 * b))
+    p, q = c * c - c - 2, 4 * c - 16  # h = p/q, x = h + 1 = (p + q)/q
+    a_num, a_den = k.alpha.numerator, k.alpha.denominator
+    ends = _series_ends(c * c - 3 * c - 14, 2 * c**3 * (c - 4), series, k.beta)
+    return BoundParamsFew(c=c, h=Fraction(p, q), x=Fraction(p + q, q),
+                          a=_scaled(ends, q, 2 * (p + q)),  # (1 - (beta/2)(offset + S))/(2x)
+                          b=Fraction(a_num * q, 2 * a_den * (p + q)),  # alpha/(2x)
+                          eps=_scaled(ends, q * a_den, a_den * (p + q) + a_num * q))  # 2A/(1 + 2B)
 
 
 class ScanResult(NamedTuple):

@@ -1,3 +1,5 @@
+import inspect
+import textwrap
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -23,6 +25,15 @@ def line_statistics(lines, n: int) -> tuple[dict[int, int], list[int]]:
     size_hist = dict(sorted(Counter(map(len, lines)).items()))
     per_point = Counter(chain.from_iterable(lines))
     return size_hist, [per_point[v] for v in range(n)]
+
+
+def mutant(module, name: str, old: str, new: str):
+    """module.<name> compiled again from its source with old replaced by new."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
 
 
 def contains(iv: Interval, value) -> bool:

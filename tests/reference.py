@@ -49,6 +49,14 @@ entries only to name an offender; the tests require the two to agree on
 every file, value for value and message for message.  It writes the
 coordinate pattern and the "int when integral, else reduced Fraction" rule
 out again.
+
+``wd_record``, ``few_record`` and ``with_eps`` are the bound-constant
+records in the paper's form: each field is the formula of the record's
+docstring, evaluated in Fraction and Interval operators (offset + S,
+times beta/2, subtracted from 1, divided by h + 1 + alpha, ...).  The
+package builds the same exact rationals from integer closed forms, one
+Fraction per field or enclosure end; the tests require the two to agree
+field by field.
 """
 from __future__ import annotations
 
@@ -58,7 +66,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import IO, NamedTuple
 
-from pointline import DomainError, Point, PointFormatError, PointSet, TooFewPoints
+from pointline import (BoundParamsFew, BoundParamsWD, CrossingConstants, DomainError, Interval,
+                       Point, PointFormatError, PointSet, TooFewPoints)
 
 
 class LineKey(NamedTuple):
@@ -178,3 +187,37 @@ def load_points_per_entry(fp: IO[str]) -> PointSet:
         return PointSet.of(pts)
     except DomainError as exc:
         raise PointFormatError(str(exc)) from exc
+
+
+def wd_record(c: int, series: Interval, k: CrossingConstants) -> BoundParamsWD:
+    """The incidence-bound record at c from the series enclosure, in the paper's form."""
+    h = Fraction(c * (c - 2), 5 * c - 18)
+    offset = Fraction(-18 * (c - 2), c**3 * (5 * c - 18))  # y * (c+1)/c^3 in closed form
+    num = 1 - (k.beta / 2) * (offset + series)
+    return BoundParamsWD(
+        c=c,
+        eps=None,
+        h=h,
+        x=(h + 1) / 2,
+        y=c - 5 * h - 2 + 18 * h / (c + 1),
+        delta=None,
+        r=(2 * h - 1 + k.alpha) / (h + 1),
+        num=num,
+        f=num / (h + 1 + k.alpha),
+        k=k,
+    )
+
+
+def with_eps(p: BoundParamsWD, eps: Fraction) -> BoundParamsWD:
+    """The record p with delta = (num - eps*alpha)/(h + 1) filled in, eps taken as valid."""
+    return p._replace(eps=eps, delta=(p.num - eps * p.k.alpha) / (p.h + 1))
+
+
+def few_record(c: int, series: Interval, k: CrossingConstants) -> BoundParamsFew:
+    """The few-point-line record at c from the series enclosure, in the paper's form."""
+    h = Fraction(c * c - c - 2, 4 * c - 16)
+    x = h + 1
+    offset = Fraction(c * c - 3 * c - 14, 2 * c**3 * (c - 4))
+    a = (1 - (k.beta / 2) * (offset + series)) / (2 * x)
+    b = k.alpha / (2 * x)
+    return BoundParamsFew(c=c, h=h, x=x, a=a, b=b, eps=2 * a / (1 + 2 * b))

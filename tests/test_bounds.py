@@ -1,4 +1,5 @@
 import operator
+import sys
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -29,7 +30,8 @@ from pointline import (
     visibility_edge_count,
 )
 
-from conftest import contains, encloses, exact_tail_table, tail
+import reference
+from conftest import contains, encloses, exact_tail_table, mutant, tail
 
 ALPHA = F(103, 16)
 BETA = F(31827, 1024)
@@ -563,6 +565,89 @@ def test_with_eps_validation():
         with pytest.raises(DomainError):
             p.with_eps(eps)
     assert p.with_eps(F(1, 30)).delta.lo > p.delta.lo
+
+
+# the family minimum and the series kind of each record builder
+FAMILIES = {"wd": (8, "(i+1)/i^3"), "few": (29, "1/i^2")}
+# as the CLI parses them: Fractions (the paper form's beta/2 needs one)
+positive = st.builds(F, st.integers(1, 2**70), st.one_of(st.just(1), st.integers(1, 2**70)))
+
+
+def _assert_records_match_the_paper_form(family, c, k, series, eps):
+    """The package's record at c equals the reference's, field by field, and so does with_eps."""
+    if family == "wd":
+        shipped, paper = bounds_mod._wd_record(c, series, k), reference.wd_record(c, series, k)
+        shipped, paper = [shipped, shipped.with_eps(eps)], [paper, reference.with_eps(paper, eps)]
+    else:
+        shipped, paper = [bounds_mod._few_record(c, series, k)], [reference.few_record(c, series, k)]
+    for ours, theirs in zip(shipped, paper):
+        assert ours._fields == theirs._fields
+        for name, mine, want in zip(ours._fields, ours, theirs):
+            assert (type(mine), mine) == (type(want), want), (family, c, name)
+
+
+@st.composite
+def record_inputs(draw):
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    c_min, kind = FAMILIES[family]
+    c = draw(st.integers(c_min, 4096))
+    if draw(st.booleans()):
+        series = tail(kind, c, draw(st.integers(c, min(4096, c + 300))))
+    else:
+        series = Interval(*sorted(draw(st.lists(st.fractions(), min_size=2, max_size=2))))
+    k = CrossingConstants(draw(positive), draw(positive))
+    eps = draw(st.fractions(0, F(1, 2)).filter(lambda v: 0 < v < F(1, 2)))
+    return family, c, k, series, eps
+
+
+@settings(max_examples=150)
+@given(record_inputs())
+@example(("wd", 46, CrossingConstants(), tail("(i+1)/i^3", 46, 256), F(1, 26)))
+@example(("few", 44, CrossingConstants(F(7), F(29)), tail("1/i^2", 44, 4096), F(1, 3)))
+def test_records_equal_the_paper_form(inputs):
+    _assert_records_match_the_paper_form(*inputs)
+
+
+@pytest.mark.parametrize("name, old, new", [
+    # y without its 18h/(c + 1) term: c - 5h - 2 = -18(c - 2)/(5c - 18)
+    ("_wd_record", "Fraction(-18 * (c - 2), (c + 1) * q)", "Fraction(-18 * (c - 2), q)"),
+    # the lower end taken at the lower series end
+    ("_series_ends", "(series.hi, series.lo)", "(series.lo, series.hi)"),
+], ids=["y-term", "series-ends"])
+def test_the_paper_form_property_catches_a_mutant(name, old, new, monkeypatch):
+    monkeypatch.setattr(bounds_mod, name, mutant(bounds_mod, name, old, new))
+    with pytest.raises((AssertionError, DomainError)):
+        _assert_records_match_the_paper_form("wd", 46, CrossingConstants(), tail("(i+1)/i^3", 46, 256), F(1, 26))
+
+
+def _fraction_constructions(call):
+    """call() and the number of Fraction.__new__ calls it made, counted with sys.setprofile."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is F.__new__.__code__:
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, count
+
+
+def test_each_record_builds_a_few_fractions():
+    # a count, not a timing: each field is one Fraction from integer closed
+    # forms (the tail table adds its two enclosure ends per c), where the
+    # paper-form operators made 28 (wd), 23 (few) and 9 (with_eps) apiece
+    wd, wd_count = _fraction_constructions(lambda: scan_constants_wd(8, 200))
+    few, few_count = _fraction_constructions(lambda: scan_constants_few(29, 200))
+    assert wd.cutoff == few.cutoff == bounds_mod.DEFAULT_CUTOFF  # one round each
+    _, eps_count = _fraction_constructions(lambda: [p.with_eps(F(1, 26)) for p in wd.records])
+    assert wd_count <= 12 * len(wd.records)
+    assert few_count <= 11 * len(few.records)
+    assert eps_count <= 6 * len(wd.records)
 
 
 @pytest.mark.parametrize(

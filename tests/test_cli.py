@@ -1,10 +1,10 @@
+import hashlib
 import inspect
 import json
 import math
 import os
 import subprocess
 import sys
-import textwrap
 import tracemalloc
 from fractions import Fraction as F
 
@@ -15,7 +15,8 @@ import pointline
 from pointline import Unresolved, _kern, arrangement, bounds, cli, generators, load_points_file
 from pointline.bounds import TheoremCheck
 
-from conftest import WITNESS_CORRUPTIONS, WITNESS_GRID, corrupted_grid_witness, exact_tail_table, pset
+from conftest import (WITNESS_CORRUPTIONS, WITNESS_GRID, corrupted_grid_witness, exact_tail_table, mutant,
+                      pset)
 
 
 @pytest.fixture()
@@ -164,15 +165,6 @@ def test_cross_check_catches_wrong_printed_statistics_on_the_exact_path(
     assert "cross_check: mismatch" in out
 
 
-def _mutant(name, old, new):
-    """_kern.<name> compiled again from its source with old replaced by new."""
-    source = textwrap.dedent(inspect.getsource(getattr(_kern, name)))
-    assert source.count(old) == 1
-    namespace = dict(vars(_kern))
-    exec(compile(source.replace(old, new), _kern.__file__, "exec"), namespace)
-    return namespace[name]
-
-
 # the slope key with the sign of its direction: a line whose first point
 # lies between two later ones splits in two there
 SIGN_MUTANT = ("key = dy / dx if dx else inf", "key = (dy / dx if dx else inf, dx > 0 or (dx == 0 and dy > 0))")
@@ -190,7 +182,7 @@ def test_cross_check_catches_a_sign_mutant_of_the_exact_loop(tmp_path, monkeypat
     honest = capsys.readouterr().out
     assert "cross_check: ok" in honest and "s[3]: 2" in honest
 
-    monkeypatch.setattr(_kern, "exact_statistics", _mutant("exact_statistics", *SIGN_MUTANT))
+    monkeypatch.setattr(_kern, "exact_statistics", mutant(_kern, "exact_statistics", *SIGN_MUTANT))
     assert cli.main(["verify", str(path)]) == 0
     assert "s[3]" not in capsys.readouterr().out  # plain verify prints the mutant's counts
     assert cli.main(["verify", str(path), "--cross-check"]) == 2
@@ -203,7 +195,7 @@ def test_cross_check_catches_a_mutant_of_the_int64_loop(tmp_path, monkeypatch, c
     path = tmp_path / "g55.json"
     assert cli.main(["generate", "grid", "--w", "5", "--h", "5", "--out", str(path)]) == 0
     monkeypatch.setattr(arrangement, "INT64_MIN_PAIRS", 1)
-    monkeypatch.setattr(_kern, "int64_statistics", _mutant("int64_statistics", *INT64_MUTANT))
+    monkeypatch.setattr(_kern, "int64_statistics", mutant(_kern, "int64_statistics", *INT64_MUTANT))
     assert cli.main(["verify", str(path), "--cross-check"]) == 2
     out = capsys.readouterr().out
     assert "lines: 140" not in out  # the mutant's counts are printed
@@ -678,6 +670,31 @@ def test_constants_output_matches_the_exact_tail_sums(argv, monkeypatch, capsys)
     shipped = cli.main(["constants", *argv]), capsys.readouterr()
     monkeypatch.setattr(bounds, "_suffix_tail_table", exact_tail_table)
     assert (cli.main(["constants", *argv]), capsys.readouterr()) == shipped
+
+
+# sha256 of repr((exit code, stdout, stderr)) of each GATE_CALLS call, as
+# printed when each record field was still evaluated in Fraction and
+# Interval operators: the integer closed forms must not move a byte
+GATE_DIGESTS = [
+    "e253ddb50a48469739593958b8f9fe67d8ee9f584ed3bf1eeb8f06e7a9ffba18",
+    "09f561830156cbd4a4441e9ce1d5094f5ad6cada1b6d21c246d11d0396c4474c",
+    "5719ab41258cc17fd6fd8b5722bca2222205b0ae07d6eae1c056145ec9bf1d36",
+    "cd06d1679089575263cda24bce454ab4f49b540b69ca823fb0b9233ba2dcc523",
+    "04b92fce650f190912da412c4946f865aeacd1339cc3743f4d6b5a65ef7f4cd6",
+    "9212d4336246a71ea74113d0ce42e0682bd709b73d84cf5a7d488fdc2e6a833e",
+    "9d72a588bd19c2e6588df368bdb9aa74a9b308a1dae8f8f3307480acb2a37e4a",
+    "5f1ad71b9a74309458f500bf07ebc205b8f30b51dfe5aeea088f2c81778a8bfa",
+    "96a764f0c02c20de0c23c6f6741574a9f59bb68ac5e7e72930b937efdd81304d",
+    "982df0cd93b7484c3889ac9315a640f88be8323b557447d24a3f297109be6ad0",
+]
+
+
+@pytest.mark.parametrize("argv, digest", zip(GATE_CALLS, GATE_DIGESTS, strict=True),
+                         ids=[" ".join(argv) for argv in GATE_CALLS])
+def test_constants_output_bytes_are_unchanged(argv, digest, capsys):
+    code = cli.main(["constants", *argv])
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(repr((code, out, err)).encode()).hexdigest() == digest
 
 
 def _outward(iv, digits=15):

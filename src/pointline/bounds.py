@@ -22,11 +22,12 @@ The constant formulas of the two bound families live in one record
 builder each (_wd_record, _few_record; BoundParamsWD.with_eps gives the
 eps-dependent delta from the record's numerator), from integer closed
 forms, one Fraction per field or enclosure end; the paper-form formulas,
-in Fraction and Interval operators, are in tests/reference.py.  The scans
-over c (scan_constants_wd, scan_constants_few) are the only callers of
-those builders and return their records, so callers such as the CLI
-format fields and never re-derive one.  The record at a single c is the
-one record of the scan from c to c.
+in Fraction at both ends of the series enclosure, are in
+tests/reference.py.  The scans over c (scan_constants_wd,
+scan_constants_few) are the only callers of those builders and return
+their records, so callers such as the CLI format fields and never
+re-derive one.  The record at a single c is the one record of the scan
+from c to c.
 """
 from __future__ import annotations
 
@@ -46,13 +47,12 @@ MAX_CUTOFF = 1 << 12
 class Interval(namedtuple("Interval", "lo hi")):
     """Closed rational interval [lo, hi] enclosing a real value, as a named tuple.
 
-    Supports the affine arithmetic of few_lines_lower_bound and the paper-form
-    reference records: addition and subtraction with scalars or intervals,
-    sign-aware scalar multiplication, and division by a nonzero scalar.
-    Each operator is defined here, so none falls back to tuple
-    concatenation or repetition.  Intervals are
-    not ordered: <, <=, > and >= raise TypeError rather than compare the
-    endpoints as a tuple, so max and sorted refuse them too.
+    A plain enclosure record: compute with its lo and hi endpoints.
+    Intervals are not ordered and have no arithmetic: <, <=, > and >=
+    raise TypeError rather than compare the endpoints as a tuple, so max
+    and sorted refuse them too, and + and * raise TypeError rather than
+    concatenate or repeat the endpoints as a tuple (-, / and unary minus
+    have no tuple form and raise it as well).
     """
 
     __slots__ = ()
@@ -62,49 +62,10 @@ class Interval(namedtuple("Interval", "lo hi")):
             raise DomainError(f"interval endpoints out of order: {lo} > {hi}")
         return super().__new__(cls, lo, hi)
 
-    def __add__(self, other):
-        if isinstance(other, Interval):
-            return Interval(self.lo + other.lo, self.hi + other.hi)
-        if isinstance(other, (int, Fraction)):
-            return Interval(self.lo + other, self.hi + other)
-        return NotImplemented
+    def _refused(self, other):
+        raise TypeError("intervals are not ordered and have no arithmetic; use their lo or hi endpoints")
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Interval):
-            return Interval(self.lo - other.hi, self.hi - other.lo)
-        if isinstance(other, (int, Fraction)):
-            return Interval(self.lo - other, self.hi - other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Interval(other - self.hi, other - self.lo)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other >= 0:
-                return Interval(self.lo * other, self.hi * other)
-            return Interval(self.hi * other, self.lo * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other > 0:
-                return Interval(self.lo / other, self.hi / other)
-            if other < 0:
-                return Interval(self.hi / other, self.lo / other)
-            raise ZeroDivisionError("interval divided by zero")
-        return NotImplemented
-
-    def _unordered(self, other):
-        raise TypeError("intervals are not ordered; compare their lo or hi endpoints")
-
-    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = _refused
 
 
 class CrossingConstants(namedtuple("CrossingConstants", "alpha beta")):
@@ -457,7 +418,8 @@ def few_lines_lower_bound(n: int, l: int, p: BoundParamsFew) -> Interval:
     """Enclosure of A*n^2 - B*l*n, the guaranteed count of lines with <= c points."""
     if not 2 <= l <= n:
         raise DomainError(f"need 2 <= l <= n, got l={l}, n={n}")
-    return p.a * n**2 - p.b * l * n
+    cut = p.b * l * n
+    return Interval(p.a.lo * n * n - cut, p.a.hi * n * n - cut)
 
 
 # ---------------------------------------------------------------------------

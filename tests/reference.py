@@ -52,11 +52,13 @@ out again.
 
 ``wd_record``, ``few_record`` and ``with_eps`` are the bound-constant
 records in the paper's form: each field is the formula of the record's
-docstring, evaluated in Fraction and Interval operators (offset + S,
-times beta/2, subtracted from 1, divided by h + 1 + alpha, ...).  The
-package builds the same exact rationals from integer closed forms, one
-Fraction per field or enclosure end; the tests require the two to agree
-field by field.
+docstring in Fraction operators (offset + S, times beta/2, subtracted
+from 1, divided by h + 1 + alpha, ...).  An enclosure field evaluates its
+formula at both ends of its input enclosure and sorts the two values
+(``_at_ends``); every such field is monotone in the series value S, so
+these are the ends of its enclosure.  The package builds the same exact
+rationals from integer closed forms, one Fraction per field or
+enclosure end; the tests require the two to agree field by field.
 """
 from __future__ import annotations
 
@@ -189,11 +191,16 @@ def load_points_per_entry(fp: IO[str]) -> PointSet:
         raise PointFormatError(str(exc)) from exc
 
 
+def _at_ends(formula, iv: Interval) -> Interval:
+    """The Interval from formula at iv.lo and at iv.hi, sorted; formula is monotone."""
+    return Interval(*sorted((formula(iv.lo), formula(iv.hi))))
+
+
 def wd_record(c: int, series: Interval, k: CrossingConstants) -> BoundParamsWD:
     """The incidence-bound record at c from the series enclosure, in the paper's form."""
     h = Fraction(c * (c - 2), 5 * c - 18)
     offset = Fraction(-18 * (c - 2), c**3 * (5 * c - 18))  # y * (c+1)/c^3 in closed form
-    num = 1 - (k.beta / 2) * (offset + series)
+    num = _at_ends(lambda s: 1 - (k.beta / 2) * (offset + s), series)
     return BoundParamsWD(
         c=c,
         eps=None,
@@ -203,14 +210,14 @@ def wd_record(c: int, series: Interval, k: CrossingConstants) -> BoundParamsWD:
         delta=None,
         r=(2 * h - 1 + k.alpha) / (h + 1),
         num=num,
-        f=num / (h + 1 + k.alpha),
+        f=_at_ends(lambda v: v / (h + 1 + k.alpha), num),
         k=k,
     )
 
 
 def with_eps(p: BoundParamsWD, eps: Fraction) -> BoundParamsWD:
     """The record p with delta = (num - eps*alpha)/(h + 1) filled in, eps taken as valid."""
-    return p._replace(eps=eps, delta=(p.num - eps * p.k.alpha) / (p.h + 1))
+    return p._replace(eps=eps, delta=_at_ends(lambda v: (v - eps * p.k.alpha) / (p.h + 1), p.num))
 
 
 def few_record(c: int, series: Interval, k: CrossingConstants) -> BoundParamsFew:
@@ -218,6 +225,6 @@ def few_record(c: int, series: Interval, k: CrossingConstants) -> BoundParamsFew
     h = Fraction(c * c - c - 2, 4 * c - 16)
     x = h + 1
     offset = Fraction(c * c - 3 * c - 14, 2 * c**3 * (c - 4))
-    a = (1 - (k.beta / 2) * (offset + series)) / (2 * x)
+    a = _at_ends(lambda s: (1 - (k.beta / 2) * (offset + s)) / (2 * x), series)
     b = k.alpha / (2 * x)
-    return BoundParamsFew(c=c, h=h, x=x, a=a, b=b, eps=2 * a / (1 + 2 * b))
+    return BoundParamsFew(c=c, h=h, x=x, a=a, b=b, eps=_at_ends(lambda v: 2 * v / (1 + 2 * b), a))

@@ -155,7 +155,8 @@ def test_moved_and_deleted_names_are_gone():
         oracle: ("brute_force_lines", "certify_lines"),
         bounds: ("tail_sum",),
         errors: ("IdenticalPoints",),
-        bounds.Interval: ("of", "width", "contains", "encloses", "__neg__", "__str__"),
+        bounds.Interval: ("of", "width", "contains", "encloses", "__neg__", "__str__",
+                          "__radd__", "__sub__", "__rsub__", "__truediv__"),
         _kern: ("group_collinear", "_free_columns", "_count_line", "_with_two_point_lines"),
         arrangement.Arrangement: ("lines",),
     }

@@ -1,9 +1,10 @@
 """The README's Library examples, run as a doctest, and the facts it states."""
 import doctest
 import re
+import shlex
 from pathlib import Path
 
-from pointline import _kern, arrangement, generators
+from pointline import _kern, arrangement, cli, generators
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,3 +40,19 @@ def test_deleted_line_map_is_named_only_in_the_migration_note():
     naming = [paragraph for paragraph in README.read_text().split("\n\n")
               if any(name in paragraph for name in gone)]
     assert naming and all(paragraph.startswith("**Migration.**") for paragraph in naming)
+
+
+def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
+    # every command of the CLI section's bash block, in file order, so that
+    # generate writes grid.json before the commands that read it
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("pointline ")]
+    assert len(lines) >= 7
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        capsys.readouterr()
+        assert cli.main(shlex.split(line, comments=True)[1:]) == 0, line
+        argmax = re.search(r"# argmax c=(\d+)", line)
+        if argmax:
+            assert f"argmax_c: {argmax.group(1)}" in capsys.readouterr().out, line

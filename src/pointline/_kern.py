@@ -5,39 +5,25 @@ integer homogeneous triple (X, Y, W), so ints and Fractions take one path,
 and both return (size_hist, lines_per_point) without building the lines.
 
 ``exact_statistics`` is exact big-integer arithmetic, whatever the size
-of the coordinates.  A pair on a line of 3 or more points that an earlier
-row already counted is skipped, not evaluated: each point keeps one int
-bitmask of its covered columns, and a row lists its other columns by
-walking the set bits of one n-bit int, so its cost is about the number of
-pairs not covered by such a line, n(n - 1)/2 with no three points
-collinear and about 2n on a near-pencil, plus a few n-bit int operations
-per row.  It counts the statistics as each line of 3 or more points is
-finished, by the counting identities stated in its docstring.  It keys
-each column by the slope of its direction from the row's point, a float,
-in a dict local to the row, and drops the dict when the row ends, so it
-holds O(n) objects instead of all C(n, 2) lines: on a rational circle of
-600 points the tracemalloc peak of the loop alone, its input triples
-excluded, is 0.06 MB, where a dict of all its 179,700 lines took 58 MB
-(0.12 MB for all of ``build_arrangement``; CPython 3.11.7).  Inside the
-guard below the slope is an exact key; past it, a key met again is
-confirmed by an exact cross product, and a direction whose slope collides
-with another's is keyed by its reduced direction instead (see its
-docstring).  A slope names a line only within its row, but it is cheaper
-to form and to hash than the canonical key (a, b, c) of the line, needs a
-gcd only on such a collision, and drops the third product of every pair.
-On 562 small inputs shaped like the benchmark's sweep (in-process, best
-of 9 per round, 3 rounds, 2-core VM, CPython 3.11.7) the slope loop took
-0.46-0.53 of the time of a row loop with the same masks that keyed each
-pair by the gcd-reduced (a, b, c) and kept every line in one dict, where
-the slope loop keyed by the gcd-reduced direction took 0.55-0.68.
+of the coordinates.  It skips each pair on a line of 3 or more points
+that an earlier row already counted: a row lists its clear columns from
+one n-bit int, in C when they are many.  So its cost is about the pairs
+not covered by such a line, n(n - 1)/2 with no three points collinear
+and about 2n on a near-pencil, plus two n-bit int operations per row.
+It counts the statistics as each such line is finished, and keys each
+column by its slope from the row's point in a dict dropped when the row
+ends, so it holds O(n) objects, not all C(n, 2) lines: 0.07 MB of
+tracemalloc peak on a rational circle of 600 points, where a dict of its
+179,700 lines took 58 MB.  Inside the guard below a slope needs no gcd:
+on 562 small inputs shaped like the benchmark's sweep the slope loop
+took 0.46-0.53 of the time of one keyed by the gcd-reduced line
+(a, b, c) (in-process, 2-core VM, CPython 3.11.7).
 
 Asked for a witness, ``exact_statistics`` also hands out every line of 3
-or more points, as the sorted member list that it builds anyway before
-counting the line; ``oracle.certify_statistics`` certifies the statistics
-from that witness with its own arithmetic, so ``verify --cross-check``
-runs this one loop.  The witness holds the lines of 3 or more points
-only: none on a rational circle, and 34,270 of the 184,466 lines of a
-30x30 grid.  Without a witness the loop keeps nothing extra.
+or more points as its sorted member list (none on a rational circle,
+34,270 of the 184,466 lines of a 30x30 grid), which
+``oracle.certify_statistics`` checks with its own arithmetic, so
+``verify --cross-check`` runs this one loop.
 
 ``int64_statistics`` builds no line at all: it sorts, for every point,
 the directions to the other points in blocks of numpy rows, and reads the
@@ -51,6 +37,7 @@ input before numpy is imported.
 """
 from __future__ import annotations
 
+from itertools import compress, count
 from math import gcd, inf, lcm
 
 # 8-byte elements per block of rows: each array of a block is 512 KB, so a
@@ -58,6 +45,12 @@ from math import gcd, inf, lcm
 _BLOCK_ELEMENTS = 1 << 16
 # below this bound every |dx|, |dy| is an exact double and dy / dx an exact key
 _SLOPE_BOUND = 1 << 26
+# bin() digits as the bytes 0 and 1 that compress() selects by
+_BITS = bytes.maketrans(b"01", b"\0\1")
+# rows with more than 1/_DENSE of their later columns clear list them from
+# bin() in C, sparser rows walk the set bits: 8 was the fastest of 2-32 on
+# grids, random sets and lines with 4-128 points off them (CPython 3.11.7)
+_DENSE = 8
 
 
 def homogenise(points) -> tuple[list, list, list]:
@@ -86,23 +79,28 @@ def exact_statistics(hx: list, hy: list, hw: list, witness: list | None = None) 
     size_hist and lines_per_point are as ``int64_statistics`` returns
     them.  Row i forms for column j the direction (dx, dy) = (X_j W_i -
     X_i W_j, Y_j W_i - Y_i W_j), a positive multiple of the affine
-    difference, and keys it (below).  The row's dict maps each key to its
+    difference, or (X_j - X_i, Y_j - Y_i) with no product when every
+    W = 1, and keys it (below).  The row's dict maps each key to its
     first column; a key met again holds a line of 3 or more points, whose
     members, i first, gather in a list.  When the row ends, each list is
     counted, its pairs are covered, and the row's dicts are dropped.
 
     A later row never meets a counted line again.  Each point v keeps one
-    int bitmask of the columns it skips: when row r ends, every member v
-    of a line of at least 3 points found in it gets the bits of the
-    members after v OR-ed in, in one reversed walk over the members that
-    also counts the line.  Row i lists the columns left clear by walking
-    the set bits of ((1 << n) - (2 << i)) & ~mask, lowest bit first (take
-    free & -free, then clear it), so an evaluated column costs three int
-    operations and a skipped pair costs no Python step.  Every pair (i, j)
-    that is still evaluated lies on a line whose first member is i: had
-    that line a member before i, it would have at least 3 points, the row
-    of its first member would have counted it, and j would be skipped.  So
-    the direction names that line up to scale, all its later members are
+    int bitmask of the columns it skips and left[v], the number of later
+    columns it does not skip; when row r ends, one reversed walk over the
+    members of each line found in it counts the line, ORs the members
+    after v into v's mask and takes their number off left[v].  Row i
+    shifts its clear columns into free = (full ^ mask) >> (i + 1), full =
+    (1 << n) - 1, so bit b is column i + 1 + b.  When more than 1/_DENSE
+    of its later columns are clear it lists them in C, selecting
+    count(i + 1) by the reversed bin(free); otherwise it walks the set
+    bits lowest first (free & -free, then clear it).  left[i] only picks
+    the way: both list the set bits of free in ascending order.  A
+    skipped pair costs no Python step.  Every pair (i, j) that is still
+    evaluated lies on a line whose first member is i: had that line a
+    member before i, it would have at least 3 points, the row of its
+    first member would have counted it, and j would be skipped.  So the
+    direction names that line up to scale, all its later members are
     columns of row i, and a found line is extended without a test of its
     first member.  The pairs evaluated are those not covered by a longer
     line through an earlier point, about 2n on a near-pencil instead of
@@ -119,9 +117,9 @@ def exact_statistics(hx: list, hy: list, hw: list, witness: list | None = None) 
     Given a list as witness, the loop also appends each of those member
     lists to it when its row ends (by first member, then in the order the
     row met their third members), so the witness holds every line of 3 or
-    more points once, its members sorted;
-    oracle.certify_statistics checks it and recounts the statistics from
-    it.  Without one the loop keeps nothing past its row.
+    more points once, its members sorted; oracle.certify_statistics checks
+    it and recounts the statistics from it.  Without one the loop keeps
+    nothing past its row.
 
     The key is the slope dy / dx: Python's correctly rounded true
     division of two ints, or inf when dx = 0.  A slope does not change
@@ -144,8 +142,12 @@ def exact_statistics(hx: list, hy: list, hw: list, witness: list | None = None) 
     n = len(hx)
     sizes: dict = {}  # sizes[k]: lines of k >= 3 points
     per_point = [n - 1] * n
-    # covered[v]: bit j set when the pair (v, j) lies on a counted line
+    # covered[v]: bit j set when the pair (v, j) lies on a counted line;
+    # left[v]: the columns after v that no counted line shares with v
     covered = [0] * n
+    left = list(range(n - 1, -1, -1))
+    full = (1 << n) - 1
+    integer = max(hw) == 1
     # past the guard an equal slope is confirmed by an exact cross product
     confirm = not _within_slope_guard(hx, hy, hw)
     for i in range(n):
@@ -154,45 +156,58 @@ def exact_statistics(hx: list, hy: list, hw: list, witness: list | None = None) 
         w1 = hw[i]
         mask = covered[i]
         if mask:
-            free = ((1 << n) - (2 << i)) & ~mask  # the columns after i left clear
-            columns = []
-            while free:
-                low = free & -free
-                columns.append(low.bit_length() - 1)
-                free ^= low
+            free = (full ^ mask) >> (i + 1)  # bit b: column i + 1 + b is left clear
+            if left[i] * _DENSE > n - i:
+                columns = compress(count(i + 1), bin(free)[:1:-1].encode().translate(_BITS))
+            else:
+                columns = []
+                while free:
+                    low = free & -free
+                    columns.append(i + low.bit_length())
+                    free ^= low
         else:
             columns = range(i + 1, n)
         first = {}  # slope key, or reduced direction, from i: its first column
         long_lines = {}  # first column: the members of a line of 3 or more points
         for j in columns:
-            w2 = hw[j]
-            dx = hx[j] * w1 - x1 * w2
-            dy = hy[j] * w1 - y1 * w2
+            if integer:
+                dx, dy = hx[j] - x1, hy[j] - y1
+            else:
+                w2 = hw[j]
+                dx, dy = hx[j] * w1 - x1 * w2, hy[j] * w1 - y1 * w2
             try:
                 key = dy / dx if dx else inf
             except OverflowError:
                 key = None
             f = first.setdefault(key, j)
-            if f != j and confirm:
-                wf = hw[f]
-                if dx * (hy[f] * w1 - y1 * wf) != dy * (hx[f] * w1 - x1 * wf):
+            if f == j:
+                continue
+            if confirm:
+                if integer:
+                    parallel = dx * (hy[f] - y1) == dy * (hx[f] - x1)
+                else:
+                    wf = hw[f]
+                    parallel = dx * (hy[f] * w1 - y1 * wf) == dy * (hx[f] * w1 - x1 * wf)
+                if not parallel:
                     # the double of another direction: key by the reduced one
                     g = gcd(dx, dy)
                     if dx < 0 or (dx == 0 and dy < 0):
                         g = -g
                     f = first.setdefault((dx // g, dy // g), j)
-            if f != j:
-                members = long_lines.get(f)
-                if members is None:
-                    long_lines[f] = [i, f, j]
-                else:
-                    members.append(j)
+                    if f == j:
+                        continue
+            members = long_lines.get(f)
+            if members is None:
+                long_lines[f] = [i, f, j]
+            else:
+                members.append(j)
         for members in long_lines.values():
             k = len(members)
             sizes[k] = sizes.get(k, 0) + 1
             after = 0  # the members after v
-            for v in reversed(members):
+            for later, v in enumerate(reversed(members)):
                 per_point[v] -= k - 2
+                left[v] -= later
                 covered[v] |= after
                 after |= 1 << v
         if witness is not None:

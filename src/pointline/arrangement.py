@@ -92,14 +92,15 @@ def build_arrangement(ps: PointSet, lines: list | None = None) -> Arrangement:
     _kern.exact_statistics.
 
     The threshold keeps numpy out of small runs.  Fresh-process `verify`
-    on random lattice points (n = 450-800, bound 2000) and on grids from
-    21x21 to 28x28, min of 7 to 11 runs on a shared 2-core VM with
-    CPython 3.11.7: at 1.0-2.3 x 10^5 pairs the exact path took
-    0.15-0.23 s and the numpy path 0.17-0.26 s; at 2.4-2.7 x 10^5 either
-    path was up to 0.04 s the faster; at 3.1 x 10^5 the exact path took
-    0.29-0.33 s against 0.27-0.29 s.  The break-even lies at 2.4-2.7 x
-    10^5 pairs, earlier on grids than on random sets, so not clearly at
-    or above 2^18 (2.6 x 10^5), and the threshold stays at 2^17.
+    on grids from 23x23 to 40x40 and random lattice points (n = 550-1600,
+    bound 2000), min of 5-7 runs, 2-core VM, CPython 3.11.7: at 1.4-5.0 x
+    10^5 pairs the exact path took 0.11-0.18 s and the numpy path
+    0.20-0.24 s, about 0.1 s of it importing numpy; at 5.9-8.4 x 10^5 the
+    numpy path was the faster on grids (0.15-0.16 s against 0.26-0.27 s),
+    and at 1.3 x 10^6 on both.  So in a fresh process the break-even lies
+    at 5-8 x 10^5 pairs.  Once numpy is imported, its kernel takes a tenth
+    of the exact loop's time at 1.5-3.2 x 10^5 pairs (2.8-5.5 ms against
+    28-58 ms), so the threshold stays at 2^17.
     """
     n = ps.n
     if n < 2:

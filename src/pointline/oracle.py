@@ -40,35 +40,43 @@ n - 1 - sum (k - 2) lines, the sum over the listed lines of k points
 through v, and the 2-point lines number C(n, 2) - sum C(k, 2) s_k.
 
 (ii) is tested while each line's later members are OR-ed into per-point
-bitmasks, and (iii) walks a row's uncovered later points by the set bits
-of one n-bit int, so the work is about that of the loop it certifies.  A
-direction of (iii) is keyed by its slope dy / dx (inf when dx = 0, None
-when the quotient raises OverflowError) in a dict of the row.  On a
-valid witness no two directions are parallel, so an equal key can only
-be two slopes that round to one double, or two overflows; every hit is
-confirmed by an exact cross product with the key's first direction, and
-one that is not parallel to it is keyed again by its direction divided
-by gcd(dx, dy) and by its sign (dx > 0, or dx = 0 < dy).  Parallel
-directions have one real slope, so one key: the second of two meets the
-first there, or, when the key's first direction is a third one, both go
-under one reduced key.  So no guard on the coordinates is needed.  In
-process, best of 9 calls in each of 3 rounds on a shared 2-core VM with
-CPython 3.11.7: 1.1 ms for a rational circle of 80 points (no listed
-line), 3.6-3.7 ms for a 12x12 grid (898 listed lines), 4.8-4.9 ms for
-150 random lattice points (seed 7, bound 100; 90) and 4.3-6.4 ms for a
-2000-point near-pencil (1), each within 0.9-1.2 times the witness loop
-itself; best of 3: 0.17-0.24 s for a 30x30 grid (34,270), 0.11-0.12 s
-for 800 random lattice points (seed 7, bound 2000; 67) and 0.11-0.14 s
-for a rational circle of 600 points, 1.3-1.7 times the loop there, as
-clearing each point on its own squares the circle's denominators.
+bitmasks, beside a count of each point's uncovered later points, and
+(iii) lists a row's uncovered later points from one n-bit int by the
+exact loop's rule, in its own copy; integer input (every W = 1) forms
+each direction by subtraction alone.  So the work is about that of
+the loop it certifies.  A direction of (iii) is keyed by its slope
+dy / dx (inf when dx = 0, None when the quotient raises OverflowError)
+in a dict of the row.  On a valid witness no two directions are
+parallel, so an equal key can only be two slopes that round to one
+double, or two overflows; every hit is confirmed by an exact cross
+product with the key's first direction, and one that is not parallel to
+it is keyed again by its direction divided by gcd(dx, dy) and by its
+sign (dx > 0, or dx = 0 < dy).  Parallel directions have one real slope,
+so one key: the second of two meets the first there, or, when the key's
+first direction is a third one, both go under one reduced key.  So no
+guard on the coordinates is needed.  In process (best of 9, 2-core VM,
+CPython 3.11.7) it took 1.0-1.3 times the witness loop: 1.0 ms on a
+rational circle of 80 points, 2.9 ms on a 12x12 grid (898 listed lines),
+2.6 ms on 150 random lattice points (seed 7, bound 100; 90), 2.8 ms on a
+2000-point near-pencil (1), 0.13-0.15 s on a 30x30 grid (34,270) and
+71-77 ms on 800 random lattice points (seed 7, bound 2000; 67); but 1.6-1.7
+times (86-88 ms) on a rational circle of 600 points, as clearing each
+point on its own squares the circle's denominators.
 """
 from __future__ import annotations
 
+from itertools import compress, count
 from math import gcd, inf
 from typing import Iterable, Sequence
 
 from .arrangement import PointSet
 from .errors import TooFewPoints
+
+# bin() digits as the bytes 0 and 1 that compress() selects by
+_BITS = bytes.maketrans(b"01", b"\0\1")
+# rows with more than 1/_DENSE of their later points uncovered list them from
+# bin() in C, sparser rows walk the set bits: 8 was the fastest of 2-32
+_DENSE = 8
 
 
 def _cleared(ps: PointSet) -> list[tuple[int, int, int]]:
@@ -93,10 +101,13 @@ def certify_statistics(
     """
     pts = _cleared(ps)
     n = len(pts)
+    integer = all(w == 1 for _, _, w in pts)
     sizes: dict[int, int] = {}
     per_point = [n - 1] * n
-    # covered[v]: bit u set when v < u lie on one listed line
+    # covered[v]: bit u set when v < u lie on one listed line;
+    # left[v]: the points after v that no listed line shares with v
     covered = [0] * n
+    left = list(range(n - 1, -1, -1))
     # seconds[a]: the second member of each listed line whose first member is a
     seconds: dict[int, list[int]] = {}
     for members in long_lines:
@@ -115,37 +126,50 @@ def certify_statistics(
             if not last < v < n:
                 return None
             x, y, w = pts[v]
-            if (x * wa - xa * w) * dy != (y * wa - ya * w) * dx:
+            if integer:
+                x, y = x - xa, y - ya
+            else:
+                x, y = x * wa - xa * w, y * wa - ya * w
+            if x * dy != y * dx:
                 return None
             last = v
         after = 0  # the members after v
-        for v in reversed(members):
+        for later, v in enumerate(reversed(members)):
             mask = covered[v]
             if mask & after:
                 return None  # a pair already on another listed line
             covered[v] = mask | after
             after |= 1 << v
             per_point[v] -= k - 2
+            left[v] -= later
         sizes[k] = sizes.get(k, 0) + 1
         seconds.setdefault(a, []).append(b)
+    full = (1 << n) - 1
     for a in range(n):
         xa, ya, wa = pts[a]
         columns = seconds.pop(a, [])  # dropped with the row
         if covered[a]:
-            free = ((1 << n) - (2 << a)) & ~covered[a]  # later points on no listed line with a
-            while free:
-                low = free & -free
-                columns.append(low.bit_length() - 1)
-                free ^= low
+            free = (full ^ covered[a]) >> (a + 1)  # bit b: point a + 1 + b is on no listed line with a
+            if left[a] * _DENSE > n - a:
+                columns.extend(compress(count(a + 1), bin(free)[:1:-1].encode().translate(_BITS)))
+            else:
+                while free:
+                    low = free & -free
+                    columns.append(a + low.bit_length())
+                    free ^= low
         else:
             columns.extend(range(a + 1, n))
         first = {}  # slope key, or reduced direction, from a: its column
         for u in columns:
             x, y, w = pts[u]
-            dx = x * wa - xa * w
-            dy = y * wa - ya * w
+            if integer:
+                dx, dy = x - xa, y - ya
+            else:
+                dx, dy = x * wa - xa * w, y * wa - ya * w
             try:
-                key = dy / dx if dx else inf
+                key = dy / dx
+            except ZeroDivisionError:
+                key = inf
             except OverflowError:
                 key = None
             f = first.setdefault(key, u)

@@ -1,6 +1,8 @@
 import inspect
+import sys
 import textwrap
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
 
@@ -34,6 +36,32 @@ def mutant(module, name: str, old: str, new: str):
     namespace = dict(vars(module))
     exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
     return namespace[name]
+
+
+@contextmanager
+def line_runs(function, *lines: str):
+    """Count in runs[k] how often lines[k] of function runs while the block runs.
+
+    Each line is matched stripped, at its first occurrence in the source
+    of function, and a line tracer counts its runs in function's frames.
+    """
+    code = function.__code__
+    source, start = inspect.getsourcelines(function)
+    stripped = [text.strip() for text in source]
+    targets = [start + stripped.index(line) for line in lines]
+    runs = [0] * len(lines)
+
+    def count_lines(frame, event, arg):
+        if event == "line" and frame.f_lineno in targets:
+            runs[targets.index(frame.f_lineno)] += 1
+        return count_lines
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count_lines if frame.f_code is code else None)
+    try:
+        yield runs
+    finally:
+        sys.settrace(previous)
 
 
 def contains(iv: Interval, value) -> bool:
@@ -76,63 +104,66 @@ rational_sets = st.lists(
 )
 
 
-# Corruptions of the witness of grid(6, 6): the member lists of its 6-, 5-,
-# 4- and 3-point lines that the exact statistics loop hands out.  Each
-# edits a copy in place so that it is no longer exactly the lines of 3 or
-# more points, each once with all its members; oracle.certify_statistics
-# must refuse every one.
+# Corruptions of a witness: the member lists of the lines of 3 or more
+# points that the exact statistics loop hands out, written for grid(6, 6)
+# and its 6-, 5-, 4- and 3-point lines.  Each edits a copy in place so that
+# it is no longer exactly the lines of 3 or more points of ps, each once
+# with all its members; oracle.certify_statistics must refuse every one.
+# On another set each takes the first line of the size named, or failing
+# that the first longer one, so it applies to any witness with two lines
+# and a line of 6 or more points.
 WITNESS_GRID = grid(6, 6)
 
 
 def _line_of_size(witness, size):
-    return next(i for i, members in enumerate(witness) if len(members) == size)
+    sizes = [len(members) for members in witness]
+    return sizes.index(size) if size in sizes else next(i for i, k in enumerate(sizes) if k > size)
 
 
-def _w_drop_member(witness):
+def _w_drop_member(witness, ps):
     i = _line_of_size(witness, 6)
     witness[i] = witness[i][:2] + witness[i][3:]
 
 
-def _w_drop_last_member(witness):
+def _w_drop_last_member(witness, ps):
     # only the row of the line's first point sees the dropped point along
     # the listed line, beside its second member
     i = _line_of_size(witness, 6)
     witness[i] = witness[i][:-1]
 
 
-def _w_extra_member(witness):
+def _w_extra_member(witness, ps):
     i = _line_of_size(witness, 3)
-    a, b, c = witness[i]
-    pts = WITNESS_GRID.points
-    off = next(v for v in range(WITNESS_GRID.n) if orient(pts[a], pts[b], pts[v]) != 0)
-    witness[i] = sorted((a, b, c, off))
+    a, b = witness[i][:2]
+    pts = ps.points
+    off = next(v for v in range(ps.n) if orient(pts[a], pts[b], pts[v]) != 0)
+    witness[i] = sorted(witness[i] + [off])
 
 
-def _w_duplicate_member(witness):
-    # (a, b, c, d) -> (a, b, b, d): the size stays
+def _w_duplicate_member(witness, ps):
+    # (a, b, c, d, ...) -> (a, b, b, d, ...): the size stays
     i = _line_of_size(witness, 4)
-    a, b, _, d = witness[i]
-    witness[i] = [a, b, b, d]
+    witness[i][2] = witness[i][1]
 
 
-def _w_merge_lines(witness):
-    # the first two lines both start at point 0
+def _w_merge_lines(witness, ps):
+    # on grid(6, 6) the first two lines both start at point 0
     witness[0] = sorted(set(witness[0]) | set(witness.pop(1)))
 
 
-def _w_drop_line(witness):
+def _w_drop_line(witness, ps):
     del witness[_line_of_size(witness, 3)]
 
 
-def _w_split_line(witness):
-    # a 6-point line listed as two disjoint 3-point lines: no pair is shared
+def _w_split_line(witness, ps):
+    # a 6-point line listed as two disjoint lines of 3 or more: no pair is shared
     i = _line_of_size(witness, 6)
     members = witness[i]
     witness[i] = members[:3]
     witness.append(members[3:])
 
 
-def _w_share_pair(witness):
+def _w_share_pair(witness, ps):
     # (a, b, c, d) -> (a, b, c) and (b, c, d): each on the true line
     i = _line_of_size(witness, 4)
     members = witness[i]
@@ -140,29 +171,31 @@ def _w_share_pair(witness):
     witness.append(members[1:])
 
 
-def _w_duplicate_line(witness):
+def _w_duplicate_line(witness, ps):
     witness.append(list(witness[_line_of_size(witness, 5)]))
 
 
-def _w_two_members(witness):
+def _w_two_members(witness, ps):
     i = _line_of_size(witness, 3)
     witness[i] = witness[i][:2]
 
 
-def _w_descending(witness):
+def _w_descending(witness, ps):
     i = _line_of_size(witness, 4)
     witness[i] = witness[i][::-1]
 
 
-def _w_index_n(witness):
+def _w_index_n(witness, ps):
     i = _line_of_size(witness, 3)
-    witness[i] = witness[i][:2] + [WITNESS_GRID.n]
+    witness[i] = witness[i][:2] + [ps.n]
 
 
-def _w_negative_index(witness):
-    # -1 standing in for the last point, n - 1
-    i = next(i for i, members in enumerate(witness) if members[-1] == WITNESS_GRID.n - 1)
-    witness[i] = [-1] + witness[i][:-1]
+def _w_negative_index(witness, ps):
+    # the last member moved to the front as its negative alias, last - n
+    # (on grid(6, 6) -1, standing in for the last point, n - 1)
+    ends = (i for i, members in enumerate(witness) if members[-1] == ps.n - 1)
+    i = next(ends, 0)
+    witness[i] = [witness[i][-1] - ps.n] + witness[i][:-1]
 
 
 WITNESS_CORRUPTIONS = {
@@ -191,6 +224,11 @@ def grid_witness() -> list:
 
 def corrupted_grid_witness(name: str) -> list:
     """The witness of WITNESS_GRID with the corruption of that name applied."""
-    witness = [list(members) for members in grid_witness()]
-    WITNESS_CORRUPTIONS[name](witness)
+    return corrupted_witness(WITNESS_GRID, grid_witness(), name)
+
+
+def corrupted_witness(ps: PointSet, witness: list, name: str) -> list:
+    """A copy of the witness of ps with the corruption of that name applied."""
+    witness = [list(members) for members in witness]
+    WITNESS_CORRUPTIONS[name](witness, ps)
     return witness

@@ -1,8 +1,5 @@
-import inspect
-import sys
 import tracemalloc
 from collections import Counter
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain, permutations
 from random import Random
@@ -29,7 +26,7 @@ from pointline import (
 from pointline import _kern, arrangement
 from pointline.arrangement import INT64_MIN_PAIRS, PointSet
 
-from conftest import line_statistics, pset, rational_sets
+from conftest import WITNESS_CORRUPTIONS, corrupted_witness, line_runs, line_statistics, pset, rational_sets
 from reference import brute_force_lines
 
 @pytest.fixture(scope="module")
@@ -672,34 +669,18 @@ def _count_gcd(monkeypatch):
     return calls
 
 
-@contextmanager
 def _pairs_evaluated():
     """Count in evaluated[0] the pairs exact_statistics evaluates while the block runs.
 
-    The exact loop runs its line ``w2 = hw[j]`` once for each column a row
-    evaluates, whatever its key, and no other time: a line tracer counts
-    its runs in the loop's frames.  Neither a gcd call (the loop makes one
-    only on a slope collision past the guard) nor a read of hw (past the
-    guard it also reads the first column of each equal slope) marks
+    The exact loop runs its line ``f = first.setdefault(key, j)`` once for
+    each column a row evaluates, on integer input and on the products of
+    homogeneous input alike, whatever its key, and no other time.  Neither
+    a gcd call (the loop makes one only on a slope collision past the
+    guard) nor a read of hw (integer input reads none, and past the guard
+    the loop also reads the first column of each equal slope) marks
     exactly one pair.
     """
-    kernel = _kern.exact_statistics
-    code = kernel.__code__
-    source, start = inspect.getsourcelines(kernel)
-    target = start + [line.strip() for line in source].index("w2 = hw[j]")
-    evaluated = [0]
-
-    def count_lines(frame, event, arg):
-        if event == "line" and frame.f_lineno == target:
-            evaluated[0] += 1
-        return count_lines
-
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: count_lines if frame.f_code is code else None)
-    try:
-        yield evaluated
-    finally:
-        sys.settrace(previous)
+    return line_runs(_kern.exact_statistics, "f = first.setdefault(key, j)")
 
 
 def _evaluated(ps):
@@ -730,6 +711,78 @@ def test_row_listing_across_int_digit_boundaries(n, apex):
     oracle = brute_force_lines(ps)
     assert stats == line_statistics(oracle, ps.n)
     assert sorted(witness) == _long_lines(oracle)
+    assert certify_statistics(ps, witness) == stats
+
+
+# the lines that list a row in C and that walk its set bits, in each loop
+_LISTINGS = {
+    _kern.exact_statistics: (
+        "columns = compress(count(i + 1), bin(free)[:1:-1].encode().translate(_BITS))",
+        "low = free & -free",
+    ),
+    certify_statistics: (
+        "columns.extend(compress(count(a + 1), bin(free)[:1:-1].encode().translate(_BITS)))",
+        "low = free & -free",
+    ),
+}
+
+
+def _assert_listed_rows_checked(ps):
+    """Check both loops on ps against the reference, and count how each listed its rows.
+
+    The exact loop's statistics and witness must be the reference's, and
+    the certificate must accept that witness and refuse each corruption of
+    it.  Returns, for the exact loop and then the certificate, the pair
+    (rows listed in C, rows walked).
+    """
+    listings = []
+    witness = []
+    with line_runs(_kern.exact_statistics, *_LISTINGS[_kern.exact_statistics]) as runs:
+        stats = _kern.exact_statistics(*_triples(ps), witness)
+    listings.append(tuple(runs))
+    oracle = brute_force_lines(ps)
+    assert stats == line_statistics(oracle, ps.n)
+    assert sorted(witness) == _long_lines(oracle)
+    with line_runs(certify_statistics, *_LISTINGS[certify_statistics]) as runs:
+        assert certify_statistics(ps, witness) == stats
+    listings.append(tuple(runs))
+    for name in WITNESS_CORRUPTIONS:
+        corrupted = corrupted_witness(ps, witness, name)
+        assert corrupted != witness, name
+        assert certify_statistics(ps, corrupted) is None, name
+    return listings
+
+
+_DIGIT_BOUNDARY_N = [29, 30, 31, 32, 59, 60, 61, 62, 63, 64, 65, 91]
+# w x h in _DIGIT_BOUNDARY_N, both sides at least 2
+_GRID_SHAPES = [(5, 6), (4, 8), (6, 10), (2, 31), (7, 9), (8, 8), (5, 13), (7, 13)]
+
+
+@pytest.mark.parametrize(
+    "ps",
+    [pytest.param(grid(*shape), id=f"grid-{shape[0]}x{shape[1]}") for shape in _GRID_SHAPES]
+    # 29-32 of the 49 lattice points in [-3, 3]^2, 59-65 of 81, 91 of 121
+    + [pytest.param(random_points(n, n, 3 if n <= 32 else 4 if n <= 65 else 5), id=f"random-{n}")
+       for n in _DIGIT_BOUNDARY_N],
+)
+def test_dense_row_listing_across_int_digit_boundaries(ps):
+    # rows with many clear columns list them from bin() in C; these n put
+    # the top column on either side of a 30-bit digit boundary
+    for in_c, _ in _assert_listed_rows_checked(ps):
+        assert in_c > 0
+
+
+@pytest.mark.parametrize("k", [3, 6, 12, 24, 26, 48, 96])
+def test_row_listing_on_a_line_plus_k_off_points(k):
+    # a row of the 200-point line that lies past its first member has about
+    # k (200 - i) / 200 columns clear, so it is walked while 8k < 200 and
+    # listed in C past that: k = 25 is the switch
+    ps = _line_plus_off_points(200, k)
+    for in_c, walked in _assert_listed_rows_checked(ps):
+        if k <= 12:
+            assert walked > 0
+        if k >= 48:
+            assert in_c > 0
 
 
 def test_kernel_evaluates_every_pair_without_three_collinear():

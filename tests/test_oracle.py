@@ -1,8 +1,10 @@
+import ast
+import inspect
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pointline import (
@@ -13,6 +15,7 @@ from pointline import (
     circle,
     grid,
     near_pencil,
+    oracle,
     random_points,
 )
 
@@ -21,6 +24,7 @@ from conftest import (
     WITNESS_GRID,
     corrupted_grid_witness,
     grid_witness,
+    line_runs,
     line_statistics,
     pset,
     rational_sets,
@@ -91,6 +95,31 @@ def test_does_not_use_the_line_kernels(monkeypatch):
     assert [list(members) for members in lines if len(members) >= 3] == witness
     assert line_statistics(lines, ps.n) == stats
     assert certify_statistics(ps, witness) == stats
+
+
+def _kern_references(source):
+    """The nodes of source that import _kern, or name it as a variable or attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [getattr(node, "id", ""), getattr(node, "attr", "")]
+        if any("_kern" in name.split(".") for name in names):
+            found.append(node)
+    return found
+
+
+def test_names_nothing_from_the_line_kernels():
+    # the certificate keeps its own copy of the exact loop's row listing and
+    # integer rule: a helper shared with _kern could hide one bug from the
+    # check that is meant to catch it
+    assert _kern_references(inspect.getsource(oracle)) == []
+    for source in ["from . import _kern", "from ._kern import homogenise", "import pointline._kern",
+                   "from .arrangement import _kern", "x = arrangement._kern.gcd", "_kern.inf"]:
+        assert _kern_references(source), source
 
 
 def _naive_lines(ps):
@@ -290,3 +319,44 @@ def test_statistics_certificate_refuses_a_missing_line_whose_slope_collides(coor
         for dropped in range(2):
             assert certify_statistics(ps, witness[:dropped] + witness[dropped + 1:]) is None
 
+
+
+def _certificate_pairs(ps):
+    """The directions the certificate's row loop keys while it accepts the true witness of ps."""
+    witness = []
+    build_arrangement(ps, lines=witness)
+    with line_runs(certify_statistics, "f = first.setdefault(key, u)") as evaluated:
+        assert certify_statistics(ps, witness) is not None
+    return evaluated[0]
+
+
+@pytest.mark.parametrize("scale", [1, 1 << 40], ids=["plain", "scaled-2^40"])
+def test_certificate_skips_pairs_of_listed_lines(scale):
+    assert _certificate_pairs(_scaled(near_pencil(200), scale)) <= 2 * 200
+    assert _certificate_pairs(_scaled(near_pencil(600), scale)) <= 2 * 600
+    # the count's negative control: no three points of a circle are collinear
+    assert _certificate_pairs(_scaled(circle(50), scale)) == 50 * 49 // 2
+
+
+@given(
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=2, max_size=40, unique=True),
+    st.integers(2, 12),
+    st.sampled_from([1, 1 << 26]),
+)
+@settings(max_examples=60, deadline=None)
+def test_integer_input_agrees_with_the_same_set_divided(coords, d, scale):
+    # x -> x / d keeps every line and every index, so the integer path (every
+    # W = 1) and the products of homogeneous input must give one witness, one
+    # count and one certificate; scaled by 2^26 both lie past the slope guard
+    whole = pset(*((x * scale, y * scale) for x, y in coords))
+    divided = pset(*((Fraction(x * scale, d), Fraction(y * scale, d)) for x, y in coords))
+    assume(max(_kern.homogenise(divided.points)[2]) > 1)
+    results = []
+    for ps in (whole, divided):
+        triples = _kern.homogenise(ps.points)
+        assert _kern._within_slope_guard(*triples) == (scale == 1)
+        witness = []
+        stats = _kern.exact_statistics(*triples, witness)
+        results.append((witness, stats, certify_statistics(ps, witness)))
+    assert results[0] == results[1]
+    assert results[0][2] == results[0][1]

@@ -157,7 +157,7 @@ def exact_statistics(hx: list, hy: list, hw: list, witness: list | None = None) 
         mask = covered[i]
         if mask:
             free = (full ^ mask) >> (i + 1)  # bit b: column i + 1 + b is left clear
-            if left[i] * _DENSE > n - i:
+            if left[i] * _DENSE > n - 1 - i:
                 columns = compress(count(i + 1), bin(free)[:1:-1].encode().translate(_BITS))
             else:
                 columns = []
@@ -183,12 +183,8 @@ def exact_statistics(hx: list, hy: list, hw: list, witness: list | None = None) 
             if f == j:
                 continue
             if confirm:
-                if integer:
-                    parallel = dx * (hy[f] - y1) == dy * (hx[f] - x1)
-                else:
-                    wf = hw[f]
-                    parallel = dx * (hy[f] * w1 - y1 * wf) == dy * (hx[f] * w1 - x1 * wf)
-                if not parallel:
+                wf = hw[f]
+                if dx * (hy[f] * w1 - y1 * wf) != dy * (hx[f] * w1 - x1 * wf):
                     # the double of another direction: key by the reduced one
                     g = gcd(dx, dy)
                     if dx < 0 or (dx == 0 and dy < 0):

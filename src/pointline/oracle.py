@@ -150,7 +150,7 @@ def certify_statistics(
         columns = seconds.pop(a, [])  # dropped with the row
         if covered[a]:
             free = (full ^ covered[a]) >> (a + 1)  # bit b: point a + 1 + b is on no listed line with a
-            if left[a] * _DENSE > n - a:
+            if left[a] * _DENSE > n - 1 - a:
                 columns.extend(compress(count(a + 1), bin(free)[:1:-1].encode().translate(_BITS)))
             else:
                 while free:

@@ -25,7 +25,6 @@ from .bounds import (
     TheoremCheck,
     crossing_lower_bound,
     few_lines_lower_bound,
-    hirzebruch_check,
     scan_constants_few,
     scan_constants_wd,
     verify_theorems,

@@ -57,9 +57,13 @@ def homogenise(points) -> tuple[list, list, list]:
     """Clear each point (x, y) to integers (X, Y, W) with x = X/W, y = Y/W, W > 0.
 
     W is the lcm of the two denominators; no Fraction arithmetic is done.
+    When every coordinate is an int, W = 1 and no clearing is done either.
     """
+    xs, ys = map(list, zip(*points))
+    if {*map(type, xs), *map(type, ys)} == {int}:
+        return xs, ys, [1] * len(xs)
     hx, hy, hw = [], [], []
-    for x, y in points:
+    for x, y in zip(xs, ys):
         # ints expose .numerator and .denominator == 1, so mixed input is fine
         w = lcm(x.denominator, y.denominator)
         hx.append(x.numerator * (w // x.denominator))
@@ -87,9 +91,11 @@ def exact_statistics(hx: list, hy: list, hw: list, witness: list | None = None) 
 
     A later row never meets a counted line again.  Each point v keeps one
     int bitmask of the columns it skips and left[v], the number of later
-    columns it does not skip; when row r ends, one reversed walk over the
-    members of each line found in it counts the line, ORs the members
-    after v into v's mask and takes their number off left[v].  Row i
+    columns it does not skip; when row r ends, each line found in it gets
+    one mask of its members, which one walk over them ORs into v's mask,
+    or shares when v has none (a near-pencil's masks are one n-bit int),
+    while it counts the line and takes the members after v off left[v].
+    Row v's shift drops the bits up to v that the mask holds too.  Row i
     shifts its clear columns into free = (full ^ mask) >> (i + 1), full =
     (1 << n) - 1, so bit b is column i + 1 + b.  When more than 1/_DENSE
     of its later columns are clear it lists them in C, selecting
@@ -142,7 +148,7 @@ def exact_statistics(hx: list, hy: list, hw: list, witness: list | None = None) 
     n = len(hx)
     sizes: dict = {}  # sizes[k]: lines of k >= 3 points
     per_point = [n - 1] * n
-    # covered[v]: bit j set when the pair (v, j) lies on a counted line;
+    # covered[v]: bit j set when v and j lie on one counted line (row v reads the j > v);
     # left[v]: the columns after v that no counted line shares with v
     covered = [0] * n
     left = list(range(n - 1, -1, -1))
@@ -200,12 +206,16 @@ def exact_statistics(hx: list, hy: list, hw: list, witness: list | None = None) 
         for members in long_lines.values():
             k = len(members)
             sizes[k] = sizes.get(k, 0) + 1
-            after = 0  # the members after v
-            for later, v in enumerate(reversed(members)):
+            line = 0
+            for v in members:
+                line |= 1 << v
+            later = k  # the members after v
+            for v in members:
+                later -= 1
                 per_point[v] -= k - 2
                 left[v] -= later
-                covered[v] |= after
-                after |= 1 << v
+                mask = covered[v]
+                covered[v] = mask | line if mask else line
         if witness is not None:
             witness.extend(long_lines.values())
         covered[i] = 0

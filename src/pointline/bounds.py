@@ -15,7 +15,8 @@ exact rational one, is at most (M + 2) * 2^-128 wider at each end, and
 has a 129-bit denominator instead of one of thousands of bits.
 There is one tail path: _suffix_tail_table encloses the series from
 every start c in a range in one pass over the terms.
-Inequality verdicts are exact rational comparisons; thresholds such as
+Inequality verdicts are integer cross-multiplications of each check's
+two sides, held as (numerator, denominator) pairs; thresholds such as
 n/26 + 2 are never rounded.
 
 The constant formulas of the two bound families live in one record
@@ -117,18 +118,20 @@ def _st_bound(n: int, e: int, k: CrossingConstants) -> tuple[Callable[[int], tup
 
     num/den = max{alpha*n / (i-1)^(e-2), beta*n^2 / (2(i-1)^e)} for i >= 2
     bounds sum_{j>=i} (j-1)^(3-e) s_j (e = 2: the st_edges check, e = 3:
-    the st_lines check).  alpha*n and beta*n^2/2 are split into integers
-    once, so each bound(i) is integer arithmetic.
+    the st_lines check).  alpha*n and beta*n^2/2 are taken as integers over
+    one denominator straight from the crossing pair, so each bound(i) is
+    integer arithmetic and no Fraction is built.
     Returned with bound is alpha_from, the least i >= 2 from which the alpha
     term is the max; bound(i) never increases with i, and for e = 2 it is
     the constant alpha*n from alpha_from on.
     """
     if n < 1:
         raise DomainError(f"point count must be >= 1, got {n}")
-    a, b = Fraction(k.alpha * n), Fraction(k.beta * n**2, 2)
-    # a/(i-1)^(e-2) and b/(i-1)^e over the one denominator den*(i-1)^e
-    a_num, b_num = a.numerator * b.denominator, b.numerator * a.denominator
-    den = a.denominator * b.denominator
+    alpha, beta = k
+    # alpha*n/(i-1)^(e-2) and beta*n^2/(2(i-1)^e) over the one denominator den*(i-1)^e
+    den = 2 * alpha.denominator * beta.denominator
+    a_num = alpha.numerator * n * 2 * beta.denominator
+    b_num = beta.numerator * n * n * alpha.denominator
 
     def bound(i: int) -> tuple[int, int]:
         if i < 2:
@@ -444,102 +447,104 @@ class TheoremCheck(NamedTuple):
     note: str = ""
 
 
-def _check(name, applicable, relation, lhs, rhs, note="") -> TheoremCheck:
-    lhs = Fraction(lhs)
-    rhs = Fraction(rhs)
-    if applicable:
-        holds = lhs <= rhs if relation == "<=" else lhs >= rhs
-    else:
-        holds = None
-    return TheoremCheck(name, applicable, relation, lhs, rhs, holds, note)
+def _hirzebruch(arr):
+    """s_2 + (3/4) s_3 >= n + sum_{i>=5} (2i-9) s_i, when at most n - 3 points are collinear."""
+    s, n, l = arr.size_hist, arr.n, arr.max_collinear
+    rhs = n + sum((2 * i - 9) * c for i, c in s.items() if i >= 5)
+    note = "" if l <= n - 3 else f"needs max_collinear <= n-3, have {l} > {n - 3}"
+    return l <= n - 3, note, (4 * s.get(2, 0) + 3 * s.get(3, 0), 4), (rhs, 1)
 
 
-def hirzebruch_check(arr: Arrangement) -> TheoremCheck:
-    """Check s_2 + (3/4) s_3 >= n + sum_{i>=5} (2i-9) s_i.
-
-    Applicable only when at most n-3 points are collinear; otherwise the
-    sides are still reported but no verdict is asserted.
-    """
-    s = arr.size_hist
-    lhs = Fraction(s.get(2, 0)) + Fraction(3, 4) * s.get(3, 0)
-    rhs = arr.n + sum((2 * i - 9) * c for i, c in s.items() if i >= 5)
-    applicable = arr.max_collinear <= arr.n - 3
-    note = "" if applicable else f"needs max_collinear <= n-3, have {arr.max_collinear} > {arr.n - 3}"
-    return _check("hirzebruch", applicable, ">=", lhs, rhs, note)
+def _degree_rhs(n: int) -> tuple[int, int]:
+    """WD_DELTA*n + WD_R."""
+    d, r = WD_DELTA, WD_R
+    return d.numerator * n * r.denominator + r.numerator * d.denominator, d.denominator * r.denominator
 
 
-# the name of each check verify_theorems runs, in its order
-CHECK_NAMES = ("hirzebruch", "st_edges", "st_lines", "point_degree", "incidences",
-               "total_lines", "lines_le3", "half_le3")
-
-
-def verify_theorems(arr: Arrangement) -> list[TheoremCheck]:
-    """Run every supported inequality against one arrangement, in CHECK_NAMES order.
-
-    The thresholds are delta*n + r, delta*n^2 + r*n, (eps/2) n(n - l) and
-    (eps/4) n(n - l) for (delta, r, eps) = (WD_DELTA, WD_R, FEW_EPS), and
-    the Szemeredi-Trotter bounds of DEFAULT_CONSTANTS.
-    Premises are part of the statements: an inapplicable check reports
-    its sides with holds=None and counts as success for exit purposes.
-    The point-degree and incidence checks require a non-collinear set of
-    at least 5 points (the n=3 triangle violates both literal bounds);
-    the incidence check also needs max_collinear <= WD_DELTA*n + WD_R,
-    and the half-lines check a non-collinear set.
-    """
-    n = arr.n
-    l = arr.max_collinear
-    non_collinear = l < n
-    checks = []
-
-    checks.append(hirzebruch_check(arr))
-    # sum_{j>=i} (j-1) s_j is visibility_edge_count(arr, i)
-    checks.append(_st_check("st_edges", arr, 2, DEFAULT_CONSTANTS))
-    checks.append(_st_check("st_lines", arr, 3, DEFAULT_CONSTANTS))
-
+def _point_degree(arr):
+    """Some point lies on at least WD_DELTA*n + WD_R lines, when n >= 5 and l < n."""
+    applicable = arr.max_collinear < arr.n and arr.n >= 5
     idx, degree = max_lines_through_point(arr)
-    degree_rhs = WD_DELTA * n + WD_R
-    checks.append(
-        _check(
-            "point_degree",
-            non_collinear and n >= 5,
-            ">=",
-            degree,
-            degree_rhs,
-            note=f"witness point {idx}" if non_collinear and n >= 5 else "needs a non-collinear set with n >= 5",
-        )
-    )
-    incid_applicable = non_collinear and n >= 5 and l <= degree_rhs
-    checks.append(
-        _check(
-            "incidences",
-            incid_applicable,
-            ">=",
-            arr.incidences,
-            degree_rhs * n,
-            note="" if incid_applicable
-            else f"needs non-collinear, n >= 5, and max_collinear <= n/{1 / WD_DELTA} + {WD_R}",
-        )
-    )
-    checks.append(
-        _check("total_lines", True, ">=", arr.num_lines, FEW_EPS / 2 * (n * (n - l)))
-    )
-    le3 = lines_with_at_most(arr, 3)
-    checks.append(_check("lines_le3", True, ">=", le3, FEW_EPS / 4 * (n * (n - l))))
-    checks.append(
-        _check(
-            "half_le3",
-            non_collinear,
-            ">=",
-            le3,
-            Fraction(arr.num_lines, 2),
-            note="" if non_collinear else "needs a non-collinear set",
-        )
-    )
-    return checks
+    note = f"witness point {idx}" if applicable else "needs a non-collinear set with n >= 5"
+    return applicable, note, (degree, 1), _degree_rhs(arr.n)
 
 
-def _st_check(name, arr, e, k) -> TheoremCheck:
-    """Check sum_{j>=i} (j-1)^(3-e) s_j <= bound(i) for every i in [2, max_collinear].
+def _incidences(arr):
+    """I >= (WD_DELTA*n + WD_R) n, when n >= 5 and l < n, l <= WD_DELTA*n + WD_R."""
+    n, l, d = arr.n, arr.max_collinear, WD_DELTA
+    num, den = _degree_rhs(n)
+    applicable = l < n and n >= 5 and l * den <= num
+    inverse = d.denominator if d.numerator == 1 else f"{d.denominator}/{d.numerator}"  # as str(1 / d)
+    note = "" if applicable else f"needs non-collinear, n >= 5, and max_collinear <= n/{inverse} + {WD_R}"
+    return applicable, note, (arr.incidences, 1), (num * n, den)
+
+
+def _few(arr, lhs: int, den: int):
+    """lhs >= (FEW_EPS/den) n(n - l), with no premise."""
+    e = FEW_EPS
+    return True, "", (lhs, 1), (e.numerator * arr.n * (arr.n - arr.max_collinear), den * e.denominator)
+
+
+def _half_le3(arr):
+    """Lines of at most 3 points are at least half of all lines, when l < n."""
+    applicable = arr.max_collinear < arr.n
+    note = "" if applicable else "needs a non-collinear set"
+    return applicable, note, (lines_with_at_most(arr, 3), 1), (arr.num_lines, 2)
+
+
+# (name, relation of lhs to rhs, sides(arr)) in the order verify_theorems runs them; sides
+# gives (premise holds, note, lhs, rhs), each side (num, den) with den > 0, from
+# WD_DELTA, WD_R, FEW_EPS and DEFAULT_CONSTANTS as they are when it runs
+_CHECKS = (
+    ("hirzebruch", ">=", _hirzebruch),
+    # sum_{j>=i} (j-1) s_j is visibility_edge_count(arr, i)
+    ("st_edges", "<=", lambda arr: _st_check(arr, 2, DEFAULT_CONSTANTS)),
+    ("st_lines", "<=", lambda arr: _st_check(arr, 3, DEFAULT_CONSTANTS)),
+    ("point_degree", ">=", _point_degree),
+    ("incidences", ">=", _incidences),
+    ("total_lines", ">=", lambda arr: _few(arr, arr.num_lines, 2)),
+    ("lines_le3", ">=", lambda arr: _few(arr, lines_with_at_most(arr, 3), 4)),
+    ("half_le3", ">=", _half_le3),
+)
+CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
+
+
+def check_suite(names) -> None:
+    """DomainError unless names is a non-empty collection of CHECK_NAMES."""
+    unknown = sorted(set(names).difference(CHECK_NAMES))
+    if unknown or not names:
+        what = f"unknown check name(s) {unknown}" if unknown else "empty check suite"
+        raise DomainError(f"{what}; available: {sorted(CHECK_NAMES)}")
+
+
+def _decided(name: str, relation: str, sides) -> TheoremCheck:
+    """The TheoremCheck of one check's sides, its verdict by integer cross-multiplication."""
+    applicable, note, (a, b), (c, d) = sides
+    holds = None
+    if applicable:  # a/b against c/d, both denominators positive
+        holds = a * d <= c * b if relation == "<=" else a * d >= c * b
+    return TheoremCheck(name, applicable, relation, Fraction(a, b), Fraction(c, d), holds, note)
+
+
+def verify_theorems(arr: Arrangement, names=None) -> list[TheoremCheck]:
+    """Run the checks of _CHECKS that names names (default: all) on one arrangement, in its order.
+
+    An unknown or empty names is a DomainError.  Each check function states
+    its inequality and premise; its two sides are integer pairs, the
+    verdict is their cross-multiplication, and each side is reported as
+    one Fraction.  Premises are part of the statements: an inapplicable
+    check reports its sides with holds=None and counts as success for exit
+    purposes (the n=3 triangle violates both literal degree bounds, hence
+    their n >= 5).
+    """
+    if names is not None:
+        check_suite(names)
+    return [_decided(name, relation, sides(arr)) for name, relation, sides in _CHECKS
+            if names is None or name in names]
+
+
+def _st_check(arr, e, k):
+    """The sides of sum_{j>=i} (j-1)^(3-e) s_j <= bound(i) for every i in [2, max_collinear].
 
     Both the weight and bound(i) come from e (see _st_bound).  The suffix
     sum is constant on [prev + 1, p] for consecutive line sizes prev < p
@@ -549,8 +554,8 @@ def _st_check(name, arr, e, k) -> TheoremCheck:
     the smallest such i stands for the tie.  So one pass over the present
     sizes, from max_collinear down, keeps the suffix sum as an int; each
     bound is num/den in ints, so slacks compare by cross-multiplication.
-    The tightest i (smallest slack; the smallest such i on ties) is shown
-    with rhs num/den, the integers that decide the verdict.
+    The sides are those at the tightest i (smallest slack; the smallest
+    such i on ties): every threshold holds iff suffix * den <= num there.
     """
     bound, alpha_from = _st_bound(arr.n, e, k)
     sizes = sorted(arr.size_hist, reverse=True)
@@ -564,7 +569,5 @@ def _st_check(name, arr, e, k) -> TheoremCheck:
         # slack/den <= worst slack/den, both denominators positive
         if worst is None or slack * worst[1] <= worst[0] * den:
             worst = (slack, den, num, i, suffix)
-    slack, den, num, i, lhs = worst
-    note = f"tightest at i={i} over i in [2, {arr.max_collinear}]"
-    # every threshold holds exactly when the smallest slack is >= 0
-    return TheoremCheck(name, True, "<=", Fraction(lhs), Fraction(num, den), slack >= 0, note)
+    _, den, num, i, lhs = worst
+    return True, f"tightest at i={i} over i in [2, {arr.max_collinear}]", (lhs, 1), (num, den)

@@ -39,12 +39,14 @@ two identities stated in _kern.exact_statistics: point v lies on
 n - 1 - sum (k - 2) lines, the sum over the listed lines of k points
 through v, and the 2-point lines number C(n, 2) - sum C(k, 2) s_k.
 
-(ii) is tested while each line's later members are OR-ed into per-point
-bitmasks, beside a count of each point's uncovered later points, and
-(iii) lists a row's uncovered later points from one n-bit int by the
-exact loop's rule, in its own copy; integer input (every W = 1) forms
-each direction by subtraction alone.  So the work is about that of
-the loop it certifies.  A direction of (iii) is keyed by its slope
+(ii) is tested in the walk of (i): v's bitmask holds the members of the
+listed lines through v met so far, and must share none with the part of
+the line before v.  A second walk ORs the line's mask into each member's,
+or shares it when the member has none, beside a count of each point's
+uncovered later points; (iii) lists a row's uncovered later points from
+one n-bit int by the exact loop's rule, in its own copy; integer input
+(every W = 1) forms each direction by subtraction alone.  So the work is
+about that of the loop it certifies.  A direction of (iii) is keyed by its slope
 dy / dx (inf when dx = 0, None when the quotient raises OverflowError)
 in a dict of the row.  On a valid witness no two directions are
 parallel, so an equal key can only be two slopes that round to one
@@ -54,14 +56,14 @@ it is keyed again by its direction divided by gcd(dx, dy) and by its
 sign (dx > 0, or dx = 0 < dy).  Parallel directions have one real slope,
 so one key: the second of two meets the first there, or, when the key's
 first direction is a third one, both go under one reduced key.  So no
-guard on the coordinates is needed.  In process (best of 9, 2-core VM,
-CPython 3.11.7) it took 1.0-1.3 times the witness loop: 1.0 ms on a
-rational circle of 80 points, 2.9 ms on a 12x12 grid (898 listed lines),
-2.6 ms on 150 random lattice points (seed 7, bound 100; 90), 2.8 ms on a
-2000-point near-pencil (1), 0.13-0.15 s on a 30x30 grid (34,270) and
-71-77 ms on 800 random lattice points (seed 7, bound 2000; 67); but 1.6-1.7
-times (86-88 ms) on a rational circle of 600 points, as clearing each
-point on its own squares the circle's denominators.
+guard on the coordinates is needed.  In process (best of 5-9, 2-core VM,
+CPython 3.11.7) it took 0.9-1.2 times the witness loop: 0.96 ms on a
+rational circle of 80 points, 2.7 ms on a 12x12 grid (898 listed lines),
+2.5 ms on 150 random lattice points (seed 7, bound 100; 90), 2.6 ms on a
+2000-point near-pencil (1), 0.11 s on a 30x30 grid (34,270) and 67 ms
+on 800 random lattice points (seed 7, bound 2000; 67); but 1.7 times
+(83 ms) on a rational circle of 600 points, as clearing each point on
+its own squares the circle's denominators.
 """
 from __future__ import annotations
 
@@ -104,7 +106,7 @@ def certify_statistics(
     integer = all(w == 1 for _, _, w in pts)
     sizes: dict[int, int] = {}
     per_point = [n - 1] * n
-    # covered[v]: bit u set when v < u lie on one listed line;
+    # covered[v]: bit u set when u and v lie on one listed line;
     # left[v]: the points after v that no listed line shares with v
     covered = [0] * n
     left = list(range(n - 1, -1, -1))
@@ -115,12 +117,14 @@ def certify_statistics(
         if k < 3:
             return None
         a, b = members[0], members[1]
-        if not 0 <= a < b < n:
+        # (ii) for the pair (a, b): b's mask holds the earlier listed lines through b
+        if not 0 <= a < b < n or covered[b] >> a & 1:
             return None
         xa, ya, wa = pts[a]
         xb, yb, wb = pts[b]
         dx = xb * wa - xa * wb
         dy = yb * wa - ya * wb
+        line = 1 << a | 1 << b  # the members up to v
         last = b
         for v in members[2:]:
             if not last < v < n:
@@ -130,16 +134,16 @@ def certify_statistics(
                 x, y = x - xa, y - ya
             else:
                 x, y = x * wa - xa * w, y * wa - ya * w
-            if x * dy != y * dx:
+            # (i) v on the line through a and b; (ii) no earlier member on a listed line with v
+            if x * dy != y * dx or covered[v] & line:
                 return None
+            line |= 1 << v
             last = v
-        after = 0  # the members after v
-        for later, v in enumerate(reversed(members)):
+        later = k  # the members after v
+        for v in members:
+            later -= 1
             mask = covered[v]
-            if mask & after:
-                return None  # a pair already on another listed line
-            covered[v] = mask | after
-            after |= 1 << v
+            covered[v] = mask | line if mask else line
             per_point[v] -= k - 2
             left[v] -= later
         sizes[k] = sizes.get(k, 0) + 1

@@ -171,6 +171,16 @@ def _w_share_pair(witness, ps):
     witness.append(members[1:])
 
 
+def _w_share_inner_pair(witness, ps):
+    # (a, b, c, d, e, f) -> (a, b, d, e) and (c, d, e, f): the lines share
+    # exactly the pair (d, e), which holds neither first member, so check
+    # (ii) finds it at e, from the bit of the earlier member d in e's mask
+    i = _line_of_size(witness, 6)
+    members = witness[i]
+    witness[i] = members[:2] + members[3:5]
+    witness.append(members[2:6])
+
+
 def _w_duplicate_line(witness, ps):
     witness.append(list(witness[_line_of_size(witness, 5)]))
 
@@ -207,6 +217,7 @@ WITNESS_CORRUPTIONS = {
     "missing line": _w_drop_line,
     "line split in two": _w_split_line,
     "two lines sharing a pair": _w_share_pair,
+    "two lines sharing an inner pair": _w_share_inner_pair,
     "duplicated line": _w_duplicate_line,
     "2-member line": _w_two_members,
     "descending": _w_descending,

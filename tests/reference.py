@@ -59,6 +59,16 @@ formula at both ends of its input enclosure and sorts the two values
 these are the ends of its enclosure.  The package builds the same exact
 rationals from integer closed forms, one Fraction per field or
 enclosure end; the tests require the two to agree field by field.
+
+``theorem_checks`` is the eight inequality checks of verify_theorems in
+the paper's form: each side and threshold is a Fraction expression
+(s_2 + (3/4) s_3, delta*n + r, (eps/2) n(n - l), ...), the verdict a
+Fraction comparison, and each Szemeredi-Trotter check re-sums its left
+side and evaluates max{alpha*n/(i-1)^(e-2), beta*n^2/(2(i-1)^e)} at every
+threshold i in [2, l].  The constants come in as arguments.  The package
+holds each side as an integer pair and decides by cross-multiplication,
+once per present line size; the tests require the two to agree check by
+check.
 """
 from __future__ import annotations
 
@@ -68,8 +78,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import IO, NamedTuple
 
-from pointline import (BoundParamsFew, BoundParamsWD, CrossingConstants, DomainError, Interval,
-                       Point, PointFormatError, PointSet, TooFewPoints)
+from pointline import (Arrangement, BoundParamsFew, BoundParamsWD, CrossingConstants, DomainError,
+                       Interval, Point, PointFormatError, PointSet, TheoremCheck, TooFewPoints)
 
 
 class LineKey(NamedTuple):
@@ -228,3 +238,55 @@ def few_record(c: int, series: Interval, k: CrossingConstants) -> BoundParamsFew
     a = _at_ends(lambda s: (1 - (k.beta / 2) * (offset + s)) / (2 * x), series)
     b = k.alpha / (2 * x)
     return BoundParamsFew(c=c, h=h, x=x, a=a, b=b, eps=_at_ends(lambda v: 2 * v / (1 + 2 * b), a))
+
+
+def _fraction_check(name, applicable, relation, lhs, rhs, note="") -> TheoremCheck:
+    lhs, rhs = Fraction(lhs), Fraction(rhs)
+    holds = (lhs <= rhs if relation == "<=" else lhs >= rhs) if applicable else None
+    return TheoremCheck(name, applicable, relation, lhs, rhs, holds, note)
+
+
+def st_check(name: str, arr: Arrangement, e: int, k: CrossingConstants) -> TheoremCheck:
+    """sum_{j>=i} (j-1)^(3-e) s_j <= max{alpha*n/(i-1)^(e-2), beta*n^2/(2(i-1)^e)} at every i in [2, l].
+
+    Shown at the smallest slack, the smallest such i on ties.
+    """
+    worst = None
+    all_hold = True
+    for i in range(2, arr.max_collinear + 1):
+        lhs = Fraction(sum((j - 1) ** (3 - e) * c for j, c in arr.size_hist.items() if j >= i))
+        rhs = max(k.alpha * arr.n / Fraction(i - 1) ** (e - 2), k.beta * arr.n**2 / (2 * Fraction(i - 1) ** e))
+        all_hold = all_hold and lhs <= rhs
+        if worst is None or rhs - lhs < worst[0]:
+            worst = (rhs - lhs, i, lhs, rhs)
+    _, i, lhs, rhs = worst
+    note = f"tightest at i={i} over i in [2, {arr.max_collinear}]"
+    return TheoremCheck(name, True, "<=", lhs, rhs, all_hold, note)
+
+
+def theorem_checks(arr: Arrangement, delta: Fraction, r, eps: Fraction,
+                   k: CrossingConstants) -> list[TheoremCheck]:
+    """The eight checks of verify_theorems at (delta, r, eps) and the crossing pair k, in Fractions."""
+    n, l, s = arr.n, arr.max_collinear, arr.size_hist
+    non_collinear = l < n
+    degree = max(arr.lines_per_point)
+    le3 = sum(c for i, c in s.items() if i <= 3)
+    degree_rhs = delta * n + r
+    incidences = non_collinear and n >= 5 and l <= degree_rhs
+    return [
+        _fraction_check("hirzebruch", l <= n - 3, ">=",
+                        Fraction(s.get(2, 0)) + Fraction(3, 4) * s.get(3, 0),
+                        n + sum((2 * i - 9) * c for i, c in s.items() if i >= 5),
+                        "" if l <= n - 3 else f"needs max_collinear <= n-3, have {l} > {n - 3}"),
+        st_check("st_edges", arr, 2, k),
+        st_check("st_lines", arr, 3, k),
+        _fraction_check("point_degree", non_collinear and n >= 5, ">=", degree, degree_rhs,
+                        f"witness point {arr.lines_per_point.index(degree)}" if non_collinear and n >= 5
+                        else "needs a non-collinear set with n >= 5"),
+        _fraction_check("incidences", incidences, ">=", arr.incidences, degree_rhs * n,
+                        "" if incidences else f"needs non-collinear, n >= 5, and max_collinear <= n/{1 / delta} + {r}"),
+        _fraction_check("total_lines", True, ">=", arr.num_lines, eps / 2 * (n * (n - l))),
+        _fraction_check("lines_le3", True, ">=", le3, eps / 4 * (n * (n - l))),
+        _fraction_check("half_le3", non_collinear, ">=", le3, Fraction(arr.num_lines, 2),
+                        "" if non_collinear else "needs a non-collinear set"),
+    ]

@@ -1,13 +1,16 @@
 import operator
 import sys
+from collections import Counter
 from fractions import Fraction as F
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pointline import bounds as bounds_mod
 from pointline import (
+    Arrangement,
     CrossingConstants,
     DomainError,
     GraphSize,
@@ -21,13 +24,11 @@ from pointline import (
     crossing_lower_bound,
     few_lines_lower_bound,
     grid,
-    hirzebruch_check,
     near_pencil,
     random_points,
     scan_constants_few,
     scan_constants_wd,
     verify_theorems,
-    visibility_edge_count,
 )
 
 import reference
@@ -142,6 +143,12 @@ def test_st_bound_domain():
 # ---------------------------------------------------------------------------
 # Hirzebruch
 # ---------------------------------------------------------------------------
+
+
+def hirzebruch_check(arr):
+    """The hirzebruch entry of verify_theorems, run alone."""
+    (check,) = verify_theorems(arr, ["hirzebruch"])
+    return check
 
 
 def test_hirzebruch_grid33():
@@ -684,6 +691,11 @@ def _by_name(checks):
     return {c.name: c for c in checks}
 
 
+def _st_check(name, arr, e, k):
+    """The Szemeredi-Trotter check at the crossing pair k, decided as verify_theorems decides it."""
+    return bounds_mod._decided(name, "<=", bounds_mod._st_check(arr, e, k))
+
+
 def test_verify_near_pencil_100():
     checks = _by_name(verify_theorems(build_arrangement(near_pencil(100))))
     assert len(checks) == 8
@@ -744,7 +756,7 @@ def test_verify_circle_incidence_bound_applicable():
 def test_verify_detects_violations_with_weak_constants():
     # tiny constants cannot support the Szemeredi-Trotter bounds
     weak = CrossingConstants(alpha=F(1, 1000), beta=F(1, 1000))
-    assert bounds_mod._st_check("st_edges", build_arrangement(grid(4, 4)), 2, weak).holds is False
+    assert _st_check("st_edges", build_arrangement(grid(4, 4)), 2, weak).holds is False
 
 
 def test_named_constants_are_certified_by_their_scan_records():
@@ -762,6 +774,87 @@ def test_named_constants_are_certified_by_their_scan_records():
     assert few.eps.lo < F(2, 60)
 
 
+def _line_and_general_position(n, l):
+    """The Arrangement of l collinear points and n - l points in general position, 2 <= l <= n."""
+    hist = Counter({2: n * (n - 1) // 2 - l * (l - 1) // 2})
+    hist[l] += 1
+    hist = {i: c for i, c in sorted(hist.items()) if c}
+    per_point = (1 + n - l,) * l + (n - 1,) * (n - l) if l > 2 else (n - 1,) * n
+    return Arrangement(n=n, size_hist=MappingProxyType(hist), max_collinear=l,
+                       incidences=sum(i * c for i, c in hist.items()), lines_per_point=per_point,
+                       num_lines=sum(hist.values()))
+
+
+def _assert_verify_is_the_paper_form(arr, delta=bounds_mod.WD_DELTA, r=bounds_mod.WD_R,
+                                     eps=bounds_mod.FEW_EPS, k=bounds_mod.DEFAULT_CONSTANTS):
+    """verify_theorems at these constants equals the reference, check by check and field by field."""
+    with mock.patch.multiple(bounds_mod, WD_DELTA=delta, WD_R=r, FEW_EPS=eps, DEFAULT_CONSTANTS=k):
+        checks = verify_theorems(arr)
+    paper = reference.theorem_checks(arr, delta, r, eps, k)
+    assert [c.name for c in paper] == list(bounds_mod.CHECK_NAMES)
+    for ours, theirs in zip(checks, paper, strict=True):
+        for field, mine, want in zip(TheoremCheck._fields, ours, theirs):
+            assert (type(mine), mine) == (type(want), want), (ours.name, field)
+    return checks
+
+
+point_sets = st.one_of(
+    st.builds(grid, st.integers(2, 7), st.integers(2, 7)),
+    st.builds(near_pencil, st.integers(3, 40)),
+    st.builds(circle, st.integers(3, 30)),
+    st.builds(collinear, st.integers(2, 30)),
+    st.builds(random_points, st.integers(2, 40), st.integers(0, 10**6), st.integers(3, 6)),
+)
+_unit = st.fractions(0, F(1, 2), max_denominator=200).filter(lambda v: 0 < v < F(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets, st.one_of(st.just(bounds_mod.WD_DELTA), _unit),
+       st.one_of(st.integers(0, 5), st.fractions(0, 5, max_denominator=12)),
+       st.one_of(st.just(bounds_mod.FEW_EPS), _unit),
+       st.one_of(st.just(bounds_mod.DEFAULT_CONSTANTS), st.builds(CrossingConstants, _unit, _unit)))
+# four collinear points: sum_{j>=i} (j-1) s_j = 3 = alpha*n at every
+# threshold, so both Szemeredi-Trotter checks hold with equality
+@example(collinear(4), bounds_mod.WD_DELTA, 2, bounds_mod.FEW_EPS, CrossingConstants(F(3, 4), F(1, 1000)))
+def test_verify_equals_the_paper_form_check_by_check(ps, delta, r, eps, k):
+    _assert_verify_is_the_paper_form(build_arrangement(ps), delta, r, eps, k)
+
+
+@pytest.mark.parametrize("n, l", [
+    (10, 7), (10, 8),  # hirzebruch: max_collinear = n - 3 and n - 2
+    (4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (5, 4), (5, 5),  # the degree checks' n >= 5
+    (26, 3), (26, 4), (52, 4), (52, 5),  # incidences: l = n/26 + 2 and one more
+])
+def test_verify_at_the_premise_boundaries(n, l):
+    checks = _by_name(_assert_verify_is_the_paper_form(_line_and_general_position(n, l)))
+    assert checks["hirzebruch"].applicable == (l <= n - 3)
+    assert checks["point_degree"].applicable == (l < n and n >= 5)
+    assert checks["incidences"].applicable == (l < n and n >= 5 and l <= F(n, 26) + 2)
+    assert checks["half_le3"].applicable == (l < n)
+
+
+@pytest.mark.parametrize("ps", [grid(5, 7), near_pencil(100), circle(60), collinear(5)],
+                         ids=["grid", "near-pencil", "circle", "collinear"])
+def test_each_check_builds_at_most_two_fractions(ps):
+    # a count, not a timing: one Fraction per reported side, where the
+    # Fraction operators of the paper form made 36 for the eight checks
+    arr = build_arrangement(ps)
+    checks, count = _fraction_constructions(lambda: verify_theorems(arr))
+    assert len(checks) == 8 and count <= 2 * len(checks)
+    assert _fraction_constructions(lambda: verify_theorems(arr, ["point_degree"]))[1] <= 2
+
+
+def test_verify_runs_only_the_named_checks_in_table_order():
+    arr = build_arrangement(grid(4, 4))
+    full = verify_theorems(arr)
+    named = verify_theorems(arr, ["half_le3", "hirzebruch", "half_le3"])
+    assert named == [c for c in full if c.name in ("hirzebruch", "half_le3")]
+    with pytest.raises(DomainError, match=r"unknown check name\(s\) \['bogus'\]"):
+        verify_theorems(arr, ["hirzebruch", "bogus"])
+    with pytest.raises(DomainError, match="empty check suite"):
+        verify_theorems(arr, [])
+
+
 def test_verify_reads_the_named_constants(monkeypatch):
     monkeypatch.setattr(bounds_mod, "WD_DELTA", F(1, 25))
     checks = _by_name(verify_theorems(build_arrangement(near_pencil(100))))
@@ -769,27 +862,6 @@ def test_verify_reads_the_named_constants(monkeypatch):
     incid = _by_name(verify_theorems(build_arrangement(grid(5, 7))))["incidences"]
     assert not incid.applicable
     assert incid.note == "needs non-collinear, n >= 5, and max_collinear <= n/25 + 2"
-
-
-def _st_bound_reference(n, i, e, k):
-    """The Szemeredi-Trotter bound in Fractions, written apart from bounds."""
-    return max(k.alpha * n / F(i - 1) ** (e - 2), k.beta * n**2 / (2 * F(i - 1) ** e))
-
-
-def _st_check_resum(name, arr, measure, e, k):
-    """The reference: re-sum measure(arr, i) at every threshold i."""
-    worst = None
-    all_hold = True
-    for i in range(2, arr.max_collinear + 1):
-        lhs = F(measure(arr, i))
-        rhs = _st_bound_reference(arr.n, i, e, k)
-        all_hold = all_hold and lhs <= rhs
-        slack = rhs - lhs
-        if worst is None or slack < worst[0]:
-            worst = (slack, i, lhs, rhs)
-    _, i, lhs, rhs = worst
-    note = f"tightest at i={i} over i in [2, {arr.max_collinear}]"
-    return TheoremCheck(name, True, "<=", lhs, rhs, all_hold, note)
 
 
 @pytest.mark.parametrize(
@@ -803,11 +875,10 @@ def _st_check_resum(name, arr, measure, e, k):
 )
 def test_st_checks_match_resum_reference(ps, k):
     arr = build_arrangement(ps)
-    edges = bounds_mod._st_check("st_edges", arr, 2, k)
-    lines = bounds_mod._st_check("st_lines", arr, 3, k)
-    assert edges == _st_check_resum("st_edges", arr, visibility_edge_count, 2, k)
-    assert lines == _st_check_resum(
-        "st_lines", arr, lambda a, i: sum(c for j, c in a.size_hist.items() if j >= i), 3, k)
+    edges = _st_check("st_edges", arr, 2, k)
+    lines = _st_check("st_lines", arr, 3, k)
+    assert edges == reference.st_check("st_edges", arr, 2, k)
+    assert lines == reference.st_check("st_lines", arr, 3, k)
     if k == bounds_mod.DEFAULT_CONSTANTS:
         checks = _by_name(verify_theorems(arr))
         assert (checks["st_edges"], checks["st_lines"]) == (edges, lines)
@@ -819,10 +890,10 @@ def test_st_check_ties_keep_the_smallest_threshold():
     # has slack 1 and the displayed one is i = 2
     arr = build_arrangement(collinear(4))
     k = CrossingConstants(alpha=F(1), beta=F(1, 1000))
-    check = bounds_mod._st_check("st_edges", arr, 2, k)
+    check = _st_check("st_edges", arr, 2, k)
     assert check.note == "tightest at i=2 over i in [2, 4]"
     assert check.lhs == 3 and check.rhs == 4
-    assert check == _st_check_resum("st_edges", arr, visibility_edge_count, 2, k)
+    assert check == reference.st_check("st_edges", arr, 2, k)
 
 
 def _st_check_per_threshold(name, arr, e, k):
@@ -867,4 +938,4 @@ def _st_cases(draw):
           CrossingConstants(F(1), F(2 * 9, 10))), 2)
 def test_st_check_visits_present_sizes_like_every_threshold(case, e):
     arr, k = case
-    assert bounds_mod._st_check("st", arr, e, k) == _st_check_per_threshold("st", arr, e, k)
+    assert _st_check("st", arr, e, k) == _st_check_per_threshold("st", arr, e, k)

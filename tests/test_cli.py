@@ -403,9 +403,33 @@ def test_run_verify_refuses_an_empty_suite_before_the_build(monkeypatch, cross_c
         cli.run_verify(generators.grid(3, 3), cross_check=cross_check, suite=[])
 
 
+@pytest.mark.parametrize("extra", [(), ("--cross-check",)], ids=["plain", "cross-check"])
+def test_suite_runs_only_the_named_checks(grid_file, monkeypatch, capsys, extra):
+    # --suite point_degree runs neither Szemeredi-Trotter scan, and prints
+    # what the full run prints for that check, in text and in JSON
+    scans = []
+    real = bounds._st_check
+    monkeypatch.setattr(bounds, "_st_check", lambda *args: scans.append(args) or real(*args))
+    outputs = {}
+    for suite in (), ("--suite", "point_degree"):
+        scans.clear()
+        for fmt in "text", "json":
+            assert cli.main(["verify", grid_file, *extra, *suite, "--format", fmt]) == 0
+            outputs[suite, fmt] = capsys.readouterr().out
+        assert len(scans) == (0 if suite else 2 * 2)
+    full = json.loads(outputs[(), "json"])
+    full["checks"] = [c for c in full["checks"] if c["name"] == "point_degree"]
+    assert json.loads(outputs[("--suite", "point_degree"), "json"]) == full
+    assert outputs[("--suite", "point_degree"), "json"] == json.dumps(full, indent=1) + "\n"
+    # a check's line reads "name: lhs OP rhs -> verdict"
+    text = [line for line in outputs[(), "text"].splitlines(keepends=True)
+            if " -> " not in line or line.startswith("point_degree: ")]
+    assert outputs[("--suite", "point_degree"), "text"] == "".join(text)
+
+
 def test_verify_exit_two_on_failed_check(grid_file, monkeypatch, capsys):
     failed = TheoremCheck("total_lines", True, ">=", F(1), F(2), False, "")
-    monkeypatch.setattr(bounds, "verify_theorems", lambda arr: [failed])
+    monkeypatch.setattr(bounds, "verify_theorems", lambda arr, names=None: [failed])
     assert cli.main(["verify", grid_file]) == 2
     assert "FAILED" in capsys.readouterr().out
 

@@ -147,13 +147,14 @@ def test_the_references_and_the_package_share_no_code():
 
 def test_moved_and_deleted_names_are_gone():
     # the references live in tests/reference.py; the rest had no caller, or,
-    # as the lazy line map and its kernel, no command reached them
+    # as the lazy line map and its kernel, no command reached them, or, as
+    # the per-check helpers, the check table replaced them
     gone = {
         pointline: ("orient", "normalize_key", "line_through", "LineKey", "brute_force_lines",
-                    "certify_lines", "tail_sum", "IdenticalPoints"),
+                    "certify_lines", "tail_sum", "IdenticalPoints", "hirzebruch_check"),
         geometry: ("orient", "normalize_key", "line_through", "LineKey"),
         oracle: ("brute_force_lines", "certify_lines"),
-        bounds: ("tail_sum",),
+        bounds: ("tail_sum", "hirzebruch_check", "_check"),
         errors: ("IdenticalPoints",),
         bounds.Interval: ("of", "width", "contains", "encloses", "__neg__", "__str__",
                           "__radd__", "__sub__", "__rsub__", "__truediv__"),

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -319,6 +320,24 @@ def test_statistics_certificate_refuses_a_missing_line_whose_slope_collides(coor
         for dropped in range(2):
             assert certify_statistics(ps, witness[:dropped] + witness[dropped + 1:]) is None
 
+
+
+def test_certificate_holds_o_n_memory_on_a_near_pencil():
+    # each member of the long line held its own mask of the members after it
+    # until its row, n^2 / 2 bits in all: a 9.6 MB tracemalloc peak at
+    # n = 8000.  One mask per listed line, shared by its members, held
+    # 1.2 MB, the n triples of the clearing among it (CPython 3.11.7)
+    ps = near_pencil(8000)
+    witness = []
+    arr = build_arrangement(ps, lines=witness)
+    tracemalloc.start()
+    try:
+        stats = certify_statistics(ps, witness)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats == (dict(arr.size_hist), list(arr.lines_per_point))
+    assert peak < 2_000_000
 
 
 def _certificate_pairs(ps):

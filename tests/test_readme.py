@@ -4,7 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
-from pointline import _kern, arrangement, cli, generators
+from pointline import _kern, arrangement, bounds, cli, generators
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -56,3 +56,10 @@ def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
         argmax = re.search(r"# argmax c=(\d+)", line)
         if argmax:
             assert f"argmax_c: {argmax.group(1)}" in capsys.readouterr().out, line
+
+
+def test_readme_names_the_checks_in_table_order():
+    # the CLI section's sentence on --suite lists every check name, in the
+    # order verify_theorems runs them
+    sentence = " ".join(README.read_text().split("`verify --suite` takes", 1)[1].split(", and runs")[0].split())
+    assert tuple(re.findall(r"`(\w+)`", sentence)) == bounds.CHECK_NAMES

@@ -24,9 +24,9 @@ builder each (_wd_record, _few_record; BoundParamsWD.with_eps gives the
 eps-dependent delta from the record's numerator), from integer closed
 forms, one Fraction per field or enclosure end; the paper-form formulas,
 in Fraction at both ends of the series enclosure, are in
-tests/reference.py.  The scans over c (scan_constants_wd,
-scan_constants_few) are the only callers of those builders and return
-their records, so callers such as the CLI format fields and never
+tests/reference.py.  The scan over c, _scan (through scan_constants_wd
+and scan_constants_few), is the only caller of those builders and
+returns their records, so callers such as the CLI format fields and never
 re-derive one.  The record at a single c is the one record of the scan
 from c to c.
 """
@@ -144,8 +144,6 @@ def _st_bound(n: int, e: int, k: CrossingConstants) -> tuple[Callable[[int], tup
     return bound, t + 1
 
 
-TAIL_KINDS = ("1/i^2", "(i+1)/i^3")
-
 # the tail table sums in integer multiples of 2^-TAIL_BITS
 TAIL_BITS = 128
 
@@ -198,13 +196,9 @@ def _suffix_tail_table(kind: str, c_min: int, c_max: int, cutoff: int) -> dict[i
     about 2^-82, far more than the 2 * 2048 + 2 units (under 2^-115)
     by which rounding can move an end, so the enclosure at 2M still
     lies inside the one at M.
+    Its one caller, _scan, passes a kind of _term, 2 <= c_min and
+    cutoff >= c_max; the table does not check them again.
     """
-    if kind not in TAIL_KINDS:
-        raise DomainError(f"unknown series kind {kind!r}; expected one of {TAIL_KINDS}")
-    if c_min < 2:
-        raise DomainError(f"series start must be >= 2, got {c_min}")
-    if cutoff < c_max:
-        raise InvalidCutoff(f"cutoff {cutoff} below series start {c_max}")
     t_lo, t_hi = _tail_bounds(kind, cutoff)
     lo = (t_lo.numerator << TAIL_BITS) // t_lo.denominator
     hi = -((-t_hi.numerator << TAIL_BITS) // t_hi.denominator)
@@ -226,7 +220,7 @@ def _suffix_tail_table(kind: str, c_min: int, c_max: int, cutoff: int) -> dict[i
 # the only place the family's constant formulas are written, apart from the
 # eps-dependent delta of the wd family, which BoundParamsWD.with_eps derives
 # from the numerator its builder stores.
-# The scan over c is the builders' only caller.
+# The scan over c, _scan, is the builders' only caller.
 # ---------------------------------------------------------------------------
 
 WD_C_MIN = 8
@@ -343,51 +337,43 @@ class ScanResult(NamedTuple):
     records: tuple
 
 
-class _Family:
-    """A bound family: its series kind, smallest c, record builder and the
-    record field its scan over c maximizes."""
+def _scan(series: str, smallest: int, build: Callable, objective: str,
+          c_min: int, c_max: int, k: CrossingConstants, cutoff: int) -> ScanResult:
+    """Isolate the c maximizing the objective enclosure by interval dominance.
 
-    def __init__(self, series: str, c_min: int, build: Callable, objective: str):
-        self.series, self.c_min, self.build, self.objective = series, c_min, build, objective
-
-    def scan(self, c_min, c_max, k, cutoff) -> ScanResult:
-        """Isolate the c maximizing the objective enclosure by interval dominance.
-
-        The argmax is accepted only when its enclosure's lower bound exceeds
-        every other enclosure's upper bound.  While enclosures overlap at the
-        top, the cutoff doubles (up to MAX_CUTOFF); if the maximum still
-        cannot be isolated, Unresolved is raised naming the overlapping set.
-        The start cutoff must lie in [1, MAX_CUTOFF]; one below c_max is
-        lifted to c_max, so c_max must not exceed MAX_CUTOFF either.
-        """
-        if not self.c_min <= c_min <= c_max:
-            raise DomainError(f"need {self.c_min} <= c_min <= c_max, got [{c_min}, {c_max}]")
-        if cutoff < 1:
-            raise InvalidCutoff(f"cutoff must be >= 1, got {cutoff}")
-        if cutoff > MAX_CUTOFF:
-            raise InvalidCutoff(f"cutoff must be <= {MAX_CUTOFF}, got {cutoff}")
-        if c_max > MAX_CUTOFF:
-            raise InvalidCutoff(f"c_max must be <= {MAX_CUTOFF}, the largest cutoff, got {c_max}")
-        cutoff = max(cutoff, c_max)
-        while True:
-            tails = _suffix_tail_table(self.series, c_min, c_max, cutoff)
-            # pop: each tail enclosure is freed once its record is built
-            records = tuple(self.build(c, tails.pop(c), k) for c in range(c_min, c_max + 1))
-            table = tuple((p.c, getattr(p, self.objective)) for p in records)
-            best_c, best = max(table, key=lambda row: row[1].lo)
-            overlapping = [c for c, iv in table if c != best_c and iv.hi >= best.lo]
-            if not overlapping:
-                return ScanResult(argmax_c=best_c, table=table, cutoff=cutoff, records=records)
-            if cutoff * 2 > MAX_CUTOFF:
-                raise Unresolved(
-                    f"argmax not isolated at cutoff {cutoff}: "
-                    f"{best_c} overlaps with {overlapping}"
-                )
-            cutoff *= 2
-
-
-_WD = _Family("(i+1)/i^3", WD_C_MIN, _wd_record, "f")
-_FEW = _Family("1/i^2", FEW_C_MIN, _few_record, "eps")
+    series, smallest, build and objective are a family's series kind,
+    least c, record builder and the record field maximized.  The argmax
+    is accepted only when its enclosure's lower bound exceeds every other
+    enclosure's upper bound.  While enclosures overlap at the top, the
+    cutoff doubles (up to MAX_CUTOFF); if the maximum still cannot be
+    isolated, Unresolved is raised naming the overlapping set.
+    The start cutoff must lie in [1, MAX_CUTOFF]; one below c_max is
+    lifted to c_max, so c_max must not exceed MAX_CUTOFF either.
+    """
+    if not smallest <= c_min <= c_max:
+        raise DomainError(f"need {smallest} <= c_min <= c_max, got [{c_min}, {c_max}]")
+    if cutoff < 1:
+        raise InvalidCutoff(f"cutoff must be >= 1, got {cutoff}")
+    if cutoff > MAX_CUTOFF:
+        raise InvalidCutoff(f"cutoff must be <= {MAX_CUTOFF}, got {cutoff}")
+    if c_max > MAX_CUTOFF:
+        raise InvalidCutoff(f"c_max must be <= {MAX_CUTOFF}, the largest cutoff, got {c_max}")
+    cutoff = max(cutoff, c_max)
+    while True:
+        tails = _suffix_tail_table(series, c_min, c_max, cutoff)
+        # pop: each tail enclosure is freed once its record is built
+        records = tuple(build(c, tails.pop(c), k) for c in range(c_min, c_max + 1))
+        table = tuple((p.c, getattr(p, objective)) for p in records)
+        best_c, best = max(table, key=lambda row: row[1].lo)
+        overlapping = [c for c, iv in table if c != best_c and iv.hi >= best.lo]
+        if not overlapping:
+            return ScanResult(argmax_c=best_c, table=table, cutoff=cutoff, records=records)
+        if cutoff * 2 > MAX_CUTOFF:
+            raise Unresolved(
+                f"argmax not isolated at cutoff {cutoff}: "
+                f"{best_c} overlaps with {overlapping}"
+            )
+        cutoff *= 2
 
 
 def scan_constants_wd(
@@ -397,7 +383,7 @@ def scan_constants_wd(
     cutoff: int = DEFAULT_CUTOFF,
 ) -> ScanResult:
     """Isolate the c in [c_min, c_max] maximizing f(c); records are BoundParamsWD."""
-    return _WD.scan(c_min, c_max, k, cutoff)
+    return _scan("(i+1)/i^3", WD_C_MIN, _wd_record, "f", c_min, c_max, k, cutoff)
 
 
 def scan_constants_few(
@@ -407,7 +393,7 @@ def scan_constants_few(
     cutoff: int = DEFAULT_CUTOFF,
 ) -> ScanResult:
     """Isolate the c in [c_min, c_max] maximizing 2A(c)/(1 + 2B(c)); records are BoundParamsFew."""
-    return _FEW.scan(c_min, c_max, k, cutoff)
+    return _scan("1/i^2", FEW_C_MIN, _few_record, "eps", c_min, c_max, k, cutoff)
 
 
 # The paper's constants, certified at the default pair and cutoff by one

@@ -208,7 +208,7 @@ def run_verify(
 
 
 def _print_verify_text(report: dict) -> None:
-    _print_stats_text({k: v for k, v in report.items() if k not in ("checks", "cross_check", "l")})
+    _print_stats_text(report)
     if "cross_check" in report:
         print(f"cross_check: {report['cross_check']}")
     for c in report.get("checks", []):

@@ -56,14 +56,15 @@ it is keyed again by its direction divided by gcd(dx, dy) and by its
 sign (dx > 0, or dx = 0 < dy).  Parallel directions have one real slope,
 so one key: the second of two meets the first there, or, when the key's
 first direction is a third one, both go under one reduced key.  So no
-guard on the coordinates is needed.  In process (best of 5-9, 2-core VM,
-CPython 3.11.7) it took 0.9-1.2 times the witness loop: 0.96 ms on a
-rational circle of 80 points, 2.7 ms on a 12x12 grid (898 listed lines),
-2.5 ms on 150 random lattice points (seed 7, bound 100; 90), 2.6 ms on a
-2000-point near-pencil (1), 0.11 s on a 30x30 grid (34,270) and 67 ms
-on 800 random lattice points (seed 7, bound 2000; 67); but 1.7 times
-(83 ms) on a rational circle of 600 points, as clearing each point on
-its own squares the circle's denominators.
+guard on the coordinates is needed.  In process (best of 5, two runs,
+2-core VM, CPython 3.11.7) it took 0.9-1.2 times the witness loop:
+0.9-1.0 ms on a rational circle of 80 points, 2.6 ms on a 12x12 grid
+(898 listed lines), 2.4 ms on 150 random lattice points (seed 7, bound
+100; 90), 3.4-4.5 ms on a 2000-point near-pencil (1), 0.11-0.13 s on a
+30x30 grid (34,270) and 65 ms on 800 random lattice points (seed 7,
+bound 2000; 67); but 1.4-1.6 times (77-81 ms) on a rational circle of
+600 points, as clearing each point on its own squares the circle's
+denominators.
 """
 from __future__ import annotations
 

@@ -2,15 +2,10 @@
 
 No command reaches them, so they live beside the tests.  They share no
 code with the line kernels (pointline._kern) or with the certificate
-(pointline.oracle): each point is cleared here on its own, the canonical
-key rule is written out again, and only the package's public records and
-errors are imported.
+(pointline.oracle): each point is cleared here on its own, and only the
+package's public records and errors are imported.
 
-``orient``, ``line_through`` and ``normalize_key`` work in exact
-rationals.  A line is identified by the integer triple (a, b, c) of its
-cleared-denominator equation a*x + b*y + c = 0, normalized so that
-gcd(|a|, |b|, |c|) = 1 and a > 0 (or a = 0, b > 0), so coincident lines
-always get the same LineKey.
+``orient`` is the orientation sign of three points in exact rationals.
 
 ``brute_force_lines`` enumerates the lines.  It clears each point
 (p/q, r/s) on its own to the integer triple (X, Y, W) = (p*s, r*q, q*s),
@@ -34,7 +29,7 @@ collisions too.  The vectorised path keys a direction by its float64
 slope.
 What it does not share: the clearing (its own formula, no lcm), the
 integer type (Python ints, no int64, no floats and no numpy), the
-(a, b, c) line key (none is built) and any function of the package.
+line equation (none is built) and any function of the package.
 O(n^2) gcds; best of 3 calls on a shared 2-core VM with CPython 3.11.7
 (load 0.6-0.9): 5 ms for a rational circle of 80 points, 9-14 ms for a
 12x12 grid or 150 random lattice points (seed 7, bound 2000); over three
@@ -75,19 +70,11 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import gcd, lcm
-from typing import IO, NamedTuple
+from math import gcd
+from typing import IO
 
 from pointline import (Arrangement, BoundParamsFew, BoundParamsWD, CrossingConstants, DomainError,
                        Interval, Point, PointFormatError, PointSet, TheoremCheck, TooFewPoints)
-
-
-class LineKey(NamedTuple):
-    """Canonical integer form of the line a*x + b*y + c = 0."""
-
-    a: int
-    b: int
-    c: int
 
 
 def orient(p: Point, q: Point, r: Point) -> int:
@@ -98,34 +85,6 @@ def orient(p: Point, q: Point, r: Point) -> int:
     """
     cross = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
     return (cross > 0) - (cross < 0)
-
-
-def normalize_key(a: Fraction, b: Fraction, c: Fraction) -> LineKey:
-    """Normalize a rational line equation to its canonical LineKey.
-
-    Clears denominators, divides out the content, and fixes the sign so
-    that a > 0 or (a = 0 and b > 0).  (a, b) must not both be zero.
-    """
-    if a == 0 and b == 0:
-        raise DomainError("degenerate line equation: a = b = 0")
-    # ints expose .denominator == 1, so mixed int/Fraction input is fine
-    scale = lcm(a.denominator, b.denominator, c.denominator)
-    ai, bi, ci = int(a * scale), int(b * scale), int(c * scale)
-    g = gcd(ai, bi, ci)
-    if ai < 0 or (ai == 0 and bi < 0):
-        g = -g
-    return LineKey(ai // g, bi // g, ci // g)
-
-
-def line_through(p: Point, q: Point) -> LineKey:
-    """Canonical key of the unique line through two distinct points.
-
-    Symmetric in its arguments; any r collinear with p and q satisfies
-    a*r.x + b*r.y + c = 0 for the returned key.
-    """
-    if p == q:
-        raise DomainError(f"no unique line through identical points {p}")
-    return normalize_key(q.y - p.y, p.x - q.x, q.x * p.y - p.x * q.y)
 
 
 def _cleared(ps: PointSet) -> list[tuple[int, int, int]]:

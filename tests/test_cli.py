@@ -648,6 +648,21 @@ def test_constants_eps_with_few_family_is_usage_error(capsys):
     assert "--eps" in captured.err
 
 
+def _checked_tails(table, cutoffs):
+    """table, appending each call's cutoff to cutoffs after asserting what the
+    scan guarantees the table and the table no longer checks: a series kind
+    of bounds._term, a start of at least 2 and a cutoff no lower than c_max."""
+
+    def counting(kind, c_min, c_max, cutoff):
+        assert kind in ("1/i^2", "(i+1)/i^3")
+        assert c_min >= 2
+        assert cutoff >= c_max
+        cutoffs.append(cutoff)
+        return table(kind, c_min, c_max, cutoff)
+
+    return counting
+
+
 @pytest.mark.parametrize("argv", [
     ["--family", "few", "--c-min", "40", "--c-max", "50"],
     ["--family", "wd", "--c-min", "40", "--c-max", "50", "--eps", "1/26"],
@@ -656,13 +671,7 @@ def test_constants_eps_with_few_family_is_usage_error(capsys):
 ])
 def test_constants_one_tail_pass_per_refinement_round(argv, monkeypatch, capsys):
     cutoffs = []
-    table = bounds._suffix_tail_table
-
-    def counting(kind, c_min, c_max, cutoff):
-        cutoffs.append(cutoff)
-        return table(kind, c_min, c_max, cutoff)
-
-    monkeypatch.setattr(bounds, "_suffix_tail_table", counting)
+    monkeypatch.setattr(bounds, "_suffix_tail_table", _checked_tails(bounds._suffix_tail_table, cutoffs))
     assert cli.main(["constants", *argv, "--format", "json"]) == 0
     final = json.loads(capsys.readouterr().out)["cutoff"]
     rounds = [cutoffs[0] * 2**i for i in range(len(cutoffs))]
@@ -694,6 +703,16 @@ def test_constants_output_matches_the_exact_tail_sums(argv, monkeypatch, capsys)
     shipped = cli.main(["constants", *argv]), capsys.readouterr()
     monkeypatch.setattr(bounds, "_suffix_tail_table", exact_tail_table)
     assert (cli.main(["constants", *argv]), capsys.readouterr()) == shipped
+
+
+@pytest.mark.parametrize("argv", GATE_CALLS, ids=" ".join)
+def test_constants_tail_tables_get_what_the_scan_guarantees(argv, monkeypatch, capsys):
+    # the lifted start cutoff and the exit-3 near-tie among them
+    cutoffs = []
+    monkeypatch.setattr(bounds, "_suffix_tail_table", _checked_tails(bounds._suffix_tail_table, cutoffs))
+    cli.main(["constants", *argv])
+    capsys.readouterr()
+    assert cutoffs
 
 
 # sha256 of repr((exit code, stdout, stderr)) of each GATE_CALLS call, as

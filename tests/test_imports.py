@@ -6,7 +6,8 @@ __init__.py is skipped: its imports are the package's re-exports.  `from __futur
 imports are compiler directives and bind no name.  A re-exported name that no
 other module of the package references is allowed only with a stated reason.
 The independent references in tests/reference.py import only pointline's
-public records and errors, and no package module imports from the tests.
+public records and errors, no package module imports from the tests, and
+every name reference.py defines is read by a test file or by reference.py.
 """
 import ast
 from pathlib import Path
@@ -145,6 +146,33 @@ def test_the_references_and_the_package_share_no_code():
             if module.split(".")[0] in TEST_MODULES or module.startswith("..")] == []
 
 
+def _used_names(tree: ast.Module) -> set[str]:
+    """Every name tree reads: each Name it loads and each attribute it takes."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def _unused_references(source: str, users: set[str]) -> list[str]:
+    """The names source defines at module level (def, class or assignment)
+    that neither source itself reads nor users holds."""
+    tree = ast.parse(source)
+    defined = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    defined += [target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)]
+    return sorted(set(defined) - _used_names(tree) - users)
+
+
+def test_every_reference_is_compared_against():
+    source = (TESTS / "reference.py").read_text(encoding="utf-8")
+    users = set().union(*(_used_names(ast.parse(path.read_text(encoding="utf-8")))
+                          for path in TEST_FILES if path.name != "reference.py"))
+    assert _unused_references(source, users) == []
+    # a helper no test calls is reported, and so is a constant; one the
+    # references call themselves is not
+    extra = "\nLIMIT = 3\n\ndef line_through(p, q):\n    return _key(p)\n\ndef _key(p):\n    return p\n"
+    assert _unused_references(source + extra, users) == ["LIMIT", "line_through"]
+
+
 def test_moved_and_deleted_names_are_gone():
     # the references live in tests/reference.py; the rest had no caller, or,
     # as the lazy line map and its kernel, no command reached them, or, as
@@ -154,7 +182,7 @@ def test_moved_and_deleted_names_are_gone():
                     "certify_lines", "tail_sum", "IdenticalPoints", "hirzebruch_check"),
         geometry: ("orient", "normalize_key", "line_through", "LineKey"),
         oracle: ("brute_force_lines", "certify_lines"),
-        bounds: ("tail_sum", "hirzebruch_check", "_check"),
+        bounds: ("tail_sum", "hirzebruch_check", "_check", "_Family", "_WD", "_FEW", "TAIL_KINDS"),
         errors: ("IdenticalPoints",),
         bounds.Interval: ("of", "width", "contains", "encloses", "__neg__", "__str__",
                           "__radd__", "__sub__", "__rsub__", "__truediv__"),

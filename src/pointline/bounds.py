@@ -32,6 +32,7 @@ from c to c.
 """
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
@@ -78,12 +79,14 @@ class CrossingConstants(namedtuple("CrossingConstants", "alpha beta")):
     n/26 + 2 and n(n - l)/61; Ackerman's (7, 29) (Comput. Geom. 85, 2019)
     has a larger alpha and a smaller beta, so neither dominates.  The
     constant scans take any pair, for sensitivity scans; verify_theorems
-    checks the statements the default pair proves.
+    checks the statements the default pair proves.  alpha and beta are
+    held as Fractions, as check_eps holds eps.
     """
 
     __slots__ = ()
 
     def __new__(cls, alpha: Rational = Fraction(103, 16), beta: Rational = Fraction(31827, 1024)):
+        alpha, beta = Fraction(alpha), Fraction(beta)
         if alpha <= 0 or beta <= 0:
             raise DomainError("crossing constants must be positive")
         return super().__new__(cls, alpha, beta)
@@ -93,11 +96,12 @@ DEFAULT_CONSTANTS = CrossingConstants()
 
 
 class GraphSize(namedtuple("GraphSize", "n_vertices m_edges")):
-    """Vertex and edge counts of an abstract graph, as a named tuple."""
+    """Vertex and edge counts of an abstract graph, as a named tuple; a non-integer count is a TypeError."""
 
     __slots__ = ()
 
     def __new__(cls, n_vertices: int, m_edges: int):
+        n_vertices, m_edges = operator.index(n_vertices), operator.index(m_edges)
         if n_vertices < 1:
             raise DomainError("graph needs at least one vertex")
         max_edges = n_vertices * (n_vertices - 1) // 2
@@ -111,37 +115,6 @@ def crossing_lower_bound(g: GraphSize, k: CrossingConstants = DEFAULT_CONSTANTS)
     if g.m_edges < k.alpha * g.n_vertices:
         return Fraction(0)
     return Fraction(g.m_edges**3) / (k.beta * g.n_vertices**2)
-
-
-def _st_bound(n: int, e: int, k: CrossingConstants) -> tuple[Callable[[int], tuple[int, int]], int]:
-    """The Szemeredi-Trotter bound on n points as bound(i) -> (num, den), den > 0.
-
-    num/den = max{alpha*n / (i-1)^(e-2), beta*n^2 / (2(i-1)^e)} for i >= 2
-    bounds sum_{j>=i} (j-1)^(3-e) s_j (e = 2: the st_edges check, e = 3:
-    the st_lines check).  alpha*n and beta*n^2/2 are taken as integers over
-    one denominator straight from the crossing pair, so each bound(i) is
-    integer arithmetic and no Fraction is built.
-    Returned with bound is alpha_from, the least i >= 2 from which the alpha
-    term is the max; bound(i) never increases with i, and for e = 2 it is
-    the constant alpha*n from alpha_from on.
-    """
-    if n < 1:
-        raise DomainError(f"point count must be >= 1, got {n}")
-    alpha, beta = k
-    # alpha*n/(i-1)^(e-2) and beta*n^2/(2(i-1)^e) over the one denominator den*(i-1)^e
-    den = 2 * alpha.denominator * beta.denominator
-    a_num = alpha.numerator * n * 2 * beta.denominator
-    b_num = beta.numerator * n * n * alpha.denominator
-
-    def bound(i: int) -> tuple[int, int]:
-        if i < 2:
-            raise DomainError(f"line size threshold must be >= 2, got {i}")
-        num = a_num * (i - 1) ** 2  # max(num, b_num) below, without a call per threshold
-        return (num if num > b_num else b_num), den * (i - 1) ** e
-
-    # the least t >= 1 with a_num * t^2 >= b_num, that is t^2 >= ceil(b_num / a_num)
-    t = isqrt(-(-b_num // a_num) - 1) + 1
-    return bound, t + 1
 
 
 # the tail table sums in integer multiples of 2^-TAIL_BITS
@@ -532,28 +505,39 @@ def verify_theorems(arr: Arrangement, names=None) -> list[TheoremCheck]:
 def _st_check(arr, e, k):
     """The sides of sum_{j>=i} (j-1)^(3-e) s_j <= bound(i) for every i in [2, max_collinear].
 
-    Both the weight and bound(i) come from e (see _st_bound).  The suffix
-    sum is constant on [prev + 1, p] for consecutive line sizes prev < p
-    present (prev = 1 below the smallest), and bound(i) does not increase
-    with i, so the smallest slack there is at p; only where the e = 2
-    bound is flat does it tie over [max(prev + 1, alpha_from), p], and
-    the smallest such i stands for the tie.  So one pass over the present
-    sizes, from max_collinear down, keeps the suffix sum as an int; each
-    bound is num/den in ints, so slacks compare by cross-multiplication.
-    The sides are those at the tightest i (smallest slack; the smallest
-    such i on ties): every threshold holds iff suffix * den <= num there.
+    bound(i) = max{alpha*n / (i-1)^(e-2), beta*n^2 / (2(i-1)^e)} (e = 2: the
+    st_edges check, e = 3: the st_lines check), held as num/den in ints over
+    the one denominator den*(i-1)^e, straight from the crossing pair k, so
+    no Fraction is built.  bound(i) never increases with i, and for e = 2
+    it is the constant alpha*n from alpha_from on, the least i >= 2 from
+    which the alpha term is the max.  The suffix sum is constant on
+    [prev + 1, p] for consecutive line sizes prev < p present (prev = 1
+    below the smallest), so the smallest slack there is at p; only where
+    the e = 2 bound is flat does it tie over [max(prev + 1, alpha_from), p],
+    and the smallest such i stands for the tie.  So one pass over the
+    present sizes, from max_collinear down, keeps the suffix sum as an int,
+    and slacks compare by cross-multiplication.  The sides are those at
+    the tightest i (smallest slack; the smallest such i on ties): every
+    threshold holds iff suffix * den <= num there.
     """
-    bound, alpha_from = _st_bound(arr.n, e, k)
+    (alpha, beta), n = k, arr.n
+    den = 2 * alpha.denominator * beta.denominator
+    a_num = alpha.numerator * n * 2 * beta.denominator
+    b_num = beta.numerator * n * n * alpha.denominator
+    # the least i >= 2 with a_num * (i-1)^2 >= b_num, that is (i-1)^2 >= ceil(b_num / a_num)
+    alpha_from = isqrt(-(-b_num // a_num) - 1) + 2
     sizes = sorted(arr.size_hist, reverse=True)
     worst = None
     suffix = 0
     for p, prev in zip(sizes, sizes[1:] + [1]):
         suffix += (p - 1) ** (3 - e) * arr.size_hist[p]
         i = max(prev + 1, alpha_from) if e == 2 and p >= alpha_from else p
-        num, den = bound(i)
-        slack = num - suffix * den
-        # slack/den <= worst slack/den, both denominators positive
-        if worst is None or slack * worst[1] <= worst[0] * den:
-            worst = (slack, den, num, i, suffix)
+        num, den_i = a_num * (i - 1) ** 2, den * (i - 1) ** e
+        if num < b_num:  # max(num, b_num), without a call per size
+            num = b_num
+        slack = num - suffix * den_i
+        # slack/den_i <= the worst slack so far, both denominators positive
+        if worst is None or slack * worst[1] <= worst[0] * den_i:
+            worst = (slack, den_i, num, i, suffix)
     _, den, num, i, lhs = worst
     return True, f"tightest at i={i} over i in [2, {arr.max_collinear}]", (lhs, 1), (num, den)

@@ -95,6 +95,21 @@ def test_graph_size_validation():
         GraphSize(4, 7)
 
 
+def test_crossing_constants_hold_exact_fractions():
+    # both floats are dyadic, so they convert to the default pair exactly
+    k = CrossingConstants(6.4375, 31.0810546875)
+    assert k == bounds_mod.DEFAULT_CONSTANTS
+    assert (type(k.alpha), type(k.beta)) == (F, F)
+    assert scan_constants_wd(40, 50, k) == scan_constants_wd(40, 50)
+    assert type(crossing_lower_bound(GraphSize(16, 103), k)) is F
+
+
+def test_graph_size_refuses_float_counts():
+    for counts in ((16.0, 103), (16, 103.0)):
+        with pytest.raises(TypeError):
+            GraphSize(*counts)
+
+
 def test_crossing_lower_bound_at_threshold():
     # m = alpha * n exactly
     assert crossing_lower_bound(GraphSize(16, 103)) == F(1024 * 103**3, 31827 * 256)
@@ -106,38 +121,34 @@ def test_crossing_lower_bound_below_threshold():
     assert crossing_lower_bound(GraphSize(10, 45)) == 0
 
 
-def _st_bound_at(n, i, e):
-    """bounds._st_bound at threshold i for the default constants, as a Fraction."""
-    return F(*bounds_mod._st_bound(n, e, bounds_mod.DEFAULT_CONSTANTS)[0](i))
+def _st_sides(n, hist, e):
+    """The lhs, rhs and note of _st_check at the default pair on n points with line sizes hist."""
+    arr = SimpleNamespace(n=n, size_hist=hist, max_collinear=max(hist))
+    _, note, lhs, rhs = bounds_mod._st_check(arr, e, bounds_mod.DEFAULT_CONSTANTS)
+    return F(*lhs), F(*rhs), note
 
 
 def test_st_bound_edges_small_i():
-    assert _st_bound_at(9, 2, 2) == max(F(927, 16), F(2577987, 2048)) == F(2577987, 2048)
+    assert _st_sides(9, {2: 36}, 2)[1] == max(F(927, 16), F(2577987, 2048)) == F(2577987, 2048)
 
 
 def test_st_bound_edges_branch_switch():
-    # i large enough that the quadratic branch drops below alpha*n
-    assert _st_bound_at(9, 100, 2) == F(927, 16)
+    # from i = 6 on the quadratic branch is below alpha*n, so the bound is flat
+    # there and the smallest threshold of the flat stretch stands for the tie
+    assert _st_sides(9, {100: 1}, 2) == (99, F(927, 16), "tightest at i=6 over i in [2, 100]")
 
 
 def test_st_bound_lines():
-    assert _st_bound_at(9, 3, 3) == max(F(927, 32), F(2577987, 16384)) == F(2577987, 16384)
-    assert _st_bound_at(9, 2, 3) == max(ALPHA * 9, BETA * 81 / 2)
+    assert _st_sides(9, {3: 12}, 3)[1] == max(F(927, 32), F(2577987, 16384)) == F(2577987, 16384)
+    assert _st_sides(9, {2: 36}, 3)[1] == max(ALPHA * 9, BETA * 81 / 2) == F(2577987, 2048)
 
 
 def test_st_bounds_monotone_in_n():
+    # one line of i points: the suffix sum is constant on [2, i], so the
+    # tightest threshold's bound is the bound at i
     for i in (2, 3, 7):
-        assert _st_bound_at(50, i, 2) >= _st_bound_at(10, i, 2)
-        assert _st_bound_at(50, i, 3) >= _st_bound_at(10, i, 3)
-
-
-def test_st_bound_domain():
-    with pytest.raises(DomainError, match=r"^line size threshold must be >= 2, got 1$"):
-        _st_bound_at(9, 1, 2)
-    with pytest.raises(DomainError, match=r"^point count must be >= 1, got 0$"):
-        _st_bound_at(0, 2, 3)
-    with pytest.raises(DomainError, match="point count"):
-        _st_bound_at(0, 1, 3)  # n is checked first
+        for e in (2, 3):
+            assert _st_sides(50, {i: 1}, e)[1] >= _st_sides(10, {i: 1}, e)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -889,22 +900,6 @@ def test_st_check_ties_keep_the_smallest_threshold():
     assert check == reference.st_check("st_edges", arr, 2, k)
 
 
-def _st_check_per_threshold(name, arr, e, k):
-    """The reference: one slack per threshold i, from max_collinear down."""
-    bound, _ = bounds_mod._st_bound(arr.n, e, k)
-    worst = None
-    suffix = 0
-    for i in range(arr.max_collinear, 1, -1):
-        suffix += (i - 1) ** (3 - e) * arr.size_hist.get(i, 0)
-        num, den = bound(i)
-        slack = num - suffix * den
-        if worst is None or slack * worst[1] <= worst[0] * den:
-            worst = (slack, den, num, i, suffix)
-    slack, den, num, i, lhs = worst
-    note = f"tightest at i={i} over i in [2, {arr.max_collinear}]"
-    return TheoremCheck(name, True, "<=", F(lhs), F(num, den), slack >= 0, note)
-
-
 _positive = st.fractions(min_value=F(1, 1000), max_value=50, max_denominator=1000)
 
 
@@ -931,4 +926,4 @@ def _st_cases(draw):
           CrossingConstants(F(1), F(2 * 9, 10))), 2)
 def test_st_check_visits_present_sizes_like_every_threshold(case, e):
     arr, k = case
-    assert _st_check("st", arr, e, k) == _st_check_per_threshold("st", arr, e, k)
+    assert _st_check("st", arr, e, k) == reference.st_check("st", arr, e, k)

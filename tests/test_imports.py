@@ -8,6 +8,7 @@ other module of the package references is allowed only with a stated reason.
 The independent references in tests/reference.py import only pointline's
 public records and errors, no package module imports from the tests, and
 every name reference.py defines is read by a test file or by reference.py.
+Every private module-level name of the package is read by the package.
 """
 import ast
 from pathlib import Path
@@ -152,14 +153,17 @@ def _used_names(tree: ast.Module) -> set[str]:
             | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
 
 
+def _defined_names(tree: ast.Module) -> set[str]:
+    """The names tree defines at module level: each def, class or assignment target."""
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    return defined | {target.id for node in tree.body if isinstance(node, ast.Assign)
+                      for target in node.targets if isinstance(target, ast.Name)}
+
+
 def _unused_references(source: str, users: set[str]) -> list[str]:
-    """The names source defines at module level (def, class or assignment)
-    that neither source itself reads nor users holds."""
+    """The names source defines at module level that neither source itself reads nor users holds."""
     tree = ast.parse(source)
-    defined = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    defined += [target.id for node in tree.body if isinstance(node, ast.Assign)
-                for target in node.targets if isinstance(target, ast.Name)]
-    return sorted(set(defined) - _used_names(tree) - users)
+    return sorted(_defined_names(tree) - _used_names(tree) - users)
 
 
 def test_every_reference_is_compared_against():
@@ -173,6 +177,25 @@ def test_every_reference_is_compared_against():
     assert _unused_references(source + extra, users) == ["LIMIT", "line_through"]
 
 
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level _names (not dunders) each source defines that no source reads, as "file: name"."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set().union(*map(_used_names, trees.values()))
+    return sorted(f"{name}: {defined}" for name, tree in trees.items() for defined in _defined_names(tree)
+                  if defined.startswith("_") and not defined.startswith("__") and defined not in read)
+
+
+def test_every_private_helper_is_read_by_the_package():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in [*MODULES, SRC / "__init__.py"]}
+    assert _unread_private_names(sources) == []
+    # a private helper and a private constant nothing reads are reported, a
+    # private helper that only another helper reads is not, nor is a public name
+    extra = ("\n_LIMIT = 3\n\ndef _line_through(p, q):\n    return _key(p)\n\n"
+             "def _key(p):\n    return p\n\ndef line_through(p, q):\n    return p\n")
+    sources["bounds.py"] += extra
+    assert _unread_private_names(sources) == ["bounds.py: _LIMIT", "bounds.py: _line_through"]
+
+
 def test_moved_and_deleted_names_are_gone():
     # the references live in tests/reference.py; the rest had no caller, or,
     # as the lazy line map and its kernel, no command reached them, or, as
@@ -182,7 +205,7 @@ def test_moved_and_deleted_names_are_gone():
                     "certify_lines", "tail_sum", "IdenticalPoints", "hirzebruch_check"),
         geometry: ("orient", "normalize_key", "line_through", "LineKey"),
         oracle: ("brute_force_lines", "certify_lines"),
-        bounds: ("tail_sum", "hirzebruch_check", "_check", "_Family", "_WD", "_FEW", "TAIL_KINDS"),
+        bounds: ("tail_sum", "hirzebruch_check", "_check", "_Family", "_WD", "_FEW", "TAIL_KINDS", "_st_bound"),
         errors: ("IdenticalPoints",),
         bounds.Interval: ("of", "width", "contains", "encloses", "__neg__", "__str__",
                           "__radd__", "__sub__", "__rsub__", "__truediv__"),

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import bounds, generators
 from .arrangement import Arrangement, PointSet, build_arrangement, max_lines_through_point
@@ -110,6 +110,33 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _dumps(obj, newline: str = "\n") -> str:
+    """json.dumps(obj, indent=1) for dicts with str keys, lists, str, int, bool and None.
+
+    json.dumps takes its pure-Python encoder whenever indent is set; this
+    walk lays a report out the same way and escapes each string with the C
+    function that json.dumps uses.  Any other type is a TypeError.
+    """
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return repr(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if kind is not dict and kind is not list:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not obj:
+        return "{}" if kind is dict else "[]"
+    inner = newline + " "
+    if kind is list:
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + newline + "]"
+    items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
+    return "{" + inner + ("," + inner).join(items) + newline + "}"
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -157,7 +184,7 @@ def cmd_analyze(args) -> int:
     arr = build_arrangement(ps)
     stats = _stats_dict(args.input, arr)
     if args.format == "json":
-        print(json.dumps(stats, indent=1))
+        print(_dumps(stats))
     else:
         _print_stats_text(stats)
     return EXIT_OK
@@ -222,7 +249,7 @@ def cmd_verify(args) -> int:
     suite = None if args.suite is None else [s.strip() for s in args.suite.split(",")]
     code, report = run_verify(ps, args.input, cross_check=args.cross_check, suite=suite)
     if args.format == "json":
-        print(json.dumps(report, indent=1))
+        print(_dumps(report))
     else:
         _print_verify_text(report)
     return code
@@ -327,7 +354,7 @@ def cmd_constants(args) -> int:
         "rows": rows,
     }
     if args.format == "json":
-        print(json.dumps(result, indent=1))
+        print(_dumps(result))
     else:
         print(f"family: {args.family}  alpha: {k.alpha}  beta: {k.beta}  cutoff: {scan.cutoff}")
         for row in rows:

@@ -12,7 +12,6 @@ import random
 import re
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import contains
 from typing import IO, NoReturn, Optional, Union
 
 from .arrangement import PointSet
@@ -20,6 +19,8 @@ from .errors import DomainError, PointFormatError
 from .geometry import Point, coordinate, point
 
 _COORD_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+# a str.translate table that deletes the characters of an integer coordinate
+_INT_CHARS = str.maketrans("", "", "-0123456789")
 
 
 def grid(w: int, h: int) -> PointSet:
@@ -107,9 +108,10 @@ def load_points(fp: IO[str]) -> PointSet:
     A coordinate loads as an int when it is integral ("4/2" as 2) and as a
     reduced Fraction otherwise, the rule of geometry.coordinate.  The file is
     checked and converted in whole-list passes (entry shapes, coordinate
-    types, the coordinate pattern, the conversion); only when a pass fails
-    does a walk over the entries, in file order, name the first offending
-    point and field.
+    types, a character check, the conversion).  When every coordinate holds
+    only ASCII digits and "-", int() converts them; otherwise the coordinate
+    pattern is checked first.  Only when a pass fails does a walk over the
+    entries, in file order, name the first offending point and field.
     """
     try:
         data = json.load(fp)
@@ -137,14 +139,23 @@ def _parse_points(raw: list) -> Optional[tuple[Point, ...]]:
     if set(map(type, raw)) != {list} or set(map(len, raw)) != {2}:
         return None
     coords = list(chain.from_iterable(raw))
-    if set(map(type, coords)) != {str} or not all(map(_COORD_RE.fullmatch, coords)):
+    if set(map(type, coords)) != {str}:
         return None
-    values = map(_coordinate if any(map(contains, coords, repeat("/"))) else int, coords)
+    if "".join(coords).translate(_INT_CHARS):
+        # a "/" or a character no coordinate may hold: the pattern decides
+        if not all(map(_COORD_RE.fullmatch, coords)):
+            return None
+        values = map(_coordinate, coords)
+    else:
+        # on ASCII digits and "-", int() accepts exactly the strings -?[0-9]+ matches
+        values = map(int, coords)
     try:
         # one iterator zipped with itself pairs consecutive values; tuple.__new__
         # builds each Point in C, where Point(x, y) runs a Python __new__
         return tuple(map(tuple.__new__, repeat(Point), zip(values, values)))
-    except ValueError:  # more digits than the int-conversion limit
+    # more digits than the int-conversion limit, or an integer coordinate that is
+    # empty, a lone "-" or has a "-" past its first place
+    except ValueError:
         return None
 
 

@@ -9,7 +9,7 @@ import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pointline
 from pointline import Unresolved, _kern, arrangement, bounds, cli, generators, load_points_file
@@ -432,6 +432,71 @@ def test_verify_exit_two_on_failed_check(grid_file, monkeypatch, capsys):
     monkeypatch.setattr(bounds, "verify_theorems", lambda arr, names=None: [failed])
     assert cli.main(["verify", grid_file]) == 2
     assert "FAILED" in capsys.readouterr().out
+
+
+# JSON leaves: str over full Unicode (surrogates too), with the characters
+# that need escapes made frequent; int of any sign and size; bool and None
+_json_leaves = st.one_of(
+    st.text(st.one_of(st.characters(blacklist_categories=()), st.sampled_from('"\\\x00\x1f\x7f\ud800')),
+            max_size=6),
+    st.integers(), st.integers(-1, 1).map(lambda sign: sign * 7 ** 5200), st.booleans(), st.none(),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(_json_values)
+@example([[], {}, [[]], {"": {}}, [{}, []]])
+@example({"s": {"2": 4}, "\udfff\"\\\n": [None, True, False, -0, "\u2028"]})
+@example([10 ** 4299, -(10 ** 4299)])
+@settings(max_examples=60)
+def test_json_writer_lays_out_what_json_dumps_indent_1_does(obj):
+    try:
+        want = json.dumps(obj, indent=1)
+    except ValueError:  # an int past the int-to-string digit limit
+        with pytest.raises(ValueError):
+            cli._dumps(obj)
+    else:
+        assert cli._dumps(obj) == want
+
+
+class _Count(int):
+    pass
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), F(1, 2), _Count(3)], ids=repr)
+def test_json_writer_refuses_other_types(value):
+    for obj in value, [value], {"a": [value]}:
+        with pytest.raises(TypeError):
+            cli._dumps(obj)
+    with pytest.raises(TypeError):
+        cli._dumps({1: "a"})
+
+
+_JSON_REPORTS = [
+    ["analyze", "{grid}"],
+    ["verify", "{grid}"],
+    ["verify", "{grid}", "--cross-check"],
+    ["verify", "{grid}", "--failing"],
+    ["constants", "--family", "wd", "--c-min", "8", "--c-max", "200", "--eps", "1/26"],
+    ["constants", "--family", "few", "--c-min", "29", "--c-max", "200"],
+]
+
+
+@pytest.mark.parametrize("argv", _JSON_REPORTS, ids=" ".join)
+def test_every_json_report_round_trips_through_the_stdlib(argv, grid_file, monkeypatch, capsys):
+    code = 0
+    if "--failing" in argv:
+        argv, code = argv[:-1], 2
+        failed = TheoremCheck("total_lines", True, ">=", F(1), F(2), False, "")
+        monkeypatch.setattr(bounds, "verify_theorems", lambda arr, names=None: [failed])
+    argv = [arg.format(grid=grid_file) for arg in argv]
+    assert cli.main([*argv, "--format", "json"]) == code
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=1) + "\n"
 
 
 def test_verify_rejects_removed_cutoff_flag(grid_file, capsys):

@@ -273,9 +273,12 @@ def test_load_parses_coordinates_as_fraction_does(value):
 # coordinates the file format admits, in six classes of equal values, so
 # that duplicates such as "2" against "4/2" are frequent
 _small_values = st.sampled_from(["0", "-0", "0/7", "2", "4/2", "1/2", "2/4", "-3", "-12/8", "007"])
+# strings that int() refuses although they hold only ASCII digits and "-",
+# and strings int() would accept that the pattern refuses
+_bad_integers = ["-", "1-2", "--1", "-1-", "1_0", "1 ", "0x1", "1e3", "-" + "1" * 4301]
 _invalid_values = st.one_of(
     st.sampled_from(["1\n2", "1\n", "\u0663", "\uff11", "+3", " 1", "", "1/0", "3/-2", "1.5",
-                     "1" * 4301, "1/" + "1" * 4301]),
+                     "1" * 4301, "1/" + "1" * 4301, *_bad_integers]),
     st.integers(-3, 3), st.floats(allow_nan=False, allow_infinity=False), st.none(),
     st.booleans(), st.lists(st.sampled_from(["0", "1"]), max_size=2),
 )
@@ -311,6 +314,16 @@ def _point_files(draw):
 @example([["0", "0"], ["1", "0"], ["2"]])
 @example([["1/2", "0"], ["0", "1/" + "1" * 4301]])
 @example([["0", "0"], ["1", 2.0]])
+@example([["007", "-0"], ["-1", "2"]])
+@example([["0", "0"], ["1", "-"]])
+@example([["0", "0"], ["1", "1-2"]])
+@example([["0", "0"], ["1", "--1"]])
+@example([["0", "0"], ["1", "-1-"]])
+@example([["0", "0"], ["1", "1_0"]])
+@example([["0", "0"], ["1", "1 "]])
+@example([["0", "0"], ["1", "0x1"]])
+@example([["0", "0"], ["1", "1e3"]])
+@example([["0", "0"], ["1", "-" + "1" * 4301]])
 @settings(max_examples=300, deadline=None)
 def test_load_agrees_with_the_per_entry_reference(entries):
     text = json.dumps({"points": entries})
@@ -352,6 +365,28 @@ def test_a_valid_file_never_walks_its_entries(monkeypatch):
     with pytest.raises(PointFormatError, match="^point 1999 duplicates point 0: "):
         _load(_near_pencil_file(["0", "0"]))  # a duplicate is found after the parse
     assert calls == []
+
+
+class _CountingPattern:
+    """A stand-in for the loader's coordinate pattern that counts its fullmatch calls."""
+
+    def __init__(self, real):
+        self.real, self.calls = real, 0
+
+    def fullmatch(self, text):
+        self.calls += 1
+        return self.real.fullmatch(text)
+
+
+def test_an_integer_file_skips_the_coordinate_pattern(monkeypatch):
+    spy = _CountingPattern(generators._COORD_RE)
+    monkeypatch.setattr(generators, "_COORD_RE", spy)
+    assert _load(_near_pencil_file(["0", "1"])).n == 2000
+    assert spy.calls == 0
+    buf = io.StringIO()
+    dump_points(circle(50), buf)
+    assert _load(buf.getvalue()).n == 50
+    assert spy.calls >= 100
 
 
 @pytest.mark.parametrize("last, message", [

@@ -5,19 +5,19 @@ integer homogeneous triple (X, Y, W), so ints and Fractions take one path,
 and both return (size_hist, lines_per_point) without building the lines.
 
 ``exact_statistics`` is exact big-integer arithmetic, whatever the size
-of the coordinates.  It skips each pair on a line of 3 or more points
-that an earlier row already counted: a row lists its clear columns from
-one n-bit int, in C when they are many.  So its cost is about the pairs
-not covered by such a line, n(n - 1)/2 with no three points collinear
-and about 2n on a near-pencil, plus two n-bit int operations per row.
-It counts the statistics as each such line is finished, and keys each
-column by its slope from the row's point in a dict dropped when the row
-ends, so it holds O(n) objects, not all C(n, 2) lines: 0.07 MB of
-tracemalloc peak on a rational circle of 600 points, where a dict of its
-179,700 lines took 58 MB.  Inside the guard below a slope needs no gcd:
-on 562 small inputs shaped like the benchmark's sweep the slope loop
-took 0.46-0.53 of the time of one keyed by the gcd-reduced line
-(a, b, c) (in-process, 2-core VM, CPython 3.11.7).
+of the coordinates.  It skips each row with fewer than two clear
+columns, and each pair on a line of 3 or more points that an earlier
+row already counted; a row lists its clear columns from one n-bit int,
+in C when they are many.  So its cost is at most the pairs not covered
+by such a line, n - 1 on a near-pencil, plus two n-bit int operations
+per row it does not skip.  It counts the statistics as each such line
+is finished, and keys each column by its slope from the row's point in
+a dict dropped when the row ends, so it holds O(n) objects, not all
+C(n, 2) lines: 0.07 MB of tracemalloc peak on a rational circle of 600
+points, where a dict of its 179,700 lines took 58 MB.  Inside the guard
+below a slope needs no gcd: on 562 small inputs shaped like the
+benchmark's sweep the slope loop took 0.46-0.53 of the time of one
+keyed by the gcd-reduced line (a, b, c) (in process, CPython 3.11.7).
 
 Asked for a witness, ``exact_statistics`` also hands out every line of 3
 or more points as its sorted member list (none on a rational circle,
@@ -95,22 +95,23 @@ def exact_statistics(hx: list, hy: list, hw: list, witness: list | None = None) 
     one mask of its members, which one walk over them ORs into v's mask,
     or shares when v has none (a near-pencil's masks are one n-bit int),
     while it counts the line and takes the members after v off left[v].
-    Row v's shift drops the bits up to v that the mask holds too.  Row i
+    Row v's shift drops the bits up to v that the mask holds too.  A row with
+    left[i] < 2 only clears its mask: fewer than two columns cannot repeat a
+    key, so no line of 3 or more points starts at i, and its pair, if any,
+    is a 2-point line that the s_2 identity below counts.  Any other row i
     shifts its clear columns into free = (full ^ mask) >> (i + 1), full =
-    (1 << n) - 1, so bit b is column i + 1 + b.  When more than 1/_DENSE
-    of its later columns are clear it lists them in C, selecting
-    count(i + 1) by the reversed bin(free); otherwise it walks the set
-    bits lowest first (free & -free, then clear it).  left[i] only picks
-    the way: both list the set bits of free in ascending order.  A
+    (1 << n) - 1, so bit b is column i + 1 + b.  When more than 1/_DENSE of
+    its later columns are clear it lists them in C, selecting count(i + 1)
+    by the reversed bin(free); otherwise it walks the set bits lowest first
+    (free & -free, then clear it), so both list them in ascending order.  A
     skipped pair costs no Python step.  Every pair (i, j) that is still
-    evaluated lies on a line whose first member is i: had that line a
-    member before i, it would have at least 3 points, the row of its
-    first member would have counted it, and j would be skipped.  So the
-    direction names that line up to scale, all its later members are
-    columns of row i, and a found line is extended without a test of its
-    first member.  The pairs evaluated are those not covered by a longer
-    line through an earlier point, about 2n on a near-pencil instead of
-    n^2 / 2, and all of them on input with no three points collinear.
+    evaluated lies on a line whose first member is i: had that line a member
+    before i, it would have at least 3 points, the row of its first member
+    would have counted it, and j would be skipped.  So the direction names
+    that line up to scale, all its later members are columns of row i, and a
+    found line is extended without a test of its first member.  At most the
+    pairs not covered by a longer line through an earlier point are
+    evaluated: n - 1 on a near-pencil.
 
     The statistics are counted by two identities from the lines of 3 or
     more points alone, each line once, when its row ends.  The lines
@@ -157,6 +158,9 @@ def exact_statistics(hx: list, hy: list, hw: list, witness: list | None = None) 
     # past the guard an equal slope is confirmed by an exact cross product
     confirm = not _within_slope_guard(hx, hy, hw)
     for i in range(n):
+        if left[i] < 2:  # no line of 3 or more points starts at i
+            covered[i] = 0
+            continue
         x1 = hx[i]
         y1 = hy[i]
         w1 = hw[i]

@@ -131,8 +131,8 @@ def _line_misses_at_most_three(hx: list, hy: list, hw: list) -> bool:
 
     Such a line holds 2 of the first 5 points; each line through two of
     them is walked with exact cross products until its 4th miss.  For
-    n > 21 this is exactly when the exact kernel evaluates at most 4n
-    pairs, a near-pencil's cost (the proof is in the README).
+    n > 21 this is exactly when sum (|L| - 1) over the lines L, the most
+    pairs the exact kernel evaluates, is at most 4n (proof in the README).
     """
     for i, j in combinations(range(min(len(hx), 5)), 2):
         a = hy[i] * hw[j] - hy[j] * hw[i]

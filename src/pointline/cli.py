@@ -114,26 +114,33 @@ def _dumps(obj, newline: str = "\n") -> str:
     """json.dumps(obj, indent=1) for dicts with str keys, lists, str, int, bool and None.
 
     json.dumps takes its pure-Python encoder whenever indent is set; this
-    walk lays a report out the same way and escapes each string with the C
-    function that json.dumps uses.  Any other type is a TypeError.
+    walk lays a report out the same way, escapes each string with the C
+    function that json.dumps uses, and recurses only into containers.
+    Any other type is a TypeError.
     """
     kind = type(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int:
-        return repr(obj)
-    if kind is bool:
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
     if kind is not dict and kind is not list:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        if kind is not str and kind is not int and kind is not bool and obj is not None:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        return _dumps([obj])[3:-2]  # the one value between "[\n " and "\n]"
     if not obj:
         return "{}" if kind is dict else "[]"
     inner = newline + " "
     if kind is list:
-        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + newline + "]"
-    items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
+        values = [
+            encode_basestring_ascii(v) if type(v) is str else repr(v) if type(v) is int
+            else ("true" if v else "false") if type(v) is bool else "null" if v is None
+            else _dumps(v, inner)
+            for v in obj
+        ]
+        return "[" + inner + ("," + inner).join(values) + newline + "]"
+    items = [
+        encode_basestring_ascii(k) + ": " + (
+            encode_basestring_ascii(v) if type(v) is str else repr(v) if type(v) is int
+            else ("true" if v else "false") if type(v) is bool else "null" if v is None
+            else _dumps(v, inner))
+        for k, v in obj.items()
+    ]
     return "{" + inner + ("," + inner).join(items) + newline + "}"
 
 
@@ -229,7 +236,9 @@ def run_verify(
 
     checks = bounds.verify_theorems(arr, suite)
     # TheoremCheck's fields in order, with each side as an exact rational string
-    report["checks"] = [{**c._asdict(), "lhs": str(c.lhs), "rhs": str(c.rhs)} for c in checks]
+    report["checks"] = [{"name": name, "applicable": applicable, "relation": relation, "lhs": str(lhs),
+                         "rhs": str(rhs), "holds": holds, "note": note}
+                        for name, applicable, relation, lhs, rhs, holds, note in checks]
     failed = any(c.holds is False for c in checks)
     return (EXIT_CHECK_FAILED if failed else EXIT_OK), report
 

@@ -28,10 +28,11 @@ member.  Every other point of M is later than a, and either shares a
 listed line with a, which then lies on M and starts at a, or shares none
 and gives a direction along M in a's row.  Each listed line on M that
 starts at a gives one more such direction, so (iii) leaves at most one
-of all these.  If M holds 3 or more points, its at least 2 points after
-a cannot all be uncovered, so exactly one listed line L starts at a on
-M, and it holds every point of M: L = M.  If M holds 2 points, no listed
-line lies on it.  Any listed line L' lies on some M of 3 or more points,
+of all these (a row with fewer than two meets (iii) at once, and the
+check skips it).  If M holds 3 or more points, its 2 or more points
+after a cannot all be uncovered, so exactly one listed line L starts at
+a on M, and it holds all of M: L = M.  If M holds 2 points, no listed
+line lies on it.  A listed line L' lies on some M of 3 or more points,
 and shares a pair with the listed line M unless it is that entry, which
 (ii) forbids.  So the listed lines are exactly the lines of 3 or more
 points, each once with all its members, and the counts follow by the
@@ -60,11 +61,10 @@ guard on the coordinates is needed.  In process (best of 5, two runs,
 2-core VM, CPython 3.11.7) it took 0.9-1.2 times the witness loop:
 0.9-1.0 ms on a rational circle of 80 points, 2.6 ms on a 12x12 grid
 (898 listed lines), 2.4 ms on 150 random lattice points (seed 7, bound
-100; 90), 3.4-4.5 ms on a 2000-point near-pencil (1), 0.11-0.13 s on a
-30x30 grid (34,270) and 65 ms on 800 random lattice points (seed 7,
-bound 2000; 67); but 1.4-1.6 times (77-81 ms) on a rational circle of
-600 points, as clearing each point on its own squares the circle's
-denominators.
+100; 90), 0.11-0.13 s on a 30x30 grid (34,270) and 65 ms on 800 random
+lattice points (seed 7, bound 2000; 67); but 1.4 times (1.0-1.1 ms) on a
+2000-point near-pencil (1) and 1.4-1.6 times (77-81 ms) on a rational
+circle of 600 points (clearing each point alone squares denominators).
 """
 from __future__ import annotations
 
@@ -151,8 +151,10 @@ def certify_statistics(
         seconds.setdefault(a, []).append(b)
     full = (1 << n) - 1
     for a in range(n):
-        xa, ya, wa = pts[a]
         columns = seconds.pop(a, [])  # dropped with the row
+        if len(columns) + left[a] < 2:  # (iii) has no two directions to compare
+            continue
+        xa, ya, wa = pts[a]
         if covered[a]:
             free = (full ^ covered[a]) >> (a + 1)  # bit b: point a + 1 + b is on no listed line with a
             if left[a] * _DENSE > n - 1 - a:

@@ -810,10 +810,29 @@ def test_row_listing_on_a_line_plus_k_off_points(k):
 
 
 def test_kernel_evaluates_every_pair_without_three_collinear():
-    # also the count's own negative control: it reads C(50, 2), not 0
-    assert _evaluated(circle(50)) == 50 * 49 // 2
+    # also the count's own negative control: it reads C(50, 2) - 1, not 0;
+    # row 48 has one column, so it cannot start a line and is skipped
+    assert _evaluated(circle(50)) == 50 * 49 // 2 - 1
     # and past the slope guard, where each equal slope is confirmed
-    assert _evaluated(_scaled(circle(50), 1 << 40)) == 50 * 49 // 2
+    assert _evaluated(_scaled(circle(50), 1 << 40)) == 50 * 49 // 2 - 1
+
+
+@pytest.mark.parametrize("n", [200, 600])
+def test_near_pencil_rows_past_the_first_cost_nothing(n):
+    # rows 1 .. n - 2 have one clear column, the apex, and row n - 1 none,
+    # so only row 0 opens its dict of directions.  The exact loop evaluates
+    # its n - 1 pairs; the certificate's row 0 keys two directions, to the
+    # line's second member and to the apex (walk (i) checks the others)
+    ps = near_pencil(n)
+    witness = []
+    with line_runs(_kern.exact_statistics, "f = first.setdefault(key, j)",
+                   "first = {}  # slope key, or reduced direction, from i: its first column") as runs:
+        _kern.exact_statistics(*_triples(ps), witness)
+    assert runs == [n - 1, 1]
+    with line_runs(certify_statistics, "f = first.setdefault(key, u)",
+                   "first = {}  # slope key, or reduced direction, from a: its column") as runs:
+        assert certify_statistics(ps, witness) is not None
+    assert runs == [2, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -866,9 +885,14 @@ def _line_plus_off_points(n, k):
 @pytest.mark.parametrize("n", [22, 600])
 @pytest.mark.parametrize("k", range(7))
 def test_line_missing_at_most_three_points_iff_within_4n_pairs(n, k):
+    # the exact loop evaluates at most sum (|L| - 1) over the lines L,
+    # incidences - num_lines: each row it skips drops a 2-point line's pair
     ps = _line_plus_off_points(n, k)
     near = arrangement._line_misses_at_most_three(*_triples(ps))
-    assert near == (k <= 3) == (_evaluated(ps) <= 4 * n)
+    arr = build_arrangement(ps)
+    pairs = arr.incidences - arr.num_lines
+    assert near == (k <= 3) == (pairs <= 4 * n)
+    assert _evaluated(ps) <= pairs
 
 
 @pytest.mark.parametrize(

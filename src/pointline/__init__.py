@@ -8,10 +8,13 @@ bounds with rigorous rational enclosures.
 """
 from .arrangement import (
     Arrangement,
+    Point,
     PointSet,
+    Rational,
     build_arrangement,
     lines_with_at_most,
     max_lines_through_point,
+    point,
     visibility_edge_count,
 )
 from .bounds import (
@@ -49,7 +52,6 @@ from .generators import (
     random_points,
     save_points_file,
 )
-from .geometry import Point, Rational, point
 from .oracle import certify_statistics
 
 __version__ = "0.1.0"

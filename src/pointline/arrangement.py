@@ -1,9 +1,10 @@
-"""Line arrangements of finite point sets and their incidence statistics.
+"""Exact rational points, duplicate-free sets of them, and their line statistics.
 
-Computes the statistics the verification suite quantifies over: the
-histogram of line sizes, the total point-line incidence count, the
-maximum collinear count, and per-point line counts, over every line
-through at least two of the points.
+A Point's coordinates follow coordinate(); a PointSet is a tuple of
+distinct points.  The statistics are those the verification suite
+quantifies over: the histogram of line sizes, the total point-line
+incidence count, the maximum collinear count, and per-point line
+counts, over every line through at least two of the points.
 
 Large inputs on which no line holds all but at most 3 of the points, and
 that fit the guard of _kern.int64_statistics (for integer input,
@@ -17,23 +18,51 @@ loop finds, the witness that oracle.certify_statistics checks.
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 from itertools import combinations, islice
 from types import MappingProxyType
-from typing import Iterable
+from typing import Iterable, NamedTuple, Union
 
 from . import _kern
 from .errors import DomainError, DuplicatePoint, TooFewPoints
-from .geometry import Point
+
+# All coordinates and bound values in this package are exact rationals.
+Rational = Fraction
+
+RationalLike = Union[Rational, int, str]
 
 INT64_MIN_PAIRS = 1 << 17
 
 
+class Point(NamedTuple):
+    x: Union[int, Rational]
+    y: Union[int, Rational]
+
+
+def coordinate(value: RationalLike) -> Union[int, Rational]:
+    """value as an int when it is integral, else as a reduced Fraction.
+
+    The two types agree in ==, hash and str, so the form of a value changes
+    no comparison, duplicate check or printed result, only the cost of the
+    arithmetic.  The one owner of that rule: point() applies it, and so
+    does the file loader to each coordinate string that holds a "/".
+    """
+    q = value if type(value) is Fraction else Fraction(value)  # a Fraction is already reduced
+    return q.numerator if q.denominator == 1 else q
+
+
+def point(x: RationalLike, y: RationalLike) -> Point:
+    """Build a Point; each coordinate is an int when it is integral, else a reduced Fraction."""
+    return Point(coordinate(x), coordinate(y))
+
+
 class PointSet(namedtuple("PointSet", "points")):
-    """Ordered, duplicate-free collection of exact rational points, as a named tuple."""
+    """Ordered, duplicate-free tuple of exact rational points, built from any iterable of them."""
 
     __slots__ = ()
 
-    def __new__(cls, points: tuple[Point, ...]):
+    def __new__(cls, points: Iterable[Point]):
+        points = tuple(points)  # a tuple comes back as itself, with no copy
         if len(points) < 1:
             raise DomainError("a point set needs at least one point")
         if len(set(points)) != len(points):
@@ -48,9 +77,8 @@ class PointSet(namedtuple("PointSet", "points")):
     def n(self) -> int:
         return len(self.points)
 
-    @classmethod
-    def of(cls, points: Iterable[Point]) -> "PointSet":
-        return cls(tuple(points))
+    # PointSet.of(points) is PointSet(points), the name perfbench/test_smoke.py still calls
+    of = classmethod(__new__)
 
 
 class Arrangement(namedtuple("Arrangement", "n size_hist max_collinear incidences "

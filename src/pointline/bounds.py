@@ -38,9 +38,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable, NamedTuple, Optional
 
-from .arrangement import Arrangement, lines_with_at_most, max_lines_through_point
+from .arrangement import Arrangement, Rational, lines_with_at_most, max_lines_through_point
 from .errors import DomainError, InvalidCutoff, Unresolved
-from .geometry import Rational
 
 DEFAULT_CUTOFF = 256
 MAX_CUTOFF = 1 << 12
@@ -468,12 +467,14 @@ _CHECKS = (
 CHECK_NAMES = tuple(name for name, _, _ in _CHECKS)
 
 
-def check_suite(names) -> None:
-    """DomainError unless names is a non-empty collection of CHECK_NAMES."""
-    unknown = sorted(set(names).difference(CHECK_NAMES))
+def check_suite(names) -> frozenset:
+    """names, read once, as a frozenset; DomainError unless it holds some CHECK_NAMES and no other."""
+    names = frozenset(names)
+    unknown = sorted(names.difference(CHECK_NAMES))
     if unknown or not names:
         what = f"unknown check name(s) {unknown}" if unknown else "empty check suite"
         raise DomainError(f"{what}; available: {sorted(CHECK_NAMES)}")
+    return names
 
 
 def _decided(name: str, relation: str, sides) -> TheoremCheck:
@@ -497,7 +498,7 @@ def verify_theorems(arr: Arrangement, names=None) -> list[TheoremCheck]:
     their n >= 5).
     """
     if names is not None:
-        check_suite(names)
+        names = check_suite(names)
     return [_decided(name, relation, sides(arr)) for name, relation, sides in _CHECKS
             if names is None or name in names]
 

@@ -22,6 +22,7 @@ import math
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import Iterable
 
 from . import bounds, generators
 from .arrangement import Arrangement, PointSet, build_arrangement, max_lines_through_point
@@ -206,12 +207,12 @@ def run_verify(
     ps: PointSet,
     descriptor: str = "<memory>",
     cross_check: bool = False,
-    suite: list[str] | None = None,
+    suite: Iterable[str] | None = None,
 ) -> tuple[int, dict]:
     """Build, optionally cross-check, and run the inequality checks.
 
     Returns (exit_code, report_dict); the CLI layer only formats it.
-    Only the checks the suite names run (default: all).  An empty suite
+    Only the checks the suite iterable names run (default: all).  An empty suite
     or an unknown suite name is an error before any work.
 
     The cross-check compares the printed size_hist and lines_per_point
@@ -222,7 +223,7 @@ def run_verify(
     int64 path it is an exact recount beside the numpy kernel's.
     """
     if suite is not None:
-        bounds.check_suite(suite)
+        suite = bounds.check_suite(suite)
     long_lines = [] if cross_check else None
     arr = build_arrangement(ps, lines=long_lines)
     report = _stats_dict(descriptor, arr)

@@ -14,9 +14,8 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import IO, NoReturn, Optional, Union
 
-from .arrangement import PointSet
+from .arrangement import Point, PointSet, coordinate, point
 from .errors import DomainError, PointFormatError
-from .geometry import Point, coordinate, point
 
 _COORD_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 # a str.translate table that deletes the characters of an integer coordinate
@@ -27,7 +26,7 @@ def grid(w: int, h: int) -> PointSet:
     """The w x h integer grid {0..w-1} x {0..h-1}."""
     if w < 2 or h < 2:
         raise DomainError(f"grid needs w >= 2 and h >= 2, got {w} x {h}")
-    return PointSet.of(point(x, y) for x in range(w) for y in range(h))
+    return PointSet(point(x, y) for x in range(w) for y in range(h))
 
 
 def near_pencil(n: int) -> PointSet:
@@ -36,7 +35,7 @@ def near_pencil(n: int) -> PointSet:
         raise DomainError(f"near-pencil needs n >= 3, got {n}")
     pts = [point(i, 0) for i in range(n - 1)]
     pts.append(point(0, 1))
-    return PointSet.of(pts)
+    return PointSet(pts)
 
 
 def circle(n: int) -> PointSet:
@@ -51,7 +50,7 @@ def circle(n: int) -> PointSet:
     for t in range(n):
         den = 1 + t * t
         pts.append(point(Fraction(1 - t * t, den), Fraction(2 * t, den)))
-    return PointSet.of(pts)
+    return PointSet(pts)
 
 
 def random_points(n: int, seed: int, bound: int) -> PointSet:
@@ -71,14 +70,14 @@ def random_points(n: int, seed: int, bound: int) -> PointSet:
     chosen: set[tuple[int, int]] = set()
     while len(chosen) < n:
         chosen.add((rng.randint(-bound, bound), rng.randint(-bound, bound)))
-    return PointSet.of(point(x, y) for x, y in sorted(chosen))
+    return PointSet(point(x, y) for x, y in sorted(chosen))
 
 
 def collinear(n: int) -> PointSet:
     """n collinear points (0,0) .. (n-1, 0); the degenerate reference case."""
     if n < 2:
         raise DomainError(f"collinear set needs n >= 2, got {n}")
-    return PointSet.of(point(i, 0) for i in range(n))
+    return PointSet(point(i, 0) for i in range(n))
 
 
 _GENERATORS = {
@@ -106,7 +105,7 @@ def load_points(fp: IO[str]) -> PointSet:
     """Parse the JSON file format; raises PointFormatError naming the offender.
 
     A coordinate loads as an int when it is integral ("4/2" as 2) and as a
-    reduced Fraction otherwise, the rule of geometry.coordinate.  The file is
+    reduced Fraction otherwise, the rule of arrangement.coordinate.  The file is
     checked and converted in whole-list passes (entry shapes, coordinate
     types, a character check, the conversion).  When every coordinate holds
     only ASCII digits and "-", int() converts them; otherwise the coordinate

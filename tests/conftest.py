@@ -15,7 +15,7 @@ from reference import orient
 
 def pset(*coords) -> PointSet:
     """Build a PointSet from (x, y) tuples of ints/Fractions/strings."""
-    return PointSet.of(point(Fraction(x), Fraction(y)) for x, y in coords)
+    return PointSet(point(Fraction(x), Fraction(y)) for x, y in coords)
 
 
 def line_statistics(lines, n: int) -> tuple[dict[int, int], list[int]]:

@@ -155,7 +155,7 @@ def load_points_per_entry(fp: IO[str]) -> PointSet:
             coords.append(q.numerator if q.denominator == 1 else q)
         pts.append(Point(*coords))
     try:
-        return PointSet.of(pts)
+        return PointSet(pts)
     except DomainError as exc:
         raise PointFormatError(str(exc)) from exc
 

@@ -21,6 +21,7 @@ from pointline import (
     lines_with_at_most,
     max_lines_through_point,
     near_pencil,
+    point,
     random_points,
     visibility_edge_count,
 )
@@ -626,7 +627,25 @@ def test_visibility_counts_non_increasing(coords):
 
 def test_pointset_requires_a_point():
     with pytest.raises(DomainError):
-        PointSet.of([])
+        PointSet([])
+    with pytest.raises(DomainError):
+        PointSet(p for p in ())
+
+
+def test_pointset_keeps_a_tuple_of_any_iterable():
+    pts = [point(0, 0), point(1, 0), point(0, Fraction(1, 2))]
+    from_tuple = PointSet(tuple(pts))
+    for ps in (PointSet(pts), PointSet(p for p in pts), PointSet.of(iter(pts))):
+        assert type(ps.points) is tuple
+        assert ps == from_tuple and hash(ps) == hash(from_tuple)
+    # a tuple is kept as it is
+    assert PointSet(from_tuple.points).points is from_tuple.points
+    # the caller's list is copied: appending to it changes neither the set nor its statistics
+    ps = PointSet(pts)
+    pts.append(point(2, 0))
+    assert ps.n == 3 and build_arrangement(ps).size_hist == {2: 3}
+    with pytest.raises(AttributeError):
+        ps.points.append(point(2, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -399,8 +399,10 @@ def test_run_verify_refuses_an_empty_suite_before_the_build(monkeypatch, cross_c
 
     monkeypatch.setattr(cli, "build_arrangement", no_build)
     monkeypatch.setattr(cli, "certify_statistics", no_build)
-    with pytest.raises(pointline.PointLineError, match="empty check suite"):
-        cli.run_verify(generators.grid(3, 3), cross_check=cross_check, suite=[])
+    # nor an empty iterator, which is truthy before it is read
+    for suite in [], iter([]):
+        with pytest.raises(pointline.PointLineError, match="empty check suite"):
+            cli.run_verify(generators.grid(3, 3), cross_check=cross_check, suite=suite)
 
 
 @pytest.mark.parametrize("extra", [(), ("--cross-check",)], ids=["plain", "cross-check"])
@@ -425,6 +427,13 @@ def test_suite_runs_only_the_named_checks(grid_file, monkeypatch, capsys, extra)
     text = [line for line in outputs[(), "text"].splitlines(keepends=True)
             if " -> " not in line or line.startswith("point_degree: ")]
     assert outputs[("--suite", "point_degree"), "text"] == "".join(text)
+    # a generator of names is read once and still runs exactly the checks it names
+    ps = load_points_file(grid_file)
+    code, report = cli.run_verify(ps, grid_file, cross_check=bool(extra),
+                                  suite=(name for name in ["point_degree"]))
+    assert code == 0 and json.loads(json.dumps(report)) == full
+    checks = bounds.verify_theorems(pointline.build_arrangement(ps), (name for name in ["point_degree"]))
+    assert [c.name for c in checks] == ["point_degree"] and scans == []
 
 
 def test_verify_exit_two_on_failed_check(grid_file, monkeypatch, capsys):

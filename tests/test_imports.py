@@ -11,12 +11,13 @@ every name reference.py defines is read by a test file or by reference.py.
 Every private module-level name of the package is read by the package.
 """
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 import pointline
-from pointline import _kern, arrangement, bounds, errors, geometry, oracle
+from pointline import _kern, arrangement, bounds, errors, oracle
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "pointline"
@@ -203,7 +204,7 @@ def test_moved_and_deleted_names_are_gone():
     gone = {
         pointline: ("orient", "normalize_key", "line_through", "LineKey", "brute_force_lines",
                     "certify_lines", "tail_sum", "IdenticalPoints", "hirzebruch_check"),
-        geometry: ("orient", "normalize_key", "line_through", "LineKey"),
+        arrangement: ("orient", "normalize_key", "line_through", "LineKey"),
         oracle: ("brute_force_lines", "certify_lines"),
         bounds: ("tail_sum", "hirzebruch_check", "_check", "_Family", "_WD", "_FEW", "TAIL_KINDS", "_st_bound"),
         errors: ("IdenticalPoints",),
@@ -214,5 +215,7 @@ def test_moved_and_deleted_names_are_gone():
     }
     assert [(owner.__name__, name) for owner, names in gone.items()
             for name in names if name in vars(owner)] == []
+    # the point model lives in arrangement
+    assert importlib.util.find_spec("pointline.geometry") is None
     assert arrangement.Arrangement._fields == ("n", "size_hist", "max_collinear", "incidences",
                                                "lines_per_point", "num_lines")
